@@ -268,13 +268,16 @@ module Pc = struct
           P.member ~id:node ~send ~deliver ~graph ())
         ~receive:(fun m ~src fr ->
           charge (P.metrics m) fr;
-          (* flooding forwards this exact physical frame: no re-encode,
-             and downstream recipients share the memoized view too *)
-          let emit ~dst =
-            Net.send net ~src:(P.member_id m) ~dst
-              ~size:(Wire.length fr.Codec.frame) fr
-          in
-          P.receive m ~src ~emit (Codec.view fr ~dec:get))
+          let w = Codec.view fr ~dec:get in
+          (* most flooded copies are duplicates: drop those before
+             building the forwarding closure *)
+          if not (P.discard m ~src w) then
+            (* flooding forwards this exact physical frame: no
+               re-encode, and downstream recipients share the memoized
+               view too *)
+            P.receive m ~src w ~emit:(fun ~dst ->
+                Net.send net ~src:(P.member_id m) ~dst
+                  ~size:(Wire.length fr.Codec.frame) fr))
     in
     Array.iter (fun m -> P.init_static m ~n ~degree) (Sgroup.members sg);
     { sg; pool; enc; graph }

@@ -78,9 +78,11 @@ type 'a member = {
   deliver : 'a envelope -> unit; (* App bodies only *)
   on_causal : Label.t -> unit; (* every causal delivery, ctrl included *)
   mutable on_joined : int -> unit; (* set by Group: react to [Joined] *)
-  next : (int, int) Hashtbl.t;
-      (* per-origin expected seq; an absent origin adopts its first seen
-         seq as baseline — how a late joiner accepts contiguous suffixes *)
+  mutable next : int array;
+      (* per-origin expected seq, indexed by origin — member ids are
+         dense network node ids.  -1, like any id past the end, is an
+         unknown origin, which adopts its first seen seq as baseline:
+         how a late joiner accepts contiguous suffixes *)
   waiting : (int * int, 'a waiter Fqueue.t) Hashtbl.t;
   mutable peers : int list; (* open out-links, the flooding fan-out *)
   locked : (int, 'a pending Fqueue.t) Hashtbl.t;
@@ -109,7 +111,7 @@ let member ~id ~send ?(deliver = fun _ -> ()) ?(on_causal = fun _ -> ())
     deliver;
     on_causal;
     on_joined = ignore;
-    next = Hashtbl.create 16;
+    next = [||];
     waiting = Hashtbl.create 16;
     peers = [];
     locked = Hashtbl.create 4;
@@ -124,19 +126,45 @@ let member ~id ~send ?(deliver = fun _ -> ()) ?(on_causal = fun _ -> ())
     metrics = Metrics.create ~name:"causal:pc" ();
   }
 
-let deliverable t (e : 'a envelope) =
-  match Hashtbl.find_opt t.next e.origin with
-  | None -> true (* unknown origin: adopt-first baseline *)
-  | Some nx -> e.seq = nx
+let cursor t origin =
+  if origin < Array.length t.next then t.next.(origin) else -1
 
-let wake t key woken =
+let set_cursor t origin seq =
+  let cap = Array.length t.next in
+  if origin >= cap then begin
+    (* grown slots are unknown origins, never seq 0 *)
+    let grown = Array.make (max (origin + 1) (2 * cap)) (-1) in
+    Array.blit t.next 0 grown 0 cap;
+    t.next <- grown
+  end;
+  t.next.(origin) <- seq
+
+(* The expected seq, or an unknown origin.  Anything else is a
+   duplicate (below the cursor) or a future seq (above it). *)
+let deliverable t (e : 'a envelope) =
+  let nx = cursor t e.origin in
+  nx < 0 || e.seq = nx
+
+let wake t ~origin ~seq woken =
   if Hashtbl.length t.waiting = 0 then ()
   else
+    let key = (origin, seq) in
     match Hashtbl.find_opt t.waiting key with
     | None -> ()
     | Some bucket ->
       Hashtbl.remove t.waiting key;
       Fqueue.iter (fun w -> woken := w :: !woken) bucket
+
+(* Send a copy to every out-link but [except], the link it came in on. *)
+let rec flood emit ~except = function
+  | [] -> ()
+  | p :: rest ->
+    if p <> except then emit ~dst:p;
+    flood emit ~except rest
+
+(* The link from [src] is buffered by π_lock. *)
+let link_locked t src =
+  Hashtbl.length t.locked > 0 && Hashtbl.mem t.locked src
 
 let rec open_link t ~to_ =
   t.send ~dst:to_ Lock;
@@ -172,14 +200,14 @@ and bcast_body t ?tag body =
 (* Flood-then-deliver for a message of our own: the origin is hop zero
    of the flood. *)
 and publish t e ~emit =
-  List.iter (fun p -> emit ~dst:p) t.peers;
+  flood emit ~except:(-1) (* no in-link to skip *) t.peers;
   let woken = ref [] in
   do_deliver t woken e;
   drain t !woken
 
 and do_deliver t woken e =
-  Hashtbl.replace t.next e.origin (e.seq + 1);
-  wake t (e.origin, e.seq + 1) woken;
+  set_cursor t e.origin (e.seq + 1);
+  wake t ~origin:e.origin ~seq:(e.seq + 1) woken;
   let label = label_of e in
   t.ctx_rev <- label :: t.ctx_rev;
   Metrics.on_deliver t.metrics;
@@ -206,9 +234,7 @@ and drain t woken =
         Metrics.on_unbuffer t.metrics;
         if deliverable t w.env then begin
           (* first physical receipt: forward before delivering *)
-          List.iter
-            (fun p -> if p <> w.wsrc then w.emit ~dst:p)
-            t.peers;
+          flood w.emit ~except:w.wsrc t.peers;
           do_deliver t next w.env
         end)
       gen;
@@ -245,15 +271,15 @@ and park t ~src ~emit e =
   Fqueue.push bucket { env = e; arrival; wsrc = src; emit }
 
 and handle_env t ~src ~emit e =
-  match Hashtbl.find_opt t.next e.origin with
-  | Some nx when e.seq < nx -> () (* duplicate: another link was first *)
-  | Some nx when e.seq > nx -> park t ~src ~emit e
-  | _ ->
+  if deliverable t e then begin
     (* first receipt (or adopt-first): flood, then deliver *)
-    List.iter (fun p -> if p <> src then emit ~dst:p) t.peers;
+    flood emit ~except:src t.peers;
     let woken = ref [] in
     do_deliver t woken e;
     drain t !woken
+  end
+  else if e.seq > cursor t e.origin then park t ~src ~emit e
+  else () (* duplicate: another link was first *)
 
 let receive t ~src ?emit w =
   Metrics.on_receive t.metrics;
@@ -261,17 +287,24 @@ let receive t ~src ?emit w =
   | Lock ->
     if Hashtbl.mem t.unlocked src || Hashtbl.mem t.locked src then ()
     else Hashtbl.replace t.locked src (Fqueue.create ())
-  | Env e -> (
+  | Env e ->
     let emit =
       match emit with
       | Some f -> f
       | None -> fun ~dst -> t.send ~dst (Env e)
     in
-    match Hashtbl.find_opt t.locked src with
-    | Some bucket ->
+    if link_locked t src then begin
       Metrics.on_buffer t.metrics;
-      Fqueue.push bucket { penv = e; psrc = src; pemit = emit }
-    | None -> handle_env t ~src ~emit e)
+      Fqueue.push (Hashtbl.find t.locked src)
+        { penv = e; psrc = src; pemit = emit }
+    end
+    else handle_env t ~src ~emit e
+
+let discard t ~src = function
+  | Env e when e.seq < cursor t e.origin && not (link_locked t src) ->
+    Metrics.on_receive t.metrics;
+    true
+  | Env _ | Lock -> false
 
 let bcast_member t ?tag p = bcast_body t ?tag (App p)
 
@@ -317,9 +350,7 @@ let peers_for ~n ~degree i =
    adopt-first never fires among the founders. *)
 let init_static t ~n ~degree =
   t.peers <- peers_for ~n ~degree t.id;
-  for o = 0 to n - 1 do
-    Hashtbl.replace t.next o 0
-  done
+  t.next <- Array.make n 0
 
 module Group = struct
   type 'a t = {

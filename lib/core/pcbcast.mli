@@ -79,6 +79,14 @@ val receive : 'a member -> src:int -> ?emit:(dst:int -> unit) -> 'a wire -> unit
     frame-sharing closure so flooding never re-serializes; when absent
     the decoded value is re-sent. *)
 
+val discard : 'a member -> src:int -> 'a wire -> bool
+(** [discard m ~src w] is [true] when [w] is a copy whose seq [m]'s
+    cursor for its origin has already passed, arriving on a link that
+    π_lock is not buffering: it counts the receipt and drops the copy,
+    exactly as {!receive} would.  Otherwise it does nothing and is
+    [false].  Lets a caller skip building {!receive}'s [emit] for the
+    flood's duplicates — most copies on a sparse overlay. *)
+
 val bcast_member : 'a member -> ?tag:string -> 'a -> Label.t
 (** Broadcast from this member: flood to its out-links, deliver locally,
     return the message's label (already inserted into the audit graph
@@ -116,7 +124,9 @@ val init_static : 'a member -> n:int -> degree:int option -> unit
 (** Configure a founding member of a static group: overlay links from
     {!peers_for} and per-origin cursors at 0 for all [n] initial origins
     (static membership is common knowledge, so adopt-first never fires
-    among founders).  {!Group.create} and the framed group call this. *)
+    among founders; any later origin, a joiner, still adopts).  Call it
+    on a fresh member: it replaces the cursors.  {!Group.create} and the
+    framed group call this. *)
 
 (** Group wrapper: one member per network node, flooding over a static
     overlay, with dynamic join/leave. *)

@@ -1,25 +1,42 @@
-type t = { mutable state : int64 }
-
 (* SplitMix64 (Steele, Lea & Flood 2014): tiny state, good statistical
    quality, and a principled [split] — exactly what deterministic
-   simulation needs. *)
+   simulation needs.
+
+   The 64-bit state lives unboxed in 8 bytes, read and written through
+   the raw bytes primitives: an [int64] in a mutable field would be a
+   fresh boxed value on every update.  The arithmetic stays inside this
+   module — dev builds compile with [-opaque], so no caller can inline
+   a draw, and an [int64] or [float] returned across modules is boxed.
+   Within it, [@inline] carries the value unboxed from state to result:
+   [int], [bool] and [bernoulli] allocate nothing, and the float draws
+   only their boxed result. *)
+type t = bytes
+
+external get_state : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set_state : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = next t }
+let[@inline] next t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
 
-let copy t = { state = t.state }
+let split t = of_state (next t)
+
+let copy t = Bytes.copy t
 
 let int64 t = next t
 
@@ -32,7 +49,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 high bits -> uniform double in [0,1). *)
   let bits = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   bound *. (bits /. 9007199254740992.0)
@@ -45,7 +62,7 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-let gaussian t ~mu ~sigma =
+let[@inline] gaussian t ~mu ~sigma =
   (* Box–Muller; one draw discarded for simplicity. *)
   let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
   let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in

@@ -70,6 +70,50 @@ let test_adopt_first_baseline () =
   Pcb.receive m ~src:1 (Pcb.Env e6);
   check_int "stream adopted mid-flight" 2 (Pcb.delivered_count m)
 
+let app ~origin seq = Pcb.Env { Pcb.origin; seq; tag = ""; body = Pcb.App seq }
+
+let test_cursor_growth_adopts_unknown_origins () =
+  (* no [init_static]: origin 7 grows the cursors, and the slots it
+     creates for origins below 7 must read "unknown", not "expect 0" —
+     else origin 2's first copy (seq 5) would park forever *)
+  let m = Pcb.member ~id:0 ~send:silent () in
+  Pcb.receive m ~src:1 (app ~origin:7 3);
+  Pcb.receive m ~src:1 (app ~origin:2 5);
+  check_int "both origins adopted" 2 (Pcb.delivered_count m);
+  check_int "nothing parked" 0 (Pcb.pending_count m);
+  Pcb.receive m ~src:1 (app ~origin:2 4);
+  check_int "below the cursor: a duplicate" 2 (Pcb.delivered_count m);
+  check_int "a duplicate never parks" 0 (Pcb.pending_count m);
+  Pcb.receive m ~src:1 (app ~origin:2 7);
+  check_int "past the cursor: parks" 1 (Pcb.pending_count m);
+  Pcb.receive m ~src:1 (app ~origin:2 6);
+  check_int "gap filled, both delivered" 4 (Pcb.delivered_count m);
+  check_int "parked copy released" 0 (Pcb.pending_count m)
+
+let test_founder_adopts_joiner () =
+  let m = Pcb.member ~id:0 ~send:silent () in
+  Pcb.init_static m ~n:4 ~degree:None;
+  Pcb.receive m ~src:1 (app ~origin:9 2);
+  check_int "joiner id past the founders adopted" 1 (Pcb.delivered_count m);
+  Pcb.receive m ~src:1 (app ~origin:3 1);
+  check_int "founder origins still start at 0" 1 (Pcb.pending_count m)
+
+let test_discard_only_passed_copies () =
+  let m = Pcb.member ~id:0 ~send:silent () in
+  Pcb.init_static m ~n:4 ~degree:None;
+  Pcb.receive m ~src:1 (app ~origin:1 0);
+  let received () = (Pcb.metrics m).Causalb_stackbase.Metrics.received in
+  check "passed copy discarded" true (Pcb.discard m ~src:2 (app ~origin:1 0));
+  check_int "and counted as received" 2 (received ());
+  check "first receipt kept" false (Pcb.discard m ~src:2 (app ~origin:1 1));
+  check "future seq kept" false (Pcb.discard m ~src:2 (app ~origin:1 5));
+  check "unknown origin kept" false (Pcb.discard m ~src:2 (app ~origin:8 0));
+  check "lock kept" false (Pcb.discard m ~src:3 Pcb.Lock);
+  check_int "kept copies not counted" 2 (received ());
+  (* a link under π_lock buffers everything, duplicates included *)
+  Pcb.receive m ~src:3 Pcb.Lock;
+  check "locked link kept" false (Pcb.discard m ~src:3 (app ~origin:1 0))
+
 (* --- 2. static groups under the oracle --- *)
 
 let test_static_runs_oracle_clean () =
@@ -98,6 +142,46 @@ let test_sparse_overlay_reaches_everyone () =
     check_int "member saw all broadcasts" 6
       (List.length (Fgroup.Pc.delivered_tags g i))
   done
+
+(* The framed group drops duplicates before [receive]; on the same seed
+   it must deliver what the plain group delivers, in the same order,
+   with the same per-member counts. *)
+let test_framed_equals_plain () =
+  let n = 24 and ops = 40 in
+  let run make bcast tags metrics =
+    let e = Engine.create ~seed:11 () in
+    let net = Net.create e ~nodes:n ~latency:Latency.lan ~fifo:true () in
+    let g = make net in
+    for i = 0 to ops - 1 do
+      Engine.schedule_at e ~time:(0.3 *. float_of_int i) (fun () ->
+          bcast g ~src:((7 * i) mod n) ~tag:(Printf.sprintf "op%d" i) i)
+    done;
+    Engine.run e;
+    List.init n (fun i ->
+        let m = metrics g i in
+        ( tags g i,
+          Causalb_stackbase.Metrics.
+            (m.received, m.delivered, m.forced_waits) ))
+  in
+  let plain =
+    run
+      (fun net -> Pcb.Group.create ~degree:4 net ())
+      (fun g ~src ~tag i -> ignore (Pcb.Group.bcast g ~src ~tag i))
+      Pcb.Group.delivered_tags
+      (fun g i -> Pcb.metrics (Pcb.Group.member g i))
+  in
+  let framed =
+    run
+      (fun net ->
+        Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int ())
+      (fun g ~src ~tag i -> ignore (Fgroup.Pc.bcast g ~src ~tag i))
+      Fgroup.Pc.delivered_tags Fgroup.Pc.metrics
+  in
+  check "every member delivered every op" true
+    (List.for_all (fun (tags, _) -> List.length tags = ops) plain);
+  check "flood produced duplicates" true
+    (List.exists (fun (_, (received, delivered, _)) -> received > delivered) plain);
+  check "framed = plain: orders and counts" true (framed = plain)
 
 (* --- 3. dynamic membership --- *)
 
@@ -212,6 +296,12 @@ let () =
             test_duplicate_copies_deliver_once;
           Alcotest.test_case "adopt-first baseline" `Quick
             test_adopt_first_baseline;
+          Alcotest.test_case "cursor growth adopts unknown origins" `Quick
+            test_cursor_growth_adopts_unknown_origins;
+          Alcotest.test_case "founder adopts a joiner" `Quick
+            test_founder_adopts_joiner;
+          Alcotest.test_case "discard drops only passed copies" `Quick
+            test_discard_only_passed_copies;
         ] );
       ( "static groups",
         [
@@ -219,6 +309,7 @@ let () =
             test_static_runs_oracle_clean;
           Alcotest.test_case "sparse overlay reaches everyone" `Quick
             test_sparse_overlay_reaches_everyone;
+          Alcotest.test_case "framed = plain" `Quick test_framed_equals_plain;
         ] );
       ( "membership",
         [

@@ -116,6 +116,151 @@ let test_engine_fork_rng_distinct () =
   let a = Engine.fork_rng e and b = Engine.fork_rng e in
   check "distinct streams" true (Rng.int64 a <> Rng.int64 b)
 
+(* A fired event must not stay reachable from the queue: whatever its
+   callback captured (a packet, a frame, a member) would outlive the run
+   for as long as the engine does. *)
+let[@inline never] schedule_capturing e w =
+  let big = Array.make 100_000 0 in
+  Weak.set w 0 (Some big);
+  Engine.schedule e ~delay:1.0 (fun () -> ignore (Sys.opaque_identity big))
+
+let test_engine_releases_fired_callbacks () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  schedule_capturing e w;
+  Engine.run e;
+  check_int "drained" 0 (Engine.pending e);
+  Gc.full_major ();
+  check "captured array collected" false (Weak.check w 0);
+  check_int "engine still alive" 1 (Engine.events_processed e)
+
+(* Model-based ordering check.  A schedule is a forest: each node fires
+   at its parent's firing time plus its delay (roots at an absolute
+   time), and its callback schedules its children in list order.  The
+   model keeps pending events in scheduling order and fires the first
+   element of their stable sort by time — the engine's contract.  Times
+   and delays come from small sets so ties are the common case, and the
+   run is cut into [until]/[max_events] slices, single steps and
+   external schedules between slices. *)
+type node = Node of float * node list
+
+type cmd =
+  | Run of float option * int option (* [until], events past [processed] *)
+  | Step
+  | Add of node
+
+let node_gen =
+  let open QCheck2.Gen in
+  let delay = oneofl [ 0.0; 0.0; 0.5; 1.0; 2.0 ] in
+  let rec tree depth =
+    delay >>= fun d ->
+    if depth = 0 then return (Node (d, []))
+    else list_size (int_range 0 2) (tree (depth - 1)) >|= fun kids -> Node (d, kids)
+  in
+  tree 2
+
+let schedule_gen =
+  let open QCheck2.Gen in
+  let stop = int_range 0 12 >|= fun k -> 0.5 *. float_of_int k in
+  let root = pair (oneofl [ 0.0; 1.0; 2.0; 3.0 ]) node_gen in
+  let cmd =
+    frequency
+      [
+        (8, pair (option stop) (option (int_range 0 40)) >|= fun (u, b) -> Run (u, b));
+        (2, return Step);
+        (1, node_gen >|= fun n -> Add n);
+      ]
+  in
+  pair (list_size (int_range 1 60) root) (list_size (int_range 0 12) cmd)
+
+type model = {
+  mutable now : float;
+  mutable seq : int;
+  mutable processed : int;
+  mutable queue : (float * int * node) list; (* scheduling order *)
+  mutable fired : (int * float) list;
+}
+
+let model_schedule m time n =
+  m.queue <- m.queue @ [ (time, m.seq, n) ];
+  m.seq <- m.seq + 1
+
+let model_step m =
+  match List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b) m.queue with
+  | [] -> false
+  | (time, seq, Node (_, kids)) :: _ ->
+    m.queue <- List.filter (fun (_, s, _) -> s <> seq) m.queue;
+    m.now <- time;
+    m.processed <- m.processed + 1;
+    m.fired <- (seq, time) :: m.fired;
+    List.iter (fun (Node (d, _) as k) -> model_schedule m (time +. d) k) kids;
+    true
+
+let model_run ?until ?max_events m =
+  let ok () =
+    (match max_events with None -> true | Some b -> m.processed < b)
+    &&
+    match (until, m.queue) with
+    | Some stop, _ :: _ ->
+      List.fold_left (fun acc (t, _, _) -> Float.min acc t) infinity m.queue
+      <= stop
+    | _ -> true
+  in
+  while ok () && model_step m do
+    ()
+  done
+
+let prop_engine_matches_model (roots, cmds) =
+  let e = Engine.create () in
+  let seq = ref 0 and fired = ref [] in
+  let rec engine_schedule ~at (Node (_, kids)) =
+    let id = !seq in
+    incr seq;
+    Engine.schedule_at e ~time:at (fun () ->
+        fired := (id, Engine.now e) :: !fired;
+        List.iter
+          (fun (Node (d, _) as k) -> engine_schedule ~at:(Engine.now e +. d) k)
+          kids)
+  in
+  let m = { now = 0.0; seq = 0; processed = 0; queue = []; fired = [] } in
+  let add ~at n =
+    engine_schedule ~at n;
+    model_schedule m at n
+  in
+  List.iter (fun (at, n) -> add ~at n) roots;
+  let agree () =
+    !fired = m.fired
+    && Engine.pending e = List.length m.queue
+    && Engine.events_processed e = m.processed
+    && Engine.now e = m.now
+  in
+  List.for_all
+    (fun c ->
+      let stepped_alike =
+        match c with
+        | Run (until, budget) ->
+          let max_events = Option.map (fun k -> m.processed + k) budget in
+          Engine.run ?until ?max_events e;
+          model_run ?until ?max_events m;
+          true
+        | Step ->
+          let stepped = Engine.step e in
+          stepped = model_step m
+        | Add (Node (d, _) as n) ->
+          add ~at:(m.now +. d) n;
+          true
+      in
+      stepped_alike && agree ())
+    cmds
+  && (Engine.run e;
+      model_run m;
+      agree () && Engine.pending e = 0)
+
+let test_engine_matches_model =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"engine fires in model order"
+       schedule_gen prop_engine_matches_model)
+
 (* --- Latency --- *)
 
 let test_latency_constant () =
@@ -245,6 +390,9 @@ let () =
           Alcotest.test_case "every" `Quick test_engine_every;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "fork rng" `Quick test_engine_fork_rng_distinct;
+          Alcotest.test_case "fired callbacks released" `Quick
+            test_engine_releases_fired_callbacks;
+          test_engine_matches_model;
         ] );
       ( "latency",
         [

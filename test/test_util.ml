@@ -4,6 +4,7 @@
 module Heap = Causalb_util.Heap
 module Fqueue = Causalb_util.Fqueue
 module Rng = Causalb_util.Rng
+module Latency = Causalb_sim.Latency
 module Stats = Causalb_util.Stats
 module Table = Causalb_util.Table
 
@@ -286,6 +287,39 @@ let test_rng_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Rng.pick: empty array")
     (fun () -> ignore (Rng.pick rng [||]))
 
+(* The exact stream, not just its statistics: every replay, golden
+   output and equivalence oracle in the repo (lib/reference included)
+   draws from this one generator, so a change to it would move them all
+   together and no comparison between them could notice. *)
+let test_rng_golden_stream () =
+  let check_int64 = Alcotest.(check int64) in
+  let check_bits msg expected got =
+    check_int64 msg (Int64.bits_of_float expected) (Int64.bits_of_float got)
+  in
+  let rng = Rng.create 42 in
+  check_int64 "int64 #1" (-7450291807549245335L) (Rng.int64 rng);
+  check_int64 "int64 #2" 2958219263312191191L (Rng.int64 rng);
+  check_int64 "int64 #3" 3069497704473277141L (Rng.int64 rng);
+  check_bits "float" 0.048025795475956312 (Rng.float rng 1.0);
+  check_int "int" 889 (Rng.int rng 1000);
+  let split = Rng.split rng in
+  check_int64 "split int64" (-8871087439258550077L) (Rng.int64 split);
+  check_bits "lan latency" 0.64703451276246671
+    (Latency.sample split Latency.lan);
+  let rng = Rng.create 7 in
+  check "bool" true (Rng.bool rng);
+  check "bernoulli" true (Rng.bernoulli rng 0.5);
+  check_bits "exponential" 5.6603079213515501 (Rng.exponential rng ~mean:2.0);
+  check_bits "gaussian" 0.46517904913626507
+    (Rng.gaussian rng ~mu:1.0 ~sigma:0.5);
+  check_bits "pareto" 1.2352333730615355 (Rng.pareto rng ~scale:1.0 ~shape:2.0);
+  let copy = Rng.copy rng in
+  check_int64 "copy replays" 7350602455885783398L (Rng.int64 copy);
+  check_int64 "original unmoved by copy" 7350602455885783398L (Rng.int64 rng);
+  let a = Array.init 8 Fun.id in
+  Rng.shuffle rng a;
+  Alcotest.(check (array int)) "shuffle" [| 1; 6; 5; 2; 3; 7; 0; 4 |] a
+
 (* --- Stats --- *)
 
 let test_stats_empty () =
@@ -451,6 +485,7 @@ let () =
           Alcotest.test_case "pareto scale" `Quick test_rng_pareto_scale;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick" `Quick test_rng_pick;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
         ] );
       ( "stats",
         [
