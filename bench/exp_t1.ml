@@ -57,9 +57,10 @@ let head () = Printer.string (Table.render_header (make_table ()))
 
 let row n =
   let t = make_table () in
-  let causal = run_causal ~seed:1 ~replicas:n workload in
-  let merge = run_merge ~seed:1 ~replicas:n workload in
-  let seq = run_sequencer ~seed:1 ~replicas:n workload in
+  let run spec = run_stack ~seed:1 ~replicas:n spec workload in
+  let causal = run Osend_stack in
+  let merge = run Osend_merge in
+  let seq = run Osend_sequencer in
   let tstamp = run_timestamp ~seed:1 ~replicas:n workload in
   assert causal.checks_ok;
   assert merge.checks_ok;
@@ -102,9 +103,10 @@ let tail () =
   List.iter
     (fun sigma ->
       let latency = Latency.lognormal ~mu:0.5 ~sigma () in
-      let causal = run_causal ~seed:2 ~latency ~replicas:8 workload in
-      let merge = run_merge ~seed:2 ~latency ~replicas:8 workload in
-      let seq = run_sequencer ~seed:2 ~latency ~replicas:8 workload in
+      let run spec = run_stack ~seed:2 ~latency ~replicas:8 spec workload in
+      let causal = run Osend_stack in
+      let merge = run Osend_merge in
+      let seq = run Osend_sequencer in
       Table.add_row t2
         [
           Printf.sprintf "%.1f" sigma;

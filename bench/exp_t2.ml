@@ -30,8 +30,8 @@ let run () =
   List.iter
     (fun p ->
       let w = { ops = 400; spacing = 0.5; mix = Random p } in
-      let causal = run_causal ~seed:7 ~replicas:5 w in
-      let seq = run_sequencer ~seed:7 ~replicas:5 w in
+      let causal = run_stack ~seed:7 ~replicas:5 Osend_stack w in
+      let seq = run_stack ~seed:7 ~replicas:5 Osend_sequencer w in
       assert causal.checks_ok;
       let fbar =
         if p >= 1.0 then infinity else p /. (1.0 -. p)

@@ -31,8 +31,8 @@ let run () =
   List.iter
     (fun fbar ->
       let w = { ops; spacing = 0.5; mix = Fixed_window fbar } in
-      let causal = run_causal ~seed:3 ~replicas:5 w in
-      let seq = run_sequencer ~seed:3 ~replicas:5 w in
+      let causal = run_stack ~seed:3 ~replicas:5 Osend_stack w in
+      let seq = run_stack ~seed:3 ~replicas:5 Osend_sequencer w in
       assert causal.checks_ok;
       assert seq.checks_ok;
       let per x = float_of_int x /. float_of_int (ops + 1) in

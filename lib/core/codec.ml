@@ -46,6 +46,13 @@ let put_clock w v =
 let get_clock r =
   let n = Wire.r_uint r in
   if n = 0 then raise (Wire.Corrupt "clock of size 0");
+  (* Every component takes at least one byte, so a count the frame
+     cannot hold is corrupt — caught before it sizes an allocation. *)
+  if n > Wire.remaining r then
+    raise
+      (Wire.Corrupt
+         (Printf.sprintf "clock of %d components in %d bytes" n
+            (Wire.remaining r)));
   let a = Array.make n 0 in
   for i = 0 to n - 1 do
     a.(i) <- Wire.r_uint r

@@ -1,6 +1,7 @@
-(* Shared machinery for the experiment harness: three protocol drivers
-   (causal stable-point, ASend deterministic merge, ASend sequencer) that
-   run the same operation mix and report comparable metrics. *)
+(* Shared machinery for the experiment harness: one §6.1 workload driver
+   over any stack composition ([run_stack]), the standalone
+   Lamport-timestamp order ([run_timestamp]), the PC-broadcast churn
+   driver ([run_pc]) and the spec-derived object driver ([run_object]). *)
 
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
@@ -12,12 +13,10 @@ module Message = Causalb_core.Message
 module Label = Causalb_graph.Label
 module Dep = Causalb_graph.Dep
 module Op = Causalb_data.Op
-module Sm = Causalb_data.State_machine
 module Dt = Causalb_data.Datatypes
 module Service = Causalb_data.Service
 module Window = Causalb_data.Window
 module Objects = Causalb_data.Objects
-module Frontend = Causalb_data.Frontend
 module Replica = Causalb_data.Replica
 module Stats = Causalb_util.Stats
 module Rng = Causalb_util.Rng
@@ -52,193 +51,10 @@ let op_sequence rng w =
   in
   body @ [ Dt.Int_register.Read ]
 
-type result = {
-  delivery : Stats.t;    (* submit -> causal apply / total release, per member *)
-  stability : Stats.t;   (* submit -> enclosing stable point (causal only) *)
-  messages : int;        (* unicast copies on the wire *)
-  cycles : int;          (* stable points / batches at member 0 *)
-  buffered : int;        (* forced waits across members *)
-  edges : int;           (* ordering-constraint edges in the message graph *)
-  checks_ok : bool;
-  sim_time : float;      (* virtual makespan *)
-}
-
-(* --- driver 1: the paper's stable-point protocol --- *)
-
-let run_causal ?(seed = 42) ?(latency = default_latency) ~replicas w =
-  let engine = Engine.create ~seed () in
-  let svc =
-    Service.create engine ~replicas ~machine:Dt.Int_register.machine ~latency
-      ~fifo:false ()
-  in
-  let rng = Engine.fork_rng engine in
-  List.iteri
-    (fun i op ->
-      Engine.schedule_at engine ~time:(float_of_int i *. w.spacing) (fun () ->
-          ignore (Service.submit svc ~src:(i mod replicas) op)))
-    (op_sequence rng w);
-  Service.run svc;
-  let buffered =
-    List.init replicas (fun n ->
-        Osend.buffered_ever (Group.member (Service.group svc) n))
-    |> List.fold_left ( + ) 0
-  in
-  {
-    delivery = Service.delivery_latency svc;
-    stability = Service.stability_latency svc;
-    messages = Service.messages_sent svc;
-    cycles = Replica.cycles_closed (Service.replica svc 0);
-    buffered;
-    edges =
-      List.length
-        (Causalb_graph.Depgraph.edges
-           (Osend.graph (Group.member (Service.group svc) 0)));
-    checks_ok = List.for_all snd (Service.check svc);
-    sim_time = Engine.now engine;
-  }
-
-(* --- driver 2: ASend deterministic merge on the same causal traffic ---
-   Commutative messages are withheld until the closing sync, then released
-   in one identical order at every member: per-message latency is the
-   price of total ordering without extra messages. *)
-
-let run_merge ?(seed = 42) ?(latency = default_latency) ~replicas w =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes:replicas ~latency ~fifo:false () in
-  let send_times = Label.Tbl.create 256 in
-  let release = Stats.create () in
-  let is_sync m =
-    match Message.payload m with
-    | Dt.Int_register.Read | Dt.Int_register.Set _ -> true
-    | Dt.Int_register.Inc _ | Dt.Int_register.Dec _ -> false
-  in
-  let merges =
-    Array.init replicas (fun _ ->
-        Asend.Merge.create ~is_sync ())
-  in
-  (* Release latency is measured inside the group callback: anything the
-     merge layer newly released gets stamped with the current virtual
-     time. *)
-  let on_deliver ~node ~time:_ msg =
-    let merge = merges.(node) in
-    let before = List.length (Asend.Merge.total_order merge) in
-    Asend.Merge.on_causal_deliver merge msg;
-    let order = Asend.Merge.total_order merge in
-    let now = Engine.now engine in
-    (* everything newly released gets its latency recorded *)
-    List.iteri
-      (fun i lbl ->
-        if i >= before then
-          match Label.Tbl.find_opt send_times lbl with
-          | Some t0 -> Stats.add release (now -. t0)
-          | None -> ())
-      order
-  in
-  let group = Group.create net ~on_deliver () in
-  let frontend =
-    Frontend.create group ~kind:Dt.Int_register.machine.Sm.kind ()
-  in
-  let rng = Engine.fork_rng engine in
-  List.iteri
-    (fun i op ->
-      Engine.schedule_at engine ~time:(float_of_int i *. w.spacing) (fun () ->
-          let lbl = Frontend.submit frontend ~src:(i mod replicas) op in
-          Label.Tbl.replace send_times lbl (Engine.now engine)))
-    (op_sequence rng w);
-  Engine.run engine;
-  let orders = Array.to_list (Array.map Asend.Merge.total_order merges) in
-  let identical = Causalb_core.Checker.identical_orders orders in
-  {
-    delivery = release;
-    stability = release;
-    messages = Net.messages_sent net;
-    cycles = Asend.Merge.batches merges.(0);
-    buffered = 0;
-    edges =
-      List.length
-        (Causalb_graph.Depgraph.edges (Osend.graph (Group.member group 0)));
-    checks_ok = identical;
-    sim_time = Engine.now engine;
-  }
-
-(* --- driver 3: fixed-sequencer total order --- *)
-
-let run_sequencer ?(seed = 42) ?(latency = default_latency) ~replicas w =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes:replicas ~latency ~fifo:false () in
-  let issue_times = Hashtbl.create 256 in
-  let lat = Stats.create () in
-  let on_deliver ~node:_ ~time msg =
-    match Hashtbl.find_opt issue_times (Message.payload msg) with
-    | Some t0 -> Stats.add lat (time -. t0)
-    | None -> ()
-  in
-  let group = Group.create net ~on_deliver () in
-  let seq = Asend.Sequencer.create group ~submit_latency:latency () in
-  let total = w.ops + 1 in
-  for i = 0 to total - 1 do
-    Engine.schedule_at engine ~time:(float_of_int i *. w.spacing) (fun () ->
-        Hashtbl.replace issue_times i (Engine.now engine);
-        Asend.Sequencer.asend seq ~src:(i mod replicas) i)
-  done;
-  Engine.run engine;
-  let orders = Group.all_delivered_orders group in
-  {
-    delivery = lat;
-    stability = lat;
-    messages = Net.messages_sent net;
-    cycles = 0;
-    buffered =
-      List.init replicas (fun n -> Osend.buffered_ever (Group.member group n))
-      |> List.fold_left ( + ) 0;
-    edges =
-      List.length
-        (Causalb_graph.Depgraph.edges (Osend.graph (Group.member group 0)));
-    checks_ok = Causalb_core.Checker.identical_orders orders;
-    sim_time = Engine.now engine;
-  }
-
-(* --- driver 4: decentralised Lamport-timestamp total order --- *)
-
-let run_timestamp ?(seed = 42) ?(latency = default_latency) ~replicas w =
-  let engine = Engine.create ~seed () in
-  (* the timestamp protocol needs per-link FIFO *)
-  let net = Net.create engine ~nodes:replicas ~latency ~fifo:true () in
-  let issue_times = Hashtbl.create 256 in
-  let lat = Stats.create () in
-  let ts =
-    Asend.Timestamp.create net
-      ~on_deliver:(fun ~node:_ ~time ~tag _ ->
-        match Hashtbl.find_opt issue_times tag with
-        | Some t0 -> Stats.add lat (time -. t0)
-        | None -> ())
-      ()
-  in
-  let total = w.ops + 1 in
-  for i = 0 to total - 1 do
-    Engine.schedule_at engine ~time:(float_of_int i *. w.spacing) (fun () ->
-        let tag = string_of_int i in
-        Hashtbl.replace issue_times tag (Engine.now engine);
-        Asend.Timestamp.bcast ts ~src:(i mod replicas) ~tag i)
-  done;
-  Engine.run engine;
-  let orders = List.init replicas (Asend.Timestamp.delivered_tags ts) in
-  let identical = List.for_all (fun o -> o = List.hd orders) orders in
-  {
-    delivery = lat;
-    stability = lat;
-    messages = Net.messages_sent net;
-    cycles = 0;
-    buffered = 0;
-    edges = 0;
-    checks_ok = identical;
-    sim_time = Engine.now engine;
-  }
-
-(* --- driver 5: the composable ordering stack ---
-   One §6.1 workload, any composition.  The stack reuses the same engines
-   (and the same RNG consumption order), so on equal seeds the delivery
-   and forced-wait numbers match the standalone drivers above. *)
+(* --- the §6.1 workload over the composable ordering stack ---
+   One workload, any composition: the paper's stable-point protocol is
+   [Osend_stack], the ASend total orders are its merge/counted/sequencer
+   tails, and the causal baselines swap the causal layer. *)
 
 module Stack = Causalb_stack.Stack
 module Metrics = Causalb_stackbase.Metrics
@@ -283,9 +99,12 @@ type stack_audit = {
 
 type stack_result = {
   delivery : Stats.t;   (* submit -> app release *)
+  stability : Stats.t;  (* submit -> enclosing stable point (OSend only) *)
   messages : int;
   lost : int;           (* copies dropped by partition + injected loss *)
   buffered : int;       (* causal-layer forced waits across members *)
+  cycles : int;         (* stable points closed at member 0 (OSend only) *)
+  edges : int;          (* edges in member 0's extracted R(M) *)
   layers : Metrics.t list;
   checks_ok : bool;
   sim_time : float;
@@ -310,11 +129,11 @@ let stack_params spec =
   | Osend_sequencer -> (Stack.Osend, Stack.Sequencer { node = 0 })
   | Pc_stack -> (Stack.Pc, Stack.Pass)
 
-(* The transport each composition runs over.  The historical drivers all
-   run on raw datagram links ([fifo = false]) so the ordering work is
-   visible in the causal layer; PC-broadcast is the exception — its
-   causal order IS the per-link FIFO order, so it gets (and declares that
-   it requires) FIFO links. *)
+(* The transport each composition runs over.  The §6.1 workload runs on
+   raw datagram links ([fifo = false]) so the ordering work is visible in
+   the causal layer; PC-broadcast is the exception — its causal order IS
+   the per-link FIFO order, so it gets (and declares that it requires)
+   FIFO links. *)
 let transport_fifo_of = function
   | Pc_stack -> true
   | Fifo_only | Bss_stack | Psync_stack | Osend_stack | Osend_merge
@@ -441,32 +260,37 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     ?(on_static = `Warn) ?nemesis ~replicas spec w : stack_result =
   let engine = Engine.create ~seed () in
   let ordering, total = stack_params spec in
-  (* Submit-to-release latency keyed by op name: names survive even when
-     the label is allocated later (sequencer). *)
+  (* Submit times keyed by op name: names survive even when the label is
+     allocated later (sequencer). *)
   let issue = Hashtbl.create 256 in
+  let since_submit stats now label =
+    match Hashtbl.find_opt issue (Label.name label) with
+    | Some t0 -> Stats.add stats (now -. t0)
+    | None -> ()
+  in
   let lat = Stats.create () in
+  let stability = Stats.create () in
   let trace = if check then Some (Causalb_sim.Trace.create ()) else None in
   (* Stable-point trackers, one per member, fed the application release
-     sequence: each closed §6.1 cycle leaves a [Mark] record whose digest
+     sequence.  When a cycle closes, every op in it (window + closing
+     sync) has just become part of an agreed value: record
+     submit->stable.  Traced runs also leave a [Mark] record whose digest
      covers the window set and the closing sync, for the offline
      stable-point checker to compare across members.  Only attached where
      the causal layer actually enforces the §6.1 dependency pattern
      (OSend); under FIFO/BSS a sync can overtake its window, so cycles
      are not stable points there. *)
-  let track_stable =
-    check
-    &&
-    match spec with
-    | Osend_stack | Osend_merge | Osend_counted _ | Osend_sequencer -> true
-    | Fifo_only | Bss_stack | Psync_stack | Pc_stack -> false
-  in
   let module Sp = Causalb_core.Stable_points in
   let trackers =
-    if not track_stable then None
-    else
+    match spec with
+    | Fifo_only | Bss_stack | Psync_stack | Pc_stack -> None
+    | Osend_stack | Osend_merge | Osend_counted _ | Osend_sequencer ->
       Some
         (Array.init replicas (fun node ->
              let on_stable (p : Sp.point) =
+               let now = Engine.now engine in
+               List.iter (since_submit stability now) p.Sp.window;
+               since_submit stability now p.Sp.closed_by;
                match trace with
                | None -> ()
                | Some tr ->
@@ -476,7 +300,7 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
                  let digest =
                    Hashtbl.hash (window, Label.to_string p.Sp.closed_by)
                  in
-                 Causalb_sim.Trace.record tr ~time:(Engine.now engine) ~node
+                 Causalb_sim.Trace.record tr ~time:now ~node
                    ~kind:Causalb_sim.Trace.Mark
                    ~tag:(Printf.sprintf "stable:%d" p.Sp.cycle)
                    ~info:(Printf.sprintf "digest=%08x" (digest land 0xffffffff))
@@ -492,9 +316,7 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     (match trackers with
     | Some ts -> Sp.on_deliver ts.(node) msg
     | None -> ());
-    match Hashtbl.find_opt issue (Label.name (Message.label msg)) with
-    | Some t0 -> Stats.add lat (time -. t0)
-    | None -> ()
+    since_submit lat time (Message.label msg)
   in
   let stack =
     Stack.compose ~ordering ~total ~latency ~fifo:(transport_fifo_of spec)
@@ -588,13 +410,12 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
      per-sender order only; the total-order tails answer for identical
      release sequences; OSend compositions also answer for stable-point
      digests. *)
+  let extracted = Stack.graph stack in
   let audit =
     match trace with
     | None -> None
     | Some tr ->
-      let graph =
-        match Stack.graph stack with Some g -> g | None -> intended
-      in
+      let graph = Option.value extracted ~default:intended in
       let sync = !sync_labels in
       let lint = Causalb_check.Spec_lint.lint intended in
       let a =
@@ -618,14 +439,63 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
   in
   {
     delivery = lat;
+    stability;
     messages = Stack.messages_sent stack;
     lost;
     buffered;
+    cycles =
+      (match trackers with Some ts -> Sp.cycles_closed ts.(0) | None -> 0);
+    edges =
+      (match extracted with
+      | Some g -> List.length (Causalb_graph.Depgraph.edges g)
+      | None -> 0);
     layers;
     checks_ok;
     sim_time = Engine.now engine;
     refused;
     audit;
+  }
+
+(* --- decentralised Lamport-timestamp total order ---
+   Not a stack layer: the protocol owns its per-link FIFO transport and
+   its n² acknowledgements.  It reports in the stack driver's terms —
+   no causal layer, no stable points, no dependency graph. *)
+
+let run_timestamp ?(seed = 42) ?(latency = default_latency) ~replicas w =
+  let engine = Engine.create ~seed () in
+  let net = Net.create engine ~nodes:replicas ~latency ~fifo:true () in
+  let issue_times = Hashtbl.create 256 in
+  let lat = Stats.create () in
+  let ts =
+    Asend.Timestamp.create net
+      ~on_deliver:(fun ~node:_ ~time ~tag _ ->
+        match Hashtbl.find_opt issue_times tag with
+        | Some t0 -> Stats.add lat (time -. t0)
+        | None -> ())
+      ()
+  in
+  let total = w.ops + 1 in
+  for i = 0 to total - 1 do
+    Engine.schedule_at engine ~time:(float_of_int i *. w.spacing) (fun () ->
+        let tag = string_of_int i in
+        Hashtbl.replace issue_times tag (Engine.now engine);
+        Asend.Timestamp.bcast ts ~src:(i mod replicas) ~tag i)
+  done;
+  Engine.run engine;
+  let orders = List.init replicas (Asend.Timestamp.delivered_tags ts) in
+  {
+    delivery = lat;
+    stability = Stats.create ();
+    messages = Net.messages_sent net;
+    lost = Net.lost_copies net;
+    buffered = 0;
+    cycles = 0;
+    edges = 0;
+    layers = [];
+    checks_ok = List.for_all (fun o -> o = List.hd orders) orders;
+    sim_time = Engine.now engine;
+    refused = false;
+    audit = None;
   }
 
 (* --- the PC-broadcast churn driver ---
@@ -758,7 +628,7 @@ let run_pc ?(seed = 42) ?(latency = default_latency) ?nemesis ~replicas w =
     pc_sim_time = Engine.now engine;
   }
 
-(* --- driver 6: spec-derived objects over the stable-point service ---
+(* --- spec-derived objects over the stable-point service ---
    One replicated object (any sequential spec), a timed submission
    schedule, and the full evidence chain: Service.check online, plus the
    offline oracle over the trace (causal safety against member 0's

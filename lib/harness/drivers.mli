@@ -1,10 +1,14 @@
-(** Experiment drivers: the four protocol configurations every
-    quantitative experiment compares, run over identical §6.1-style
-    workloads with comparable metrics.
+(** Experiment drivers.  The §6.1 register workload has one driver,
+    {!run_stack}, run over whichever stack composition an experiment
+    compares: the paper's stable-point protocol ([Osend_stack]), its ASend
+    total-order tails, and the causal baselines.  Beside it sit the
+    standalone Lamport-timestamp order ({!run_timestamp}), the
+    PC-broadcast churn driver ({!run_pc}) and the spec-derived object
+    driver ({!run_object}).
 
-    Each driver builds a fresh engine/network/group, submits the same
-    operation sequence (derived deterministically from the seed) and
-    returns a {!result}.  The drivers are deterministic: equal arguments
+    Each driver builds a fresh engine/network/group, submits an operation
+    sequence derived deterministically from the seed and returns its
+    result record.  The drivers are deterministic: equal arguments
     produce equal results. *)
 
 (** How commutative and non-commutative operations interleave: [Random p]
@@ -19,44 +23,14 @@ type workload = {
   mix : mix;
 }
 
-type result = {
-  delivery : Causalb_util.Stats.t;
-      (** submit → causal apply (or total-order release), per member *)
-  stability : Causalb_util.Stats.t;
-      (** submit → enclosing stable point (causal driver only; equals
-          [delivery] for the total-order drivers) *)
-  messages : int;   (** unicast copies on the wire *)
-  cycles : int;     (** stable points / batches at member 0 *)
-  buffered : int;   (** forced delivery waits across members *)
-  edges : int;      (** ordering-constraint edges in member 0's graph *)
-  checks_ok : bool; (** all driver-specific correctness checks passed *)
-  sim_time : float; (** virtual makespan *)
-}
-
 val default_latency : Causalb_sim.Latency.t
 
-val run_causal :
-  ?seed:int -> ?latency:Causalb_sim.Latency.t -> replicas:int -> workload ->
-  result
-(** The paper's stable-point protocol: {!Causalb_data.Service} over the
-    §6.1 front-end. *)
-
-val run_merge :
-  ?seed:int -> ?latency:Causalb_sim.Latency.t -> replicas:int -> workload ->
-  result
-(** ASend deterministic merge on the same causal traffic: commutative
-    messages are withheld until their closing sync, then released in one
-    identical order at every member. *)
-
-val run_sequencer :
-  ?seed:int -> ?latency:Causalb_sim.Latency.t -> replicas:int -> workload ->
-  result
-(** Fixed-sequencer total order (extra submission hop + causal chain). *)
-
-val run_timestamp :
-  ?seed:int -> ?latency:Causalb_sim.Latency.t -> replicas:int -> workload ->
-  result
-(** Decentralised Lamport-timestamp total order (FIFO links, n² acks). *)
+val op_sequence :
+  Causalb_util.Rng.t -> workload -> Causalb_data.Datatypes.Int_register.op list
+(** The §6.1 operation mix on the integer register: [ops] operations
+    drawn from the mix ([Inc 1] commutative, [Read] the sync point), then
+    a closing [Read].  {!run_stack} draws it from the engine RNG fork it
+    takes right after composing the stack. *)
 
 (** {1 The composable ordering stack driver} *)
 
@@ -77,7 +51,7 @@ val stack_spec_name : stack_spec -> string
 
 val transport_fifo_of : stack_spec -> bool
 (** The transport each composition runs over: [false] (raw datagram
-    links) for the historical drivers, [true] for PC-broadcast — its
+    links) for every composition but PC-broadcast, [true] for it — its
     causal order {e is} the per-link FIFO order.  Every driver and both
     static passes thread this, so a spec's declared requirement and the
     network it actually gets can never drift apart. *)
@@ -101,7 +75,12 @@ type stack_audit = {
 }
 
 type stack_result = {
-  delivery : Causalb_util.Stats.t;  (** submit → application release *)
+  delivery : Causalb_util.Stats.t;
+      (** submit → application release, per member, in release order *)
+  stability : Causalb_util.Stats.t;
+      (** submit → enclosing stable point, per member: each closed §6.1
+          cycle records its window and its closing sync.  OSend
+          compositions only; empty otherwise *)
   messages : int;                   (** unicast copies on the wire *)
   lost : int;
       (** copies the transport dropped before arrival (partition +
@@ -109,6 +88,12 @@ type stack_result = {
           vacuous: [checks_ok] and the oracle restrict themselves to
           safety (see {!recheck}) *)
   buffered : int;   (** forced waits in the causal layer, all members *)
+  cycles : int;
+      (** stable points closed at member 0 (OSend compositions; [0]
+          otherwise) *)
+  edges : int;
+      (** ordering-constraint edges in member 0's extracted [R(M)]; [0]
+          for layers that extract none (FIFO, BSS) *)
   layers : Causalb_stackbase.Metrics.t list;
       (** uniform per-layer metrics, bottom-up *)
   checks_ok : bool;
@@ -187,10 +172,10 @@ val run_stack :
   stack_spec ->
   workload ->
   stack_result
-(** Run the same §6.1-style workload as the standalone drivers over any
-    stack composition.  Deterministic in all arguments; on equal seeds
-    the delivery counts and forced-wait numbers of each composition match
-    the corresponding standalone driver.
+(** Run the §6.1 register workload over any stack composition — the one
+    driver behind the paper's tables (T1–T3 compare [Osend_stack],
+    [Osend_merge] and [Osend_sequencer]) and every oracle-audited run.
+    Deterministic in all arguments.
 
     [~check:true] (default false) turns on the ordering oracle: the run
     is traced, the checkers that soundly apply to the composition are run
@@ -211,6 +196,14 @@ val run_stack :
     any operation is submitted; an action and a submission at the same
     virtual instant fire nemesis-first.  The run stays deterministic in
     (seed, workload, schedule). *)
+
+val run_timestamp :
+  ?seed:int -> ?latency:Causalb_sim.Latency.t -> replicas:int -> workload ->
+  stack_result
+(** Decentralised Lamport-timestamp total order (FIFO links, n² acks) on
+    the same submission schedule.  Not a stack layer, so the result has
+    no [layers], [stability], [cycles], [edges] or [audit]; [checks_ok]
+    is identical tag orders at every member. *)
 
 (** {1 PC-broadcast under churn}
 

@@ -283,6 +283,60 @@ let test_trailing_bytes () =
     | _ -> false
     | exception Wire.Corrupt _ -> true)
 
+(* A clock's component count comes off the wire before any component
+   does.  Every component takes at least one byte, so a count the frame
+   cannot hold must raise [Corrupt] before it sizes an allocation — not
+   allocate a gigabyte, run out of memory, or trip [Array.make]. *)
+let test_clock_count_guard () =
+  let word = float_of_int (Sys.word_size / 8) in
+  List.iter
+    (fun (name, n) ->
+      let frame = Codec.encode pool Wire.uint n in
+      let before = Gc.allocated_bytes () in
+      let raised =
+        match Codec.decode Codec.get_clock frame with
+        | _ -> false
+        | exception Wire.Corrupt _ -> true
+      in
+      let words = (Gc.allocated_bytes () -. before) /. word in
+      check (name ^ " raises Corrupt") true raised;
+      check
+        (Printf.sprintf "%s: decode allocates %.0f words" name words)
+        true (words < 4096.))
+    [
+      ("2^27 components", 1 lsl 27);
+      ("2^40 components", 1 lsl 40);
+      ("2^60 components", 1 lsl 60);
+    ]
+
+(* Every decoder is total over arbitrary bytes: a value or [Corrupt],
+   never another exception.  Bytes are drawn half from the full range
+   and half from 0-3, so tags, bools and counts are often valid and
+   decoding reaches past the first field. *)
+let fuzz_decoders =
+  let dec d f = ignore (Codec.decode d f) in
+  [
+    dec Codec.get_label;
+    dec Codec.get_dep;
+    dec Codec.get_clock;
+    dec (Codec.get_message Codec.get_str);
+    dec (Codec.get_envelope Codec.get_str);
+    dec (Codec.get_pc Codec.get_str);
+  ]
+
+let prop_decoders_total =
+  test ~count:2000 "codec: arbitrary bytes decode or raise Corrupt"
+    QCheck2.Gen.(
+      string_size
+        ~gen:(oneof [ char_range '\000' '\255'; char_range '\000' '\003' ])
+        (0 -- 64))
+    (fun s ->
+      let frame = Wire.of_string s in
+      List.for_all
+        (fun decode ->
+          match decode frame with () -> true | exception Wire.Corrupt _ -> true)
+        fuzz_decoders)
+
 (* --- shared views decode once --- *)
 
 let test_view_memoized () =
@@ -502,6 +556,9 @@ let () =
           prop_truncated_fails;
           Alcotest.test_case "trailing/corrupt frames" `Quick
             test_trailing_bytes;
+          Alcotest.test_case "clock count beyond the frame" `Quick
+            test_clock_count_guard;
+          prop_decoders_total;
           Alcotest.test_case "shared view decodes once" `Quick
             test_view_memoized;
           prop_codec_hop_vs_oracle;
