@@ -6,6 +6,11 @@ let create n =
   if n <= 0 then invalid_arg "Vector_clock.create: size must be positive";
   Array.make n 0
 
+let init n f =
+  if n <= 0 then invalid_arg "Vector_clock.init: size must be positive";
+  (* [Array.init] applies [f] to 0 .. n-1 in order *)
+  Array.init n f
+
 let size = Array.length
 
 let check_index v i =
@@ -60,6 +65,41 @@ let with_component v i x =
   let v' = Array.copy v in
   v'.(i) <- x;
   v'
+
+(* The two delivery kernels check sizes and the sender index once, up
+   front; every [unsafe_get] below then reads an index in
+   [0, Array.length delivered) of two arrays that length.  Scanning here
+   rather than through [get] from the caller keeps the loop free of
+   per-component calls, which [-opaque] builds never inline. *)
+
+let check_delivery ~delivered ~stamp ~sender =
+  check_sizes delivered stamp;
+  check_index delivered sender
+
+let deliverable ~delivered ~stamp ~sender =
+  check_delivery ~delivered ~stamp ~sender;
+  Array.unsafe_get stamp sender = Array.unsafe_get delivered sender + 1
+  &&
+  let n = Array.length stamp in
+  let k = ref 0 in
+  while
+    !k < n
+    && (!k = sender || Array.unsafe_get stamp !k <= Array.unsafe_get delivered !k)
+  do
+    incr k
+  done;
+  !k = n
+
+let iter_unmet ~delivered ~stamp ~sender f =
+  check_delivery ~delivered ~stamp ~sender;
+  let v = Array.unsafe_get stamp sender in
+  if Array.unsafe_get delivered sender < v - 1 then f sender (v - 1);
+  for k = 0 to Array.length stamp - 1 do
+    if k <> sender then begin
+      let v = Array.unsafe_get stamp k in
+      if Array.unsafe_get delivered k < v then f k v
+    end
+  done
 
 let leq a b =
   check_sizes a b;

@@ -21,6 +21,12 @@ val create : int -> t
 (** [create n] is the zero vector for an [n]-process group.
     @raise Invalid_argument if [n <= 0]. *)
 
+val init : int -> (int -> int) -> t
+(** [init n f] is the clock whose component [i] is [f i].  [f] is
+    applied to [0 .. n-1] in order, so a stateful reader can decode
+    straight into the clock.
+    @raise Invalid_argument if [n <= 0]. *)
+
 val size : t -> int
 
 val get : t -> int -> int
@@ -89,3 +95,28 @@ val to_array : t -> int array
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
+
+(** {1 Causal delivery kernels}
+
+    The Birman–Schiper–Stephenson delivery rule ({!Causalb_core.Bss}),
+    each as one pass over the two clocks.  Both check the sizes and the
+    sender index once before they scan. *)
+
+val deliverable : delivered:t -> stamp:t -> sender:int -> bool
+(** [deliverable ~delivered ~stamp ~sender] iff
+    [stamp.(sender) = delivered.(sender) + 1] and
+    [stamp.(k) <= delivered.(k)] for every [k <> sender].  Stops at the
+    first unmet component.
+    @raise Invalid_argument if the sizes differ or [sender] is out of
+    range. *)
+
+val iter_unmet :
+  delivered:t -> stamp:t -> sender:int -> (int -> int -> unit) -> unit
+(** [iter_unmet ~delivered ~stamp ~sender f] calls [f k v] once for each
+    threshold [delivered.(k)] has yet to reach before [stamp] can be
+    delivered: first [f sender (stamp.(sender) - 1)] when
+    [delivered.(sender) < stamp.(sender) - 1], then [f k stamp.(k)] for
+    every [k <> sender] with [delivered.(k) < stamp.(k)], in ascending
+    [k].
+    @raise Invalid_argument if the sizes differ or [sender] is out of
+    range. *)

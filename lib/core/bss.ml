@@ -20,7 +20,6 @@ type 'a waiter = {
 
 type 'a member = {
   id : int;
-  n : int;
   deliver : 'a envelope -> unit;
   delivered : Vc.t; (* per-origin delivered count, mutated in place *)
   mutable own_sends : int;
@@ -37,7 +36,6 @@ let member ~id ~group_size ?(deliver = fun _ -> ()) () =
   if group_size <= 0 then invalid_arg "Bss.member: group_size must be positive";
   {
     id;
-    n = group_size;
     deliver;
     delivered = Vc.create group_size;
     own_sends = 0;
@@ -48,11 +46,7 @@ let member ~id ~group_size ?(deliver = fun _ -> ()) () =
   }
 
 let deliverable t (e : 'a envelope) =
-  let ok = ref (Vc.get e.stamp e.sender = Vc.get t.delivered e.sender + 1) in
-  for k = 0 to t.n - 1 do
-    if k <> e.sender && Vc.get e.stamp k > Vc.get t.delivered k then ok := false
-  done;
-  !ok
+  Vc.deliverable ~delivered:t.delivered ~stamp:e.stamp ~sender:e.sender
 
 let wake t key woken =
   (* empty-index guard: on fully-deliverable traffic no one is parked,
@@ -105,8 +99,9 @@ let park t e =
   let arrival = t.arrivals in
   t.arrivals <- arrival + 1;
   let w = { env = e; arrival; unmet = 0 } in
-  let register key =
+  let register k v =
     w.unmet <- w.unmet + 1;
+    let key = (k, v) in
     let bucket =
       match Hashtbl.find_opt t.waiting key with
       | Some q -> q
@@ -117,24 +112,22 @@ let park t e =
     in
     Fqueue.push bucket w
   in
-  let s = e.sender in
-  if Vc.get t.delivered s < Vc.get e.stamp s - 1 then
-    register (s, Vc.get e.stamp s - 1);
-  for k = 0 to t.n - 1 do
-    if k <> s && Vc.get t.delivered k < Vc.get e.stamp k then
-      register (k, Vc.get e.stamp k)
-  done
+  Vc.iter_unmet ~delivered:t.delivered ~stamp:e.stamp ~sender:e.sender register
 
 let receive t e =
+  (* [deliverable] checks the stamp's size and the sender before anything
+     is counted, so a malformed envelope leaves the member untouched. *)
+  let ready = deliverable t e in
   Metrics.on_receive t.metrics;
-  (* Duplicate or stale copies (stamp component not above the delivered
-     count) are discarded. *)
-  if Vc.get e.stamp e.sender <= Vc.get t.delivered e.sender then ()
-  else if deliverable t e then begin
+  if ready then begin
     let woken = ref [] in
     do_deliver t woken e;
     drain t !woken
   end
+  else if Vc.get e.stamp e.sender <= Vc.get t.delivered e.sender then
+    (* a duplicate or stale copy: its stamp component is not above the
+       delivered count *)
+    ()
   else park t e
 
 let delivered_tags t = List.rev t.tags_rev

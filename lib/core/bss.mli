@@ -28,6 +28,15 @@ val member :
   'a member
 
 val receive : 'a member -> 'a envelope -> unit
+(** Deliver the envelope, with any buffered ones it unblocks, or buffer
+    it, or discard it as a duplicate.  The delivery check and the
+    buffering each make one pass over the stamp
+    ({!Causalb_clock.Vector_clock.deliverable},
+    {!Causalb_clock.Vector_clock.iter_unmet}).
+    @raise Invalid_argument if the stamp does not have [group_size]
+    components or the sender is not in [0 .. group_size-1]; stamps
+    decoded from the wire can have any size.  The member is left
+    unchanged. *)
 
 val delivered_tags : 'a member -> string list
 

@@ -53,11 +53,7 @@ let get_clock r =
       (Wire.Corrupt
          (Printf.sprintf "clock of %d components in %d bytes" n
             (Wire.remaining r)));
-  let a = Array.make n 0 in
-  for i = 0 to n - 1 do
-    a.(i) <- Wire.r_uint r
-  done;
-  Vc.of_array a
+  Vc.init n (fun _ -> Wire.r_uint r)
 
 (* --- labels --- *)
 

@@ -174,6 +174,84 @@ let prop_bump_agrees =
       Vc.bump v i;
       Vc.equal v expected)
 
+(* --- BSS delivery kernels: must agree with the rule written out --- *)
+
+let naive_deliverable d s sender =
+  let ok = ref true in
+  Array.iteri
+    (fun k v ->
+      if k = sender then (if v <> d.(k) + 1 then ok := false)
+      else if v > d.(k) then ok := false)
+    s;
+  !ok
+
+(* [Bss.park]'s registrations written out: the sender's threshold
+   first, then each other unmet component in ascending order. *)
+let naive_unmet d s sender =
+  let acc = ref [] in
+  if d.(sender) < s.(sender) - 1 then acc := [ (sender, s.(sender) - 1) ];
+  for k = 0 to Array.length d - 1 do
+    if k <> sender && d.(k) < s.(k) then acc := (k, s.(k)) :: !acc
+  done;
+  List.rev !acc
+
+(* Stamps near the delivered vector: the sender's component equal to it,
+   one or two ahead; the others at or below it, except at most one
+   ahead at index 0, just before or after the sender, or at n-1. *)
+let delivery_gen =
+  QCheck2.Gen.(
+    int_range 1 64 >>= fun n ->
+    array_size (return n) (int_range 0 5) >>= fun d ->
+    int_range 0 (n - 1) >>= fun sender ->
+    int_range 0 2 >>= fun lead ->
+    array_size (return n) (int_range 0 2) >>= fun below ->
+    oneofl [ None; Some 0; Some (sender - 1); Some (sender + 1); Some (n - 1) ]
+    >>= fun ahead ->
+    int_range 1 2 >|= fun by ->
+    let s = Array.mapi (fun k v -> max 0 (v - below.(k))) d in
+    s.(sender) <- d.(sender) + lead;
+    (match ahead with
+     | Some k when k >= 0 && k < n && k <> sender -> s.(k) <- d.(k) + by
+     | _ -> ());
+    (d, s, sender))
+
+let prop_deliverable_agrees =
+  prop ~name:"deliverable = delivery rule" ~count:500 delivery_gen
+    (fun (d, s, sender) ->
+      Vc.deliverable ~delivered:(Vc.of_array d) ~stamp:(Vc.of_array s) ~sender
+      = naive_deliverable d s sender)
+
+let prop_iter_unmet_agrees =
+  prop ~name:"iter_unmet = park thresholds" ~count:500 delivery_gen
+    (fun (d, s, sender) ->
+      let got = ref [] in
+      Vc.iter_unmet ~delivered:(Vc.of_array d) ~stamp:(Vc.of_array s) ~sender
+        (fun k v -> got := (k, v) :: !got);
+      List.rev !got = naive_unmet d s sender)
+
+let test_kernels_reject_bad_input () =
+  let d = Vc.create 3 in
+  let mismatch = Invalid_argument "Vector_clock: size mismatch" in
+  let range = Invalid_argument "Vector_clock: process index out of range" in
+  let both name exn ~stamp ~sender =
+    Alcotest.check_raises (name ^ ": deliverable") exn (fun () ->
+        ignore (Vc.deliverable ~delivered:d ~stamp ~sender));
+    Alcotest.check_raises (name ^ ": iter_unmet") exn (fun () ->
+        Vc.iter_unmet ~delivered:d ~stamp ~sender (fun _ _ -> ()))
+  in
+  both "long stamp" mismatch ~stamp:(Vc.create 4) ~sender:0;
+  both "short stamp" mismatch ~stamp:(Vc.create 2) ~sender:0;
+  both "sender = n" range ~stamp:(Vc.create 3) ~sender:3;
+  both "negative sender" range ~stamp:(Vc.create 3) ~sender:(-1)
+
+let test_vc_init () =
+  let next = ref 10 in
+  let v = Vc.init 4 (fun _ -> incr next; !next) in
+  check "applied in index order" true (Vc.equal v (Vc.of_array [| 11; 12; 13; 14 |]));
+  Alcotest.check_raises "bad size"
+    (Invalid_argument "Vector_clock.init: size must be positive") (fun () ->
+      ignore (Vc.init 0 (fun _ -> 0)))
+
 (* --- Matrix clocks --- *)
 
 let test_mc_create () =
@@ -230,6 +308,14 @@ let () =
           Alcotest.test_case "size mismatch" `Quick test_vc_size_mismatch;
           Alcotest.test_case "dominates_all" `Quick test_vc_dominates_all;
           Alcotest.test_case "happens-before" `Quick test_vc_happens_before_characterisation;
+          Alcotest.test_case "init" `Quick test_vc_init;
+        ] );
+      ( "vector kernels",
+        [
+          prop_deliverable_agrees;
+          prop_iter_unmet_agrees;
+          Alcotest.test_case "bad input rejected" `Quick
+            test_kernels_reject_bad_input;
         ] );
       ( "vector in-place",
         [

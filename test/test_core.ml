@@ -318,6 +318,30 @@ let test_bss_same_set_everywhere () =
   in
   check "identical sets" true (List.for_all (fun s -> s = List.hd sets) sets)
 
+(* A stamp whose size is not the group size, or a sender outside the
+   group, is rejected before the member counts the receipt. *)
+let test_bss_rejects_malformed_envelope () =
+  let reject name ~sender comps exn =
+    let m = Bss.member ~id:0 ~group_size:3 () in
+    let e =
+      {
+        Bss.sender;
+        stamp = Causalb_clock.Vector_clock.of_array comps;
+        tag = name;
+        payload = ();
+      }
+    in
+    Alcotest.check_raises name exn (fun () -> Bss.receive m e);
+    check_int (name ^ ": nothing received") 0
+      (Bss.metrics m).Causalb_stackbase.Metrics.received;
+    check_int (name ^ ": nothing delivered") 0 (Bss.delivered_count m)
+  in
+  let mismatch = Invalid_argument "Vector_clock: size mismatch" in
+  reject "long stamp" ~sender:0 [| 1; 0; 0; 0 |] mismatch;
+  reject "short stamp" ~sender:0 [| 1; 0 |] mismatch;
+  reject "sender out of range" ~sender:3 [| 0; 0; 1 |]
+    (Invalid_argument "Vector_clock: process index out of range")
+
 (* --- FIFO baseline --- *)
 
 let test_fifo_per_sender_order () =
@@ -921,6 +945,8 @@ let () =
           Alcotest.test_case "fifo per sender" `Quick test_bss_fifo_per_sender;
           Alcotest.test_case "buffered counter" `Quick test_bss_buffered_counter;
           Alcotest.test_case "same set" `Quick test_bss_same_set_everywhere;
+          Alcotest.test_case "malformed envelope" `Quick
+            test_bss_rejects_malformed_envelope;
         ] );
       ( "fifo",
         [

@@ -120,7 +120,7 @@ let prop_osend_equiv =
    it, including the zombie bookkeeping left by duplicate copies. *)
 let bss_workload_gen =
   let open QCheck2.Gen in
-  int_range 2 4 >>= fun nodes ->
+  int_range 2 16 >>= fun nodes ->
   let counts = list_repeat nodes (int_range 0 5) in
   counts >>= fun counts ->
   let envs =
