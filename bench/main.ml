@@ -1,7 +1,8 @@
 (* Experiment harness entry point (sequential).
 
    With no arguments, regenerates every figure (F1–F5) and every table
-   (T1–T8, A1–A4, S1) from DESIGN.md, then runs the timing benches.
+   (T1–T8, A1–A4, S1, O1, H1, M1) from DESIGN.md, then runs the
+   bechamel micro-benchmarks.
    Pass experiment ids to run a subset:
 
      dune exec bench/main.exe            # everything
@@ -10,8 +11,8 @@
      dune exec bench/main.exe -- micro   # bechamel only
 
    The experiment list itself lives in [Causalb_bench.Registry]; the
-   parallel runner is [causalb exp -j N] / [causalb bench -j N], which
-   shards the same registry across worker processes and reassembles
+   parallel runner is [causalb exp -j N] (or [-J N] for worker domains),
+   which shards the same registry across workers and reassembles
    byte-identical output. *)
 
 module Registry = Causalb_bench.Registry

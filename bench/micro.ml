@@ -161,10 +161,9 @@ let bench_workflow_graph =
     (Staged.stage (fun () -> ignore (Causalb_data.Workflow.graph_of steps)))
 
 (* scale family: the wakeup-index hot paths at a size where the seed's
-   pool sweep was already measurably quadratic.  The full before/after
-   ladder (64/512/4096, vs the frozen seed engines) lives in the
-   "scaling" experiment; these keep a mid-size point in the regular
-   bechamel run so index regressions show up without the JSON gate. *)
+   pool sweep was already measurably quadratic (the committed
+   BENCH_PR3.json snapshot has the 64/512/4096 ladder against the
+   frozen seed engines). *)
 let bench_scale_osend_wide =
   let children =
     Array.init 256 (fun i ->
@@ -251,8 +250,8 @@ let run () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  (* CI smoke runs shrink the per-test budget via the same knob as the
-     scaling experiment *)
+  (* CI smoke runs shrink the per-test budget via CAUSALB_BENCH_QUOTA_MS
+     (milliseconds) *)
   let quota_s =
     match Sys.getenv_opt "CAUSALB_BENCH_QUOTA_MS" with
     | Some s -> ( try max 1 (int_of_string s) with _ -> 500) |> fun ms ->

@@ -1,5 +1,5 @@
 (* The experiment registry: one declarative list of everything the bench
-   binary and the [causalb exp]/[causalb bench] CLI can run.
+   binary and the [causalb exp] CLI can run.
 
    Each experiment is a list of [parts] — independently runnable units of
    work whose printed outputs, concatenated in part order, are the
@@ -11,9 +11,8 @@
    timing-dependent ones: [Deterministic] output is a pure function of
    the code (seeds are fixed), so a parallel run must reproduce a
    sequential run byte for byte — the pool test asserts exactly that.
-   [Timing] experiments (bechamel micro-benchmarks, the scaling
-   before/after suite) print measured durations and are excluded from
-   byte comparison. *)
+   [Timing] experiments (the bechamel micro-benchmarks) print measured
+   durations and are excluded from byte comparison. *)
 
 type kind = Deterministic | Timing
 
@@ -62,12 +61,10 @@ let all : experiment list =
       Exp_o1.run;
     mono "H1" "fault campaign: nemesis schedules over every composition"
       Exp_hunt.run;
+    mono "M1" "ordering metadata: BSS O(n) stamps vs PC O(1) headers"
+      Exp_m1.run;
     mono "micro" ~kind:Timing "bechamel micro-benchmarks of the hot paths"
       Micro.run;
-    mono "scaling" ~kind:Timing
-      "before/after scaling + allocation + wire-codec + member-count \
-       suite (writes BENCH_PR10.json)"
-      Scaling.run;
   ]
 
 let find id =

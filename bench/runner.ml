@@ -69,23 +69,3 @@ let dtasks_of experiments =
 let run_domains ?(domains = 1) ?(base_seed = 42) experiments =
   let report = Dpool.run ~domains ~base_seed (dtasks_of experiments) in
   { report; stdout_text = assemble experiments report }
-
-(* One sweep section of BENCH_PR6.json, from one pool run; [mode] says
-   which scheduler ran it ("seq" | "fork" | "domains"). *)
-let sweep_of ~mode (o : outcome) =
-  {
-    Bench_out.mode;
-    jobs = o.report.jobs;
-    wall_ms = o.report.wall_ms;
-    tasks =
-      List.map
-        (fun (r : Pool.result) ->
-          {
-            Bench_out.tname = r.name;
-            ok = Pool.ok r;
-            wall_ms = r.wall_ms;
-            gc_minor_words = r.gc_minor_words;
-            gc_major_words = r.gc_major_words;
-          })
-        o.report.results;
-  }

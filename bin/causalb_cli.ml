@@ -523,7 +523,7 @@ let infer_cmd =
              (\xc2\xa73.2)")
     Term.(const infer $ seed $ sigma $ runs)
 
-(* --- exp / bench: the experiment sweep, optionally parallel --- *)
+(* --- exp: the experiment sweep, optionally parallel --- *)
 
 module Registry = Causalb_bench.Registry
 module Runner = Causalb_bench.Runner
@@ -597,8 +597,8 @@ let summarise_to_stderr (o : Runner.outcome) =
 
 let exp_run jobs domains list seed ids =
   (* With no ids, run the byte-reproducible experiments: the timing
-     benches (micro, scaling) print measured durations, so they only run
-     when asked for by name (or via [causalb bench]). *)
+     bench ([micro]) prints measured durations, so it only runs when
+     asked for by name. *)
   if list then print_registry ()
   else
     let default =
@@ -628,98 +628,6 @@ let exp_cmd =
              processes (-j) or worker domains (-J); stdout is \
              byte-identical for every -j/-J")
     Term.(const exp_run $ jobs_arg $ domains_arg $ list_arg $ seed $ ids)
-
-let bench_run jobs domains list seed =
-  if list then print_registry ()
-  else begin
-    (* 1. before/after hot-path shapes, with GC columns (in-process) *)
-    print_endline
-      "================ scaling: frozen reference vs live hot paths \
-       ================";
-    let rows = Causalb_bench.Scaling.collect () in
-    Causalb_bench.Scaling.print_table rows;
-    print_endline
-      "================ member-count scaling: BSS O(n) vs PC O(1) \
-       ================";
-    let members = Causalb_bench.Scaling.collect_members () in
-    Causalb_bench.Scaling.print_members_table members;
-    (* 2. the deterministic sweep, timed sequentially, then (if asked) on
-       forked workers (-j) and/or worker domains (-J); every parallel
-       run must reproduce the sequential bytes *)
-    let exps =
-      List.filter
-        (fun (e : Registry.experiment) -> e.kind = Registry.Deterministic)
-        Registry.all
-    in
-    Printf.printf "timing deterministic sweep at -j 1 ...\n%!";
-    let o1 = Runner.run ~jobs:1 ~base_seed:seed exps in
-    let oj =
-      if jobs > 1 then begin
-        Printf.printf "timing deterministic sweep at -j %d ...\n%!" jobs;
-        Some (Runner.run ~jobs ~base_seed:seed exps)
-      end
-      else None
-    in
-    let od =
-      if domains > 0 then begin
-        Printf.printf "timing deterministic sweep at -J %d ...\n%!" domains;
-        Some (Runner.run_domains ~domains ~base_seed:seed exps)
-      end
-      else None
-    in
-    let mismatches =
-      List.filter_map
-        (fun (flag, o) ->
-          match o with
-          | Some (o : Runner.outcome)
-            when not (String.equal o.stdout_text o1.stdout_text) ->
-            Some flag
-          | _ -> None)
-        [
-          (Printf.sprintf "-j %d" jobs, oj);
-          (Printf.sprintf "-J %d" domains, od);
-        ]
-    in
-    List.iter
-      (Printf.eprintf
-         "# ERROR: %s sweep output differs from the sequential run\n")
-      mismatches;
-    let sweeps =
-      Runner.sweep_of ~mode:"seq" o1
-      :: ((match oj with
-          | Some oj -> [ Runner.sweep_of ~mode:"fork" oj ]
-          | None -> [])
-         @
-         match od with
-         | Some od -> [ Runner.sweep_of ~mode:"domains" od ]
-         | None -> [])
-    in
-    let out =
-      Causalb_bench.Bench_out.write
-        ~quota_ms:Causalb_bench.Scaling.quota_ms ~members ~rows ~sweeps ()
-    in
-    Printf.printf "sweep wall: j=1 %.0f ms%s%s\nwrote %s\n%!"
-      o1.report.wall_ms
-      (match oj with
-      | Some oj -> Printf.sprintf ", j=%d %.0f ms" jobs oj.report.wall_ms
-      | None -> "")
-      (match od with
-      | Some od -> Printf.sprintf ", J=%d %.0f ms" domains od.report.wall_ms
-      | None -> "")
-      out;
-    let failed =
-      o1.report.failures
-      @ (match oj with Some oj -> oj.report.failures | None -> [])
-      @ (match od with Some od -> od.report.failures | None -> [])
-    in
-    if failed <> [] then begin
-      Printf.eprintf "# FAILED experiment task(s): %s\n"
-        (String.concat ", " failed);
-      1
-    end
-    else if mismatches <> [] then 1
-    else 0
-  end
 
 (* --- hunt: the randomized fault campaign --- *)
 
@@ -776,14 +684,6 @@ let hunt_cmd =
     Term.(const hunt $ seed $ jobs_arg $ domains_arg $ seeds $ buggify
           $ churn $ json $ self_test)
 
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Run the before/after hot-path benchmarks plus the timed \
-             experiment sweep (-j forks, -J domains) and write the \
-             cumulative BENCH_PR6.json")
-    Term.(const bench_run $ jobs_arg $ domains_arg $ list_arg $ seed)
-
 let main_cmd =
   let doc =
     "causal broadcasting and consistency of distributed shared data \
@@ -803,7 +703,6 @@ let main_cmd =
       dsm_cmd;
       infer_cmd;
       exp_cmd;
-      bench_cmd;
       hunt_cmd;
     ]
 

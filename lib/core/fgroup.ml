@@ -1,6 +1,6 @@
 (* Framed group wrappers: the encode-once/decode-many delivery path.
 
-   The plain Group/Bss.Group/Psync wrappers hand the in-memory message
+   The plain Bss.Group/Pcbcast.Group wrappers hand the in-memory message
    value to Net and every recipient shares the pointer — free, but it
    measures nothing about serialization, and a real transport pays an
    encode per message and (naively) a decode per recipient.  These
@@ -25,14 +25,11 @@
 
 module Net = Causalb_net.Net
 module Engine = Causalb_sim.Engine
-module Label = Causalb_graph.Label
-module Dep = Causalb_graph.Dep
 module Metrics = Causalb_stackbase.Metrics
 module Sgroup = Causalb_stackbase.Sgroup
 module Wire = Causalb_util.Wire
 module Depgraph = Causalb_graph.Depgraph
 module B = Bss
-module O = Osend
 module P = Pcbcast
 
 (* Per-copy byte charge, split into control/payload when the producer
@@ -90,143 +87,6 @@ module Bss = struct
 
   let wire_bytes t =
     Sgroup.fold (fun acc m -> acc + (B.metrics m).Metrics.wire_bytes) 0 t.sg
-end
-
-(* --- framed OSend: explicit-dependency broadcast over frames --- *)
-
-module Osend = struct
-  type 'a t = {
-    sg : ('a O.t, 'a Message.t Codec.framed) Sgroup.t;
-    seqs : int array;
-    pool : Wire.pool;
-    put_payload : 'a Message.t Codec.enc;
-  }
-
-  let create net ~enc ~dec ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
-    let engine = Net.engine net in
-    let get = Codec.get_message dec in
-    let sg =
-      Sgroup.create net
-        ~member:(fun node ->
-          let deliver msg = on_deliver ~node ~time:(Engine.now engine) msg in
-          O.create ~id:node ~deliver ())
-        ~receive:(fun m fr ->
-          charge (O.metrics m) fr;
-          O.receive m (Codec.view fr ~dec:get))
-    in
-    { sg; seqs = Array.make (Net.nodes net) 0; pool = Wire.pool ();
-      put_payload = (fun w m -> enc w (Message.payload m)) }
-
-  let size t = Sgroup.size t.sg
-
-  let member t i = Sgroup.member t.sg i
-
-  let osend t ~src ?name ~dep payload =
-    let seq = t.seqs.(src) in
-    t.seqs.(src) <- seq + 1;
-    let label = Label.make ?name ~origin:src ~seq () in
-    let msg = Message.make ~label ~sender:src ~dep payload in
-    let frame, span =
-      Codec.encode_split t.pool ~header:Codec.put_message_header
-        ~payload:t.put_payload msg
-    in
-    (* self copy rides the frame too (plain Group broadcasts with
-       [self = true]): the sender decodes its own stamp back, proving
-       the codec on every delivered message, not just remote ones *)
-    Net.bcast (Sgroup.net t.sg) ~src ~size:(Wire.length frame)
-      (Codec.framed ~payload_bytes:span frame);
-    label
-
-  let delivered_order t i = O.delivered_order (Sgroup.member t.sg i)
-
-  let all_delivered_orders t =
-    List.init (size t) (fun i -> delivered_order t i)
-
-  let metrics t i = O.metrics (Sgroup.member t.sg i)
-
-  let wire_bytes t =
-    Sgroup.fold (fun acc m -> acc + (O.metrics m).Metrics.wire_bytes) 0 t.sg
-end
-
-(* --- framed Psync: conversation-context broadcast over frames --- *)
-
-module Psync = struct
-  type 'a member = {
-    id : int;
-    engine_member : 'a O.t;
-    mutable leaves : Label.Set.t;
-  }
-
-  type 'a t = {
-    sg : ('a member, 'a Message.t Codec.framed) Sgroup.t;
-    seqs : int array;
-    pool : Wire.pool;
-    put_payload : 'a Message.t Codec.enc;
-  }
-
-  (* Identical context rule to the plain Psync: leaves of *received*
-     messages form the next send's dependency. *)
-  let note_received m msg =
-    let ancestors = Dep.ancestors (Message.dep msg) in
-    m.leaves <-
-      Label.Set.add (Message.label msg)
-        (List.fold_left
-           (fun acc a -> Label.Set.remove a acc)
-           m.leaves ancestors)
-
-  let create net ~enc ~dec ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
-    let engine = Net.engine net in
-    let get = Codec.get_message dec in
-    let sg =
-      Sgroup.create net
-        ~member:(fun id ->
-          let deliver msg = on_deliver ~node:id ~time:(Engine.now engine) msg in
-          { id; engine_member = O.create ~id ~deliver (); leaves = Label.Set.empty })
-        ~receive:(fun m fr ->
-          charge (O.metrics m.engine_member) fr;
-          let msg = Codec.view fr ~dec:get in
-          note_received m msg;
-          O.receive m.engine_member msg)
-    in
-    { sg; seqs = Array.make (Net.nodes net) 0; pool = Wire.pool ();
-      put_payload = (fun w m -> enc w (Message.payload m)) }
-
-  let size t = Sgroup.size t.sg
-
-  let member t i = (Sgroup.member t.sg i).engine_member
-
-  let send t ~src ?name payload =
-    let m = Sgroup.member t.sg src in
-    let seq = t.seqs.(src) in
-    t.seqs.(src) <- seq + 1;
-    let label = Label.make ?name ~origin:src ~seq () in
-    let context = Label.Set.elements m.leaves in
-    let msg =
-      Message.make ~label ~sender:src ~dep:(Dep.after_all context) payload
-    in
-    (* local copy processes the in-memory message (as the plain Psync
-       does); only the remote copies ride the frame *)
-    note_received m msg;
-    O.receive m.engine_member msg;
-    let frame, span =
-      Codec.encode_split t.pool ~header:Codec.put_message_header
-        ~payload:t.put_payload msg
-    in
-    Net.bcast (Sgroup.net t.sg) ~src ~self:false ~size:(Wire.length frame)
-      (Codec.framed ~payload_bytes:span frame);
-    label
-
-  let delivered_order t i = O.delivered_order (member t i)
-
-  let all_delivered_orders t =
-    List.init (size t) (fun i -> delivered_order t i)
-
-  let metrics t i = O.metrics (member t i)
-
-  let wire_bytes t =
-    Sgroup.fold
-      (fun acc m -> acc + (O.metrics m.engine_member).Metrics.wire_bytes)
-      0 t.sg
 end
 
 (* --- framed PC-broadcast: constant-size headers over frames --- *)

@@ -1,6 +1,6 @@
 (** Framed group wrappers — causal broadcast over encoded frames.
 
-    The siblings of [Bss.Group], [Group] and [Psync] that put the
+    The siblings of [Bss.Group] and [Pcbcast.Group] that put the
     {!Codec} on the delivery path: the sender stamps once and encodes
     once into an immutable frame (pooled scratch, [Wire]); [Net.bcast]
     fans the single frame out to every recipient; recipients decode a
@@ -17,12 +17,10 @@
     identical to the plain group's for the same seed and workload —
     asserted in [test/test_wire.ml], which keeps the frozen
     [lib/reference] engines as the end oracle.  The delivery engines
-    themselves ([Bss.member], [Osend.t]) are reused unchanged; only the
-    transport hop differs. *)
+    themselves ([Bss.member], [Pcbcast.member]) are reused unchanged;
+    only the transport hop differs. *)
 
-module Wire := Causalb_util.Wire
 module B := Bss
-module O := Osend
 module P := Pcbcast
 
 (** Framed Birman–Schiper–Stephenson broadcast (vector stamps). *)
@@ -53,70 +51,6 @@ module Bss : sig
   (** Total encoded bytes received across members. *)
 end
 
-(** Framed explicit-dependency broadcast (the [Group]/[Osend] path). *)
-module Osend : sig
-  type 'a t
-
-  val create :
-    'a Message.t Codec.framed Causalb_net.Net.t ->
-    enc:'a Codec.enc ->
-    dec:'a Codec.dec ->
-    ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
-    unit ->
-    'a t
-
-  val size : 'a t -> int
-
-  val osend :
-    'a t ->
-    src:int ->
-    ?name:string ->
-    dep:Causalb_graph.Dep.t ->
-    'a ->
-    Causalb_graph.Label.t
-
-  val member : 'a t -> int -> 'a O.t
-
-  val delivered_order : 'a t -> int -> Causalb_graph.Label.t list
-
-  val all_delivered_orders : 'a t -> Causalb_graph.Label.t list list
-
-  val metrics : 'a t -> int -> Causalb_stackbase.Metrics.t
-
-  val wire_bytes : 'a t -> int
-end
-
-(** Framed conversation-context broadcast (the [Psync] rule: each send
-    depends on the leaves of everything received). *)
-module Psync : sig
-  type 'a t
-
-  val create :
-    'a Message.t Codec.framed Causalb_net.Net.t ->
-    enc:'a Codec.enc ->
-    dec:'a Codec.dec ->
-    ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
-    unit ->
-    'a t
-
-  val size : 'a t -> int
-
-  val send :
-    'a t -> src:int -> ?name:string -> 'a -> Causalb_graph.Label.t
-  (** Local copy processes the in-memory message (as in [Psync.send]);
-      remote copies ride one shared frame ([self = false]). *)
-
-  val member : 'a t -> int -> 'a O.t
-
-  val delivered_order : 'a t -> int -> Causalb_graph.Label.t list
-
-  val all_delivered_orders : 'a t -> Causalb_graph.Label.t list list
-
-  val metrics : 'a t -> int -> Causalb_stackbase.Metrics.t
-
-  val wire_bytes : 'a t -> int
-end
-
 (** Framed PC-broadcast (constant-size headers, flooding overlay).
 
     The O(1)-metadata counterpart to {!Bss}: a broadcast encodes once —
@@ -124,7 +58,7 @@ end
     hop of the flood re-emits the {e same} physical frame, so recipients
     decode a shared view and charge the control/payload split the sender
     measured ([Metrics.control_bytes_per_delivery] is the §6.1 number
-    the scaling bench plots against BSS's O(n) stamps).  Static
+    experiment M1 reports against BSS's O(n) stamps).  Static
     membership only; churn runs on the plain [Pcbcast.Group].  The
     network must be FIFO ([Net.create ~fifo:true]). *)
 module Pc : sig

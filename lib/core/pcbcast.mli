@@ -118,7 +118,7 @@ val metrics : 'a member -> Metrics.t
 val peers_for : n:int -> degree:int option -> int -> int list
 (** The deterministic static overlay: full mesh when [degree] is [None]
     or >= n-1, else a bidirectional ring plus power-of-two chords capped
-    at [degree] out-links.  Exposed for tests and the scaling bench. *)
+    at [degree] out-links; the overlay {!init_static} builds. *)
 
 val init_static : 'a member -> n:int -> degree:int option -> unit
 (** Configure a founding member of a static group: overlay links from

@@ -14,7 +14,7 @@
 
    - [Parallel] (deterministic experiment parts): print through
      [Printer], safe to run in any domain, captured by sink.
-   - [Sequential] (timing parts: micro/scaling benches): keep their raw
+   - [Sequential] (timing parts: the micro benches): keep their raw
      prints and their exclusive use of the machine.  They run in the
      main domain through [Pool.run_one]'s fd capture, *before* any
      worker domain is spawned, so the dup2 window never overlaps with

@@ -33,7 +33,7 @@ type t = {
   mutable control_bytes : int;
       (** the metadata share of [wire_bytes]: headers, stamps, causal
           barriers — O(n) per copy for vector-clock engines, O(1) for
-          PC-broadcast.  The headline axis of the scaling bench *)
+          PC-broadcast.  The headline axis of experiment M1 *)
   mutable payload_bytes : int;
       (** the application-data share of [wire_bytes] *)
   latency : Stats.t;
@@ -65,12 +65,12 @@ val on_wire_split : t -> control:int -> payload:int -> unit
     counter keep reconciling. *)
 
 val bytes_per_delivery : t -> float
-(** [wire_bytes / delivered] — the metadata-cost-per-delivery figure of
-    the scaling bench; NaN before the first delivery. *)
+(** [wire_bytes / delivered] — the wire cost per delivery; NaN before
+    the first delivery. *)
 
 val control_bytes_per_delivery : t -> float
 (** [control_bytes / delivered]: the O(n)-vs-O(1) scaling axis — what
-    BENCH schema v4 plots per member count.  NaN before the first
+    experiment M1 reports per member count.  NaN before the first
     delivery. *)
 
 val payload_bytes_per_delivery : t -> float

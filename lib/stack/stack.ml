@@ -298,8 +298,12 @@ let submit t ~src ?name ?(dep = Dep.null) payload =
     ignore (Pcbcast.Group.bcast g ~src ?tag:name payload);
     Some label
   | I_psync p ->
-    let label = Psync.send p ~src ?name payload in
+    let label = fresh_label () in
+    (* recorded before the send, because Psync delivers the local copy
+       synchronously; its internal counter mirrors [t.seqs] as the PC
+       group's does, so its label equals [label] *)
     Label.Tbl.replace t.send_time label now;
+    ignore (Psync.send p ~src ?name payload);
     Some label
   | I_osend { group; sequencer = None } ->
     Some (Ogroup.osend group ~src ?name ~dep payload)

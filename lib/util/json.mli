@@ -1,9 +1,9 @@
 (** Minimal JSON for the harness.
 
     The worker pool ({!Causalb_harness.Pool}) streams one JSON object per
-    finished task over a pipe, and the bench harness writes the cumulative
-    [BENCH_PR5.json] artifact; both sides use this module so the repo
-    needs no external JSON dependency.  Numbers are [float] (integral
+    finished task over a pipe, and [causalb hunt --json] prints its
+    verdicts with it; both use this module so the repo needs no
+    external JSON dependency.  Numbers are [float] (integral
     values emit without a fractional part); object fields keep insertion
     order. *)
 

@@ -3,8 +3,8 @@
    Two layers of guarantees:
    - same-seed replays under a nemesis schedule (partition/heal plus a
      loss/dup/jitter phase) are byte-identical and oracle-clean for
-     every shipped composition, plain and framed — faults never make a
-     run less reproducible;
+     every shipped composition and for the framed BSS group — faults
+     never make a run less reproducible;
    - the campaign machinery itself is deterministic (generation, case
      verdicts, parallel sweeps) and its planted-bug self-test finds and
      shrinks a known violation. *)
@@ -15,10 +15,7 @@ module Trace = Causalb_sim.Trace
 module Net = Causalb_net.Net
 module Fault = Causalb_net.Fault
 module Nemesis = Causalb_net.Nemesis
-module Dep = Causalb_graph.Dep
 module Bss = Causalb_core.Bss
-module Psync = Causalb_core.Psync
-module Group = Causalb_core.Group
 module Fgroup = Causalb_core.Fgroup
 module Codec = Causalb_core.Codec
 module D = Causalb_harness.Drivers
@@ -81,9 +78,9 @@ let test_stack_replay_identical () =
       check (name ^ ": checks pass (restricted to safety)") true ok1)
     all_specs
 
-(* --- same-seed determinism under faults: the framed groups ----------- *)
+(* --- same-seed determinism under faults: the framed group ------------ *)
 
-(* The framed engines do not ride the stack driver, so they get their
+(* The framed BSS group does not ride the stack driver, so it gets its
    own replay harness: a traced net with the nemesis installed directly
    ([Nemesis.install_net]), plus the plain sibling group run under the
    identical seed and schedule — [Net.bcast] makes exactly the draws
@@ -122,90 +119,20 @@ let bss_plain seed =
         (Printf.sprintf "p%d" i));
   List.init nodes (Bss.Group.delivered_tags g)
 
-let psync_framed seed =
-  let engine, net, trace = traced_net seed in
-  let g = Fgroup.Psync.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Fgroup.Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  ( render trace,
-    List.map
-      (List.map Causalb_graph.Label.to_string)
-      (Fgroup.Psync.all_delivered_orders g) )
-
-let psync_plain seed =
-  let engine, net, _ = traced_net seed in
-  let g = Psync.create net () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  List.map
-    (List.map Causalb_graph.Label.to_string)
-    (Psync.all_delivered_orders g)
-
-(* A dependency chain through rotating senders: every third message
-   anchors the next two, so partitions genuinely block descendants. *)
-let osend_framed seed =
-  let engine, net, trace = traced_net seed in
-  let g = Fgroup.Osend.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  let anchor = ref Dep.null in
-  schedule_ops engine (fun i ->
-      let lbl =
-        Fgroup.Osend.osend g ~src:(i mod nodes)
-          ~name:(Printf.sprintf "m%d" i) ~dep:!anchor
-          (Printf.sprintf "p%d" i)
-      in
-      if i mod 3 = 0 then anchor := Dep.after lbl);
-  ( render trace,
-    List.map
-      (List.map Causalb_graph.Label.to_string)
-      (Fgroup.Osend.all_delivered_orders g) )
-
-let osend_plain seed =
-  let engine, net, _ = traced_net seed in
-  let g = Group.create net () in
-  let anchor = ref Dep.null in
-  schedule_ops engine (fun i ->
-      let lbl =
-        Group.osend g ~src:(i mod nodes) ~name:(Printf.sprintf "m%d" i)
-          ~dep:!anchor
-          (Printf.sprintf "p%d" i)
-      in
-      if i mod 3 = 0 then anchor := Dep.after lbl);
-  List.map
-    (List.map Causalb_graph.Label.to_string)
-    (Group.all_delivered_orders g)
-
 let test_framed_replay_identical () =
   List.iter
     (fun seed ->
       let t1, o1 = bss_framed seed in
       let t2, o2 = bss_framed seed in
       check_str "bss framed: replayed trace identical" t1 t2;
-      check "bss framed: replayed orders identical" true (o1 = o2);
-      let t1, o1 = psync_framed seed in
-      let t2, o2 = psync_framed seed in
-      check_str "psync framed: replayed trace identical" t1 t2;
-      check "psync framed: replayed orders identical" true (o1 = o2);
-      let t1, o1 = osend_framed seed in
-      let t2, o2 = osend_framed seed in
-      check_str "osend framed: replayed trace identical" t1 t2;
-      check "osend framed: replayed orders identical" true (o1 = o2))
+      check "bss framed: replayed orders identical" true (o1 = o2))
     [ 11; 2026 ]
 
 let test_framed_equals_plain_under_faults () =
   List.iter
     (fun seed ->
       let _, framed = bss_framed seed in
-      check "bss framed = plain under nemesis" true (framed = bss_plain seed);
-      let _, framed = psync_framed seed in
-      check "psync framed = plain under nemesis" true
-        (framed = psync_plain seed);
-      let _, framed = osend_framed seed in
-      check "osend framed = plain under nemesis" true
-        (framed = osend_plain seed))
+      check "bss framed = plain under nemesis" true (framed = bss_plain seed))
     [ 11; 2026 ]
 
 (* --- the campaign machinery ----------------------------------------- *)

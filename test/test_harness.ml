@@ -243,6 +243,29 @@ let test_run_stack_layer_accounting () =
       total.Causalb_stackbase.Metrics.delivered
   | l -> Alcotest.failf "expected 3 layers, got %d" (List.length l))
 
+(* Under a pass-through tail every causal delivery is an application
+   release, so the causal layer holds one latency sample per release —
+   including each sender's own copy, which Psync delivers inside
+   [Stack.submit] itself. *)
+let test_pass_causal_latency_samples () =
+  List.iter
+    (fun spec ->
+      let r = Drivers.run_stack ~seed:42 ~replicas:4 spec windowed in
+      match r.Drivers.layers with
+      | [ _; causal ] ->
+        check_int
+          (Drivers.stack_spec_name spec ^ ": a causal sample per release")
+          (Stats.count r.Drivers.delivery)
+          (Stats.count causal.Causalb_stackbase.Metrics.latency)
+      | l -> Alcotest.failf "expected 2 layers, got %d" (List.length l))
+    [
+      Drivers.Fifo_only;
+      Drivers.Bss_stack;
+      Drivers.Psync_stack;
+      Drivers.Osend_stack;
+      Drivers.Pc_stack;
+    ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -275,5 +298,7 @@ let () =
             test_run_stack_deterministic;
           Alcotest.test_case "layer accounting" `Quick
             test_run_stack_layer_accounting;
+          Alcotest.test_case "pass: causal latency per release" `Quick
+            test_pass_causal_latency_samples;
         ] );
     ]

@@ -28,8 +28,6 @@ module Net = Causalb_net.Net
 module Message = Causalb_core.Message
 module Codec = Causalb_core.Codec
 module Bss = Causalb_core.Bss
-module Group = Causalb_core.Group
-module Psync = Causalb_core.Psync
 module Fgroup = Causalb_core.Fgroup
 module Pcb = Causalb_core.Pcbcast
 module Rbss = Causalb_reference.Bss
@@ -458,79 +456,6 @@ let test_bss_framed_equiv () =
         (Metrics.bytes_per_delivery m > 0.0))
     [ 1; 7; 42; 1337 ]
 
-let psync_plain seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Psync.create net () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  List.map (List.map Label.to_string) (Psync.all_delivered_orders g)
-
-let psync_framed seed =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Fgroup.Psync.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-  schedule_ops engine (fun i ->
-      ignore
-        (Fgroup.Psync.send g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-           (Printf.sprintf "p%d" i)));
-  ( List.map (List.map Label.to_string) (Fgroup.Psync.all_delivered_orders g),
-    g )
-
-let test_psync_framed_equiv () =
-  List.iter
-    (fun seed ->
-      let plain = psync_plain seed in
-      let framed, g = psync_framed seed in
-      check "psync: framed orders = plain orders" true (plain = framed);
-      check "psync: wire bytes flow" true (Fgroup.Psync.wire_bytes g > 0))
-    [ 3; 11; 99 ]
-
-(* Explicit deps: op i depends on ops i-1 and i/2 — a dependency chain
-   plus cross links, enough reordering pressure to park messages. *)
-let osend_run ~framed seed =
-  let engine = Engine.create ~seed () in
-  let labels = Array.make ops None in
-  let dep_for i =
-    if i = 0 then Dep.null
-    else
-      Dep.after_all
-        (List.filter_map
-           (fun j -> labels.(j))
-           (List.sort_uniq Int.compare [ i - 1; i / 2 ]))
-  in
-  if framed then begin
-    let net = Net.create engine ~nodes ~latency:(lat ()) () in
-    let g = Fgroup.Osend.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
-    schedule_ops engine (fun i ->
-        labels.(i) <-
-          Some
-            (Fgroup.Osend.osend g ~src:(i mod nodes)
-               ~name:(Printf.sprintf "s%d" i) ~dep:(dep_for i)
-               (Printf.sprintf "p%d" i)));
-    List.map (List.map Label.to_string) (Fgroup.Osend.all_delivered_orders g)
-  end
-  else begin
-    let net = Net.create engine ~nodes ~latency:(lat ()) () in
-    let g = Group.create net () in
-    schedule_ops engine (fun i ->
-        labels.(i) <-
-          Some
-            (Group.osend g ~src:(i mod nodes) ~name:(Printf.sprintf "s%d" i)
-               ~dep:(dep_for i)
-               (Printf.sprintf "p%d" i)));
-    List.map (List.map Label.to_string) (Group.all_delivered_orders g)
-  end
-
-let test_osend_framed_equiv () =
-  List.iter
-    (fun seed ->
-      check "osend: framed orders = plain orders" true
-        (osend_run ~framed:false seed = osend_run ~framed:true seed))
-    [ 2; 13; 77 ]
-
 let () =
   Alcotest.run "wire"
     [
@@ -567,9 +492,5 @@ let () =
         [
           Alcotest.test_case "bss framed = plain (same seed)" `Quick
             test_bss_framed_equiv;
-          Alcotest.test_case "psync framed = plain (same seed)" `Quick
-            test_psync_framed_equiv;
-          Alcotest.test_case "osend framed = plain (same seed)" `Quick
-            test_osend_framed_equiv;
         ] );
     ]
