@@ -111,8 +111,7 @@ let lint_objects ~seed:_ ~replicas ~json () =
   let rounds = 24 and window = 6 in
   let top = Guarantee.Causal in
   let one name (w : Workload.t) =
-    let races = Race_lint.check ~top w in
-    let demand = Race_lint.required w in
+    let { Race_lint.races; demand } = Race_lint.analyse ~top w in
     let ok = races = [] in
     if not json then
       Printf.printf "%-18s sites=%-5d sync=%-4d demand=%-12s races=%-3d %s\n"
@@ -149,8 +148,7 @@ let lint_objects ~seed:_ ~replicas ~json () =
    protocol actually composes. *)
 let lint_protocols ~seed ~json () =
   let one name ~top ?note (w : Workload.t) =
-    let races = Race_lint.check ~top w in
-    let demand = Race_lint.required w in
+    let { Race_lint.races; demand } = Race_lint.analyse ~top w in
     let ok = races = [] in
     if not json then begin
       Printf.printf

@@ -11,78 +11,53 @@ type race = {
   missing : Label.t list;
 }
 
-(* Reachability over the full site set is the hot query (O(sites²) pairs);
-   one ancestor set per label, computed lazily, makes each pair O(log n). *)
-let ancestor_cache graph =
-  let cache = Label.Tbl.create 64 in
-  fun l ->
-    match Label.Tbl.find_opt cache l with
-    | Some s -> s
-    | None ->
-      let s = Depgraph.ancestors graph l in
-      Label.Tbl.replace cache l s;
-      s
+type report = { races : race list; demand : Guarantee.t }
 
-let analyse (w : Workload.t) =
-  let ancestors = ancestor_cache w.Workload.graph in
-  let hb a b = Label.Set.mem a (ancestors b) in
-  let sync_separated a b =
-    Label.Set.exists
-      (fun s ->
-        Depgraph.mem w.Workload.graph s
-        && ((hb a s && hb s b) || (hb b s && hb s a)))
-      w.Workload.sync
-  in
-  fun (a : Workload.site) (b : Workload.site) ->
-    if not (Workload.conflicts w a b) then None
-    else if Label.origin a.Workload.label = Label.origin b.Workload.label
-    then Some Guarantee.Fifo
-    else if
-      hb a.Workload.label b.Workload.label
-      || hb b.Workload.label a.Workload.label
-      || sync_separated a.Workload.label b.Workload.label
-    then Some Guarantee.Causal
-    else Some Guarantee.Causal_total
+(* The guarantee one pair needs.  Sync separation needs no test of its
+   own: a sync point [s] between [a] and [b] in R(M) puts [a] among the
+   ancestors of [s] and [s] among those of [b], so [a] already precedes
+   [b]. *)
+let need reach w (a : Workload.site) (b : Workload.site) =
+  if not (Workload.conflicts w a b) then None
+  else if Label.origin a.Workload.label = Label.origin b.Workload.label then
+    Some Guarantee.Fifo
+  else if
+    Depgraph.precedes reach a.Workload.label b.Workload.label
+    || Depgraph.precedes reach b.Workload.label a.Workload.label
+  then Some Guarantee.Causal
+  else Some Guarantee.Causal_total
 
-let pair_need w a b = analyse w a b
+let pair_need w a b = need (Depgraph.reach w.Workload.graph) w a b
 
-let fold_pairs w f acc =
+let analyse ?(top = Guarantee.Causal) w =
+  let need_of = need (Depgraph.reach w.Workload.graph) w in
   let sites = Array.of_list w.Workload.sites in
   let n = Array.length sites in
-  let acc = ref acc in
+  let races = ref [] and demand = ref Guarantee.bot in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      acc := f !acc sites.(i) sites.(j)
+      let a = sites.(i) and b = sites.(j) in
+      match need_of a b with
+      | None -> ()
+      | Some need ->
+        demand := Guarantee.join !demand need;
+        if not (Guarantee.leq need top) then
+          races :=
+            {
+              a;
+              b;
+              need;
+              top;
+              missing = [ a.Workload.label; b.Workload.label ];
+            }
+            :: !races
     done
   done;
-  !acc
+  { races = List.rev !races; demand = !demand }
 
-let check ?(top = Guarantee.Causal) w =
-  let need_of = analyse w in
-  List.rev
-    (fold_pairs w
-       (fun races a b ->
-         match need_of a b with
-         | Some need when not (Guarantee.leq need top) ->
-           {
-             a;
-             b;
-             need;
-             top;
-             missing = [ a.Workload.label; b.Workload.label ];
-           }
-           :: races
-         | _ -> races)
-       [])
+let check ?top w = (analyse ?top w).races
 
-let required w =
-  let need_of = analyse w in
-  fold_pairs w
-    (fun demand a b ->
-      match need_of a b with
-      | Some need -> Guarantee.join demand need
-      | None -> demand)
-    Guarantee.bot
+let required w = (analyse w).demand
 
 let pp_site ppf (s : Workload.site) =
   Format.fprintf ppf "%s(%s@%s)"

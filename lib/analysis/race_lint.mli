@@ -7,25 +7,28 @@
     {e declared} per class ({!Causalb_data.Seq_spec}) and the intended
     [R(M)] available before execution ({!Workload}), exactly those pairs
     are statically decidable: a {e race} is a pair of operations on the
-    same object, in non-commuting classes, that is neither ordered by
-    [R(M)] reachability nor separated by a synchronization point — and
-    whose arbitration the stack's top-of-stack guarantee does not fix
-    either.  Every race means two members may apply genuinely
-    conflicting operations in different orders: the dynamic oracle could
-    only flag the divergence after spending the simulation budget; this
-    lint rejects the configuration up front.
+    same object, in non-commuting classes, that is not ordered by [R(M)]
+    reachability — and whose arbitration the stack's top-of-stack
+    guarantee does not fix either.  Every race means two members may
+    apply genuinely conflicting operations in different orders: the
+    dynamic oracle could only flag the divergence after spending the
+    simulation budget; this lint rejects the configuration up front.
 
     What covers a conflicting pair, from cheapest to strongest:
     {ul
-    {- {b R(M) reachability} (or a sync point between the two) — needs a
-       pipeline that enforces the explicit relation: [Causal];}
+    {- {b R(M) reachability} — needs a pipeline that enforces the
+       explicit relation: [Causal].  A sync point between the two is a
+       case of it, not a criterion of its own: [a → s → b] in [R(M)]
+       makes [a] an ancestor of [b];}
     {- {b same origin} — per-sender FIFO already serializes the pair
        identically everywhere: [Fifo] suffices;}
     {- {b nothing} — only a deterministic total order arbitrates the
        pair: [Causal_total].}}
 
-    {!required} folds those needs into the workload's {e demand}: the
-    minimal top-of-stack guarantee under which it is race-free. *)
+    One sweep over the O(sites²) pairs ({!analyse}) grades every pair
+    against a {!Causalb_graph.Depgraph.reach} index of [R(M)] and yields
+    both the races and the workload's {e demand}: the minimal
+    top-of-stack guarantee under which it is race-free. *)
 
 module Label := Causalb_graph.Label
 module Guarantee := Causalb_stackbase.Guarantee
@@ -37,26 +40,36 @@ type race = {
   top : Guarantee.t;          (** what the stack was assumed to provide *)
   missing : Label.t list;
       (** the missing edge: [[a; b]] — ordering either way (an
-          [Occurs_After] predicate or an interposed sync point) resolves
-          the race *)
+          [Occurs_After] predicate, directly or through an interposed
+          sync point) resolves the race *)
 }
 
+type report = {
+  races : race list;
+      (** over a pipeline providing the [top] given to {!analyse}, in
+          submission order of the first site *)
+  demand : Guarantee.t;
+      (** the minimal [top] under which there would be no race;
+          [Unordered] when every pair commutes *)
+}
+
+val analyse : ?top:Guarantee.t -> Workload.t -> report
+(** The one pair sweep: races over a pipeline providing [top] (default
+    [Causal], the §6.1 protocol's setting) and the demand.  No race
+    means: every non-commuting pair is ordered by [R(M)] reachability,
+    pinned by per-sender FIFO, or arbitrated by a total order. *)
+
 val check : ?top:Guarantee.t -> Workload.t -> race list
-(** All races of the workload over a pipeline providing [top] (default
-    [Causal], the §6.1 protocol's setting), in submission order of the
-    first site.  Empty means: every non-commuting pair is ordered by
-    [R(M)], separated by a sync point, pinned by per-sender FIFO, or
-    arbitrated by a total order. *)
+(** [(analyse ?top w).races]. *)
 
 val required : Workload.t -> Guarantee.t
-(** The workload's demand: the minimal [top] for which {!check} returns
-    no race.  [Unordered] when every pair commutes. *)
+(** [(analyse w).demand]. *)
 
 val pair_need : Workload.t -> Workload.site -> Workload.site -> Guarantee.t option
 (** The guarantee a single pair needs — [None] when the sites do not
     conflict, otherwise [Fifo] (same origin), [Causal] (ordered by
-    reachability or sync separation), or [Causal_total] (concurrent,
-    cross-origin). *)
+    [R(M)] reachability, sync-separated pairs included), or
+    [Causal_total] (concurrent, cross-origin). *)
 
 val pp_race : Format.formatter -> race -> unit
 

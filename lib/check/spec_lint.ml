@@ -81,6 +81,7 @@ let unsatisfiable g l =
     else None
 
 let lint g =
+  let reach = Depgraph.reach g in
   let issues = ref [] in
   let add i = issues := i :: !issues in
   (match Depgraph.find_cycle g with
@@ -106,8 +107,7 @@ let lint g =
             match
               List.find_opt
                 (fun p ->
-                  (not (Label.equal p a))
-                  && Label.Set.mem a (Depgraph.ancestors g p))
+                  (not (Label.equal p a)) && Depgraph.precedes reach a p)
                 parents
             with
             | Some via -> add (Redundant_edge { label = l; ancestor = a; via })
@@ -123,7 +123,7 @@ let lint g =
             match
               List.find_opt
                 (fun a ->
-                  (not (Label.equal a b)) && Depgraph.happens_before g a b)
+                  (not (Label.equal a b)) && Depgraph.precedes reach a b)
                 present
             with
             | Some a -> add (Dead_alternative { label = l; alt = b; implied_by = a })

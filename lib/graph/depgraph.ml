@@ -168,6 +168,50 @@ let concurrent g a b =
   && (not (happens_before g a b))
   && not (happens_before g b a)
 
+(* Row [i] of [bits] (words [i*words .. (i+1)*words - 1]) is the ancestor
+   set of the [i]-th label in insertion order.  Each row doubles as the
+   visited set of its own DFS, which starts from the label's parents and
+   never pre-marks the label itself: so, exactly like [ancestors], a
+   label is its own ancestor only when a cycle leads back to it. *)
+type reach = { rank : int Label.Tbl.t; words : int; bits : int array }
+
+let reach g =
+  let labels = Array.of_list (labels g) in
+  let n = Array.length labels in
+  let rank = Label.Tbl.create (2 * n) in
+  Array.iteri (fun i l -> Label.Tbl.replace rank l i) labels;
+  let parents =
+    Array.map
+      (fun l ->
+        List.filter_map (Label.Tbl.find_opt rank)
+          (Dep.ancestors (dep_of g l)))
+      labels
+  in
+  let words = (n + Sys.int_size - 1) / Sys.int_size in
+  let bits = Array.make (n * words) 0 in
+  for i = 0 to n - 1 do
+    let row = i * words in
+    let rec visit x =
+      List.iter
+        (fun y ->
+          let k = row + (y / Sys.int_size) and m = 1 lsl (y mod Sys.int_size) in
+          if bits.(k) land m = 0 then begin
+            bits.(k) <- bits.(k) lor m;
+            visit y
+          end)
+        parents.(x)
+    in
+    visit i
+  done;
+  { rank; words; bits }
+
+let precedes r a b =
+  let row = Label.Tbl.find r.rank b * r.words in
+  match Label.Tbl.find_opt r.rank a with
+  | None -> false
+  | Some i ->
+    r.bits.(row + (i / Sys.int_size)) land (1 lsl (i mod Sys.int_size)) <> 0
+
 let roots g = List.filter (fun l -> (node g l).indeg = 0) (labels g)
 
 let leaves g = List.filter (fun l -> (node g l).children = []) (labels g)

@@ -64,6 +64,22 @@ val happens_before : t -> Label.t -> Label.t -> bool
 val concurrent : t -> Label.t -> Label.t -> bool
 (** Neither happens before the other (and they differ). *)
 
+type reach
+(** A reachability index over one snapshot of a graph, for analyses that
+    ask many ancestry queries (the static lints).  Labels are numbered in
+    insertion order and each label's {!ancestors} are held as a bit set
+    over [int] words, built by one depth-first search per label:
+    O(n·(n+e)) time and n²/{!Sys.int_size} words for [n] labels and [e]
+    present edges.  The index does not follow later {!add}s. *)
+
+val reach : t -> reach
+
+val precedes : reach -> Label.t -> Label.t -> bool
+(** [precedes r a b] is [Label.Set.mem a (ancestors g b)] for the graph
+    [g] the index was built from: [a] reaches [b] through present edges,
+    and [b] precedes itself only on a cycle.  An absent [a] precedes
+    nothing.  @raise Not_found if [b] is absent, as {!ancestors} does. *)
+
 val roots : t -> Label.t list
 (** Labels with no parents. *)
 

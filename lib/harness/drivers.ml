@@ -186,21 +186,22 @@ let static_passes ~replicas spec ops =
     Stack_verify.verify ~claim
       (Stack_verify.layers_of ~ordering ~total ~fifo:(transport_fifo_of spec))
   in
-  let intent = intent_of_ops ~replicas ops in
+  let lint =
+    Race_lint.analyse ~top:verify.Stack_verify.top
+      (intent_of_ops ~replicas ops)
+  in
   (* The race lint holds a composition to what it claims: under-ordered
      baselines (claim < Causal) are exempt — their pairs are audited
      dynamically against the weaker fifo/same-set oracle instead. *)
   let races =
-    if Guarantee.leq Guarantee.Causal claim then
-      Race_lint.check ~top:verify.Stack_verify.top intent
-    else []
+    if Guarantee.leq Guarantee.Causal claim then lint.Race_lint.races else []
   in
   {
     static_spec = spec;
     claim;
     verify;
     races;
-    demand = Race_lint.required intent;
+    demand = lint.Race_lint.demand;
     static_diags = Stack_verify.to_diags verify @ Race_lint.to_diags races;
   }
 

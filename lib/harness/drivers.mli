@@ -128,9 +128,10 @@ type static_report = {
   verify : Causalb_analysis.Stack_verify.report;
       (** pass 1: bottom-up guarantee composition + claim check *)
   races : Causalb_analysis.Race_lint.race list;
-      (** pass 2: non-commuting pairs not covered by [R(M)], a sync
-          point, or the top-of-stack guarantee (empty for claims below
-          [Causal] — those are audited dynamically instead) *)
+      (** pass 2: non-commuting pairs covered neither by [R(M)]
+          reachability (an interposed sync point included) nor by the
+          top-of-stack guarantee (empty for claims below [Causal] —
+          those are audited dynamically instead) *)
   demand : Causalb_stackbase.Guarantee.t;
       (** minimal top-of-stack guarantee making the workload race-free *)
   static_diags : Causalb_check.Diag.t list;

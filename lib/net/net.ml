@@ -17,13 +17,43 @@ type 'a packet = {
   mutable fire : unit -> unit;
 }
 
+(* The info strings of a traced net's per-copy records, one per node id:
+   built the first time a traced copy names that node, then shared by
+   every later record that does, so a traced copy allocates no string. *)
+type info_table = { prefix : string; mutable infos : string array }
+
+let info_table prefix = { prefix; infos = [||] }
+
+let info tbl id =
+  let cap = Array.length tbl.infos in
+  if id >= cap then begin
+    let infos = Array.make (max (id + 1) (2 * cap)) "" in
+    Array.blit tbl.infos 0 infos 0 cap;
+    tbl.infos <- infos
+  end;
+  let s = tbl.infos.(id) in
+  if s <> "" then s
+  else begin
+    let s = tbl.prefix ^ string_of_int id in
+    tbl.infos.(id) <- s;
+    s
+  end
+
+(* Only a traced net carries a recorder, so an untraced one allocates
+   nothing for tracing. *)
+type tracer = {
+  trace : Trace.t;
+  from_info : info_table; (* "from=<id>" of Receive records *)
+  dst_info : info_table; (* "dst=<id>" of Send records *)
+}
+
 type 'a t = {
   engine : Engine.t;
   mutable n : int; (* logical node count; arrays may have spare capacity *)
   latency : Latency.t;
   fifo : bool;
   rng : Rng.t;
-  trace : Trace.t option;
+  tracer : tracer option;
   mutable handlers : (src:int -> 'a -> unit) option array;
   mutable last_arrival : float array array; (* last_arrival.(src).(dst) *)
   mutable departed : bool array;
@@ -56,7 +86,15 @@ let create engine ~nodes ?(latency = Latency.lan) ?(fifo = true)
     latency;
     fifo;
     rng = Engine.fork_rng engine;
-    trace;
+    tracer =
+      Option.map
+        (fun trace ->
+          {
+            trace;
+            from_info = info_table "from=";
+            dst_info = info_table "dst=";
+          })
+        trace;
     handlers = Array.make nodes None;
     last_arrival = Array.make_matrix nodes nodes 0.0;
     departed = Array.make nodes false;
@@ -88,15 +126,17 @@ let set_handler t node f =
   t.handlers.(node) <- Some f
 
 (* Tracing is off on the hot benchmarking paths, so info strings must
-   never be built eagerly: call sites guard [record] behind [tracing] and
-   only then pay the [Printf.sprintf]. *)
-let tracing t = t.trace <> None
+   never be built eagerly: call sites guard [record] behind [tracing] (or
+   a match on the recorder) and only then pay for the string — a table
+   lookup for the per-copy Send/Receive records, a [Printf.sprintf] for
+   the rare drops. *)
+let tracing t = t.tracer <> None
 
 let record t ~node ~kind ~tag ~info =
-  match t.trace with
+  match t.tracer with
   | None -> ()
   | Some tr ->
-    Trace.record tr ~time:(Engine.now t.engine) ~node ~kind ~tag ~info ()
+    Trace.record tr.trace ~time:(Engine.now t.engine) ~node ~kind ~tag ~info ()
 
 (* Dynamic endpoint registration.  Per-node arrays grow geometrically;
    the FIFO floor matrix starts new links at 0.0, which is always ≤ now,
@@ -166,9 +206,11 @@ let deliver t ~src ~dst payload =
     match t.handlers.(dst) with
     | Some f ->
       t.delivered <- t.delivered + 1;
-      if tracing t then
+      (match t.tracer with
+      | Some tr ->
         record t ~node:dst ~kind:Trace.Receive ~tag:""
-          ~info:(Printf.sprintf "from=%d" src);
+          ~info:(info tr.from_info src)
+      | None -> ());
       f ~src payload
     | None -> t.dropped_no_handler <- t.dropped_no_handler + 1
 
@@ -266,9 +308,10 @@ let send_copy t ~src ~dst ~size payload =
 let send t ~src ~dst ?(size = 1) payload =
   check_node t "send" src;
   check_node t "send" dst;
-  if tracing t then
-    record t ~node:src ~kind:Trace.Send ~tag:""
-      ~info:(Printf.sprintf "dst=%d" dst);
+  (match t.tracer with
+  | Some tr ->
+    record t ~node:src ~kind:Trace.Send ~tag:"" ~info:(info tr.dst_info dst)
+  | None -> ());
   send_copy t ~src ~dst ~size payload
 
 let broadcast t ~src ?(self = true) ?(size = 1) payload =

@@ -2,13 +2,16 @@
    guarantee lattice laws, the bottom-up stack verifier, the pure
    workload replay, the causal-race lint — and the qcheck cross-check
    tying the static verdict to the dynamic oracle: any configuration the
-   verifier accepts must also pass the trace checkers when executed. *)
+   verifier accepts must also pass the trace checkers when executed —
+   and qcheck equivalences holding both lints' reachability index to the
+   per-query searches it replaced. *)
 
 module Guarantee = Causalb_stackbase.Guarantee
 module Stack = Causalb_stack.Stack
 module Stack_verify = Causalb_analysis.Stack_verify
 module Workload = Causalb_analysis.Workload
 module Race_lint = Causalb_analysis.Race_lint
+module Spec_lint = Causalb_check.Spec_lint
 module Label = Causalb_graph.Label
 module Dep = Causalb_graph.Dep
 module Depgraph = Causalb_graph.Depgraph
@@ -259,7 +262,9 @@ let test_race_same_origin () =
     (Guarantee.equal (Race_lint.required w) Guarantee.Fifo)
 
 let test_race_sync_separation () =
-  (* x and y unordered, but a sync point sits between them in R(M) *)
+  (* x and y are ordered through the sync point between them, x → s → y:
+     sync separation is a case of R(M) reachability, not a criterion of
+     its own *)
   let graph = Depgraph.create () in
   let l name origin = Label.make ~name ~origin ~seq:0 () in
   let x = l "x" 0 and s = l "s" 1 and y = l "y" 2 in
@@ -448,6 +453,259 @@ let cross_check_prop (idx, mix, replicas, seed) =
       && r.Drivers.checks_ok
   end
 
+(* --- the reachability index against the searches it replaced --------- *)
+
+(* A random dependency graph over labels [0, u) of which only [0, n) are
+   added, in index order.  Most names point at an earlier label; a
+   per-graph share of them may point anywhere, so a predicate can name a
+   label added later (a forward name, which may close a cycle) or one
+   never added (absent).  Up to 140 labels: ancestor rows span several
+   [int] words.  Predicates are built raw, so duplicate names, singleton
+   conjunctions and empty alternatives occur too. *)
+let reach_graph_gen =
+  let open QCheck2.Gen in
+  int_range 1 140 >>= fun n ->
+  int_range 0 4 >>= fun absent ->
+  int_range 0 25 >>= fun forward_pct ->
+  let u = n + absent in
+  let name i =
+    int_range 0 99 >>= fun r ->
+    if i = 0 || r < forward_pct then int_range 0 (u - 1)
+    else int_range 0 (i - 1)
+  in
+  let dep i =
+    pair (int_range 0 3) (list_size (int_range 0 4) (name i))
+    >|= fun (kind, names) -> (kind, List.filter (fun j -> j <> i) names)
+  in
+  let rec deps i acc =
+    if i = n then return (u, List.rev acc)
+    else dep i >>= fun d -> deps (i + 1) (d :: acc)
+  in
+  deps 0 []
+
+let reach_label i = Label.make ~origin:(i mod 7) ~seq:(i / 7) ()
+
+let reach_dep (kind, names) =
+  let ls = List.map reach_label names in
+  match (kind, ls) with
+  | 0, _ | _, [] -> Dep.Null
+  | 1, l :: _ -> Dep.After l
+  | 2, _ -> Dep.After_all ls
+  | _ -> Dep.After_any ls
+
+let reach_graph (_, deps) =
+  let g = Depgraph.create () in
+  List.iteri
+    (fun i d -> Depgraph.add g (reach_label i) ~dep:(reach_dep d))
+    deps;
+  g
+
+let print_reach_graph (u, deps) =
+  Printf.sprintf "u=%d %s" u
+    (String.concat " "
+       (List.mapi
+          (fun i (kind, names) ->
+            Printf.sprintf "%d:%s[%s]" i
+              (match kind with
+              | 0 -> "null"
+              | 1 -> "after"
+              | 2 -> "all"
+              | _ -> "any")
+              (String.concat "," (List.map string_of_int names)))
+          deps))
+
+let outcome f x = match f x with v -> Some v | exception Not_found -> None
+
+let prop_reach_equals_ancestors =
+  QCheck2.Test.make ~count:200 ~name:"precedes = mem (ancestors)"
+    ~print:print_reach_graph reach_graph_gen (fun ((u, _) as d) ->
+      let g = reach_graph d in
+      let r = Depgraph.reach g in
+      let universe = List.init u reach_label in
+      List.for_all
+        (fun b ->
+          let anc = outcome (Depgraph.ancestors g) b in
+          List.for_all
+            (fun a ->
+              outcome (Depgraph.precedes r a) b
+              = Option.map (Label.Set.mem a) anc)
+            universe)
+        universe)
+
+(* [Spec_lint.lint] as it was written before the index: a fresh
+   [ancestors] or [happens_before] search per (parent, parent) pair. *)
+let spec_lint_per_pair g =
+  let issues = ref [] in
+  let add i = issues := i :: !issues in
+  (match Depgraph.find_cycle g with
+  | Some path -> add (Spec_lint.Cycle path)
+  | None -> ());
+  List.iter
+    (fun l ->
+      let dep = Depgraph.dep_of g l in
+      let missing = Depgraph.missing_parents g l in
+      List.iter
+        (fun m -> add (Spec_lint.Dangling { label = l; missing = m }))
+        missing;
+      (match dep with
+      | Dep.Null -> ()
+      | Dep.After _ | Dep.After_all _ ->
+        if missing <> [] then
+          add (Spec_lint.Unsatisfiable { label = l; missing })
+      | Dep.After_any alts ->
+        if missing <> [] && List.length missing = List.length alts then
+          add (Spec_lint.Unsatisfiable { label = l; missing }));
+      match dep with
+      | Dep.Null | Dep.After _ -> ()
+      | Dep.After_all _ ->
+        let parents = Depgraph.parents g l in
+        List.iter
+          (fun a ->
+            match
+              List.find_opt
+                (fun p ->
+                  (not (Label.equal p a))
+                  && Label.Set.mem a (Depgraph.ancestors g p))
+                parents
+            with
+            | Some via ->
+              add (Spec_lint.Redundant_edge { label = l; ancestor = a; via })
+            | None -> ())
+          parents
+      | Dep.After_any alts ->
+        let present = List.filter (Depgraph.mem g) alts in
+        List.iter
+          (fun b ->
+            match
+              List.find_opt
+                (fun a ->
+                  (not (Label.equal a b)) && Depgraph.happens_before g a b)
+                present
+            with
+            | Some a ->
+              add
+                (Spec_lint.Dead_alternative
+                   { label = l; alt = b; implied_by = a })
+            | None -> ())
+          present)
+    (Depgraph.labels g);
+  List.rev !issues
+
+let prop_spec_lint_equals_per_pair =
+  QCheck2.Test.make ~count:200 ~name:"spec lint = per-pair searches"
+    ~print:print_reach_graph reach_graph_gen (fun d ->
+      let g = reach_graph d in
+      Spec_lint.lint g = spec_lint_per_pair g)
+
+(* [Race_lint] as it was written before the one sweep: [check] and
+   [required] each visit every pair, against memoised [ancestors] sets
+   and a sync-separation test of their own. *)
+let race_lint_two_sweeps ~top (w : Workload.t) =
+  let cache = Label.Tbl.create 64 in
+  let ancestors l =
+    match Label.Tbl.find_opt cache l with
+    | Some s -> s
+    | None ->
+      let s = Depgraph.ancestors w.Workload.graph l in
+      Label.Tbl.replace cache l s;
+      s
+  in
+  let hb a b = Label.Set.mem a (ancestors b) in
+  let sync_separated a b =
+    Label.Set.exists
+      (fun s ->
+        Depgraph.mem w.Workload.graph s
+        && ((hb a s && hb s b) || (hb b s && hb s a)))
+      w.Workload.sync
+  in
+  let need (a : Workload.site) (b : Workload.site) =
+    if not (Workload.conflicts w a b) then None
+    else if Label.origin a.Workload.label = Label.origin b.Workload.label
+    then Some Guarantee.Fifo
+    else if
+      hb a.Workload.label b.Workload.label
+      || hb b.Workload.label a.Workload.label
+      || sync_separated a.Workload.label b.Workload.label
+    then Some Guarantee.Causal
+    else Some Guarantee.Causal_total
+  in
+  let sites = Array.of_list w.Workload.sites in
+  let n = Array.length sites in
+  let pairs =
+    List.concat
+      (List.init n (fun i ->
+           List.init (n - i - 1) (fun k -> (sites.(i), sites.(i + k + 1)))))
+  in
+  let races =
+    List.filter_map
+      (fun (a, b) ->
+        match need a b with
+        | Some need when not (Guarantee.leq need top) ->
+          Some
+            {
+              Race_lint.a;
+              b;
+              need;
+              top;
+              missing = [ a.Workload.label; b.Workload.label ];
+            }
+        | _ -> None)
+      pairs
+  in
+  let demand =
+    List.fold_left
+      (fun d (a, b) ->
+        match need a b with Some n -> Guarantee.join d n | None -> d)
+      Guarantee.bot pairs
+  in
+  (races, demand)
+
+(* A workload over a random graph: sites on a random subset of the added
+   labels, on two registers, and a sync set drawn from the whole label
+   range — labels never added included. *)
+let race_workload_gen =
+  let open QCheck2.Gen in
+  reach_graph_gen >>= fun ((u, deps) as d) ->
+  let n = List.length deps in
+  let site = triple (int_range 0 (n - 1)) (int_range 0 1) (int_range 0 3) in
+  quad (return d) (list_size (int_range 0 n) site)
+    (list_size (int_range 0 12) (int_range 0 (u + 2)))
+    (oneofl all_guarantees)
+
+let race_workload (d, sites, sync, top) =
+  let graph = reach_graph d in
+  let objects =
+    [
+      Workload.obj_of_spec ~name:"x" Dt.Int_register.spec;
+      Workload.obj_of_spec ~name:"y" Dt.Int_register.spec;
+    ]
+  in
+  let sites =
+    List.map
+      (fun (i, o, c) ->
+        {
+          Workload.label = reach_label i;
+          obj = (if o = 0 then "x" else "y");
+          cls = List.nth [ "inc"; "dec"; "set"; "read" ] c;
+        })
+      sites
+  in
+  let sync = Label.Set.of_list (List.map reach_label sync) in
+  (Workload.of_sites ~graph ~sync ~objects sites, top)
+
+let prop_race_lint_equals_two_sweeps =
+  QCheck2.Test.make ~count:100 ~name:"race sweep = check + required"
+    ~print:(fun (d, sites, sync, top) ->
+      Printf.sprintf "%s sites=[%s] sync=[%s] top=%s" (print_reach_graph d)
+        (String.concat ","
+           (List.map (fun (i, o, c) -> Printf.sprintf "%d/%d/%d" i o c) sites))
+        (String.concat "," (List.map string_of_int sync))
+        (Guarantee.to_string top))
+    race_workload_gen (fun x ->
+      let w, top = race_workload x in
+      let races, demand = race_lint_two_sweeps ~top w in
+      Race_lint.analyse ~top w = { Race_lint.races; demand })
+
 let () =
   Alcotest.run "analysis"
     [
@@ -484,6 +742,13 @@ let () =
             test_protocol_schedules;
           Alcotest.test_case "refuse mode" `Quick test_refuse_mode;
         ] );
+      ( "reach equivalence",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_reach_equals_ancestors;
+            prop_spec_lint_equals_per_pair;
+            prop_race_lint_equals_two_sweeps;
+          ] );
       ( "cross-check",
         [
           test ~count:40 "static accept => dynamic clean" config_gen

@@ -78,6 +78,33 @@ let test_stack_replay_identical () =
       check (name ^ ": checks pass (restricted to safety)") true ok1)
     all_specs
 
+(* The rendered faulted trace of every composition, pinned byte for byte
+   by digest.  Between them the runs record broadcast sends, unicast
+   "dst=" sends (PC's flood), "from=" receives, and partition and loss
+   drops, so any change to how the transport or a layer renders a record
+   shows here. *)
+let pinned_trace_digests =
+  [
+    (D.Fifo_only, "62a4c49605e876889c8e7ff31a79bdbf");
+    (D.Bss_stack, "90e10cdd01d2bb4a93eca404775569ac");
+    (D.Psync_stack, "9d9dbd6cd2cd8fb8f28395e22f8baea0");
+    (D.Osend_stack, "d55475942e8e93e43830fb1f3d769bb4");
+    (D.Osend_merge, "bb1254daad473719cbddb07fa2d01f8d");
+    (D.Osend_counted 4, "b9e21ac71605aef73417699c29821e98");
+    (D.Osend_sequencer, "357f3bf83ae142419316182c3f82da15");
+    (D.Pc_stack, "004368374db63dd0e0ab8ec9cad1a05a");
+  ]
+
+let test_stack_traces_pinned () =
+  List.iter
+    (fun (spec, digest) ->
+      let trace, _, _, _ = faulted_run spec in
+      check_str
+        (D.stack_spec_name spec ^ ": rendered trace digest")
+        digest
+        (Digest.to_hex (Digest.string trace)))
+    pinned_trace_digests
+
 (* --- same-seed determinism under faults: the framed group ------------ *)
 
 (* The framed BSS group does not ride the stack driver, so it gets its
@@ -211,6 +238,8 @@ let () =
         [
           Alcotest.test_case "stack engines" `Quick
             test_stack_replay_identical;
+          Alcotest.test_case "stack traces pinned" `Quick
+            test_stack_traces_pinned;
           Alcotest.test_case "framed engines" `Quick
             test_framed_replay_identical;
           Alcotest.test_case "framed = plain" `Quick

@@ -5,6 +5,7 @@ module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
 module Net = Causalb_net.Net
 module Fault = Causalb_net.Fault
+module Trace = Causalb_sim.Trace
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -296,6 +297,40 @@ let test_join_under_partition_isolated () =
   check "joiner reachable after heal" true
     (got () = [ (0, "after heal") ])
 
+(* Traced Send/Receive records take their "dst=<id>"/"from=<id>" strings
+   from per-node tables that grow on first use, so an endpoint that
+   [add_node] registers past a table's size must still render its id. *)
+let test_traced_info_after_add_node () =
+  let e = Engine.create () in
+  let trace = Trace.create () in
+  let net = Net.create e ~nodes:2 ~trace () in
+  for node = 0 to 1 do
+    Net.set_handler net node (fun ~src:_ () -> ())
+  done;
+  Net.send net ~src:0 ~dst:1 ();
+  Engine.run e;
+  let ids = List.init 4 (fun _ -> Net.add_node net) in
+  check "ids past the founders" true (ids = [ 2; 3; 4; 5 ]);
+  List.iter (fun id -> Net.set_handler net id (fun ~src:_ () -> ())) ids;
+  Net.send net ~src:0 ~dst:4 ();
+  Net.send net ~src:5 ~dst:1 ();
+  Engine.run e;
+  (* (node, info) of one kind, sorted: arrival order is the latency draw's *)
+  let records kind =
+    List.sort compare
+      (List.filter_map
+         (fun r ->
+           if r.Trace.kind = kind then Some (r.Trace.node, r.Trace.info)
+           else None)
+         (Trace.events trace))
+  in
+  Alcotest.(check (list (pair int string)))
+    "send records" [ (0, "dst=1"); (0, "dst=4"); (5, "dst=1") ]
+    (records Trace.Send);
+  Alcotest.(check (list (pair int string)))
+    "receive records" [ (1, "from=0"); (1, "from=5"); (4, "from=0") ]
+    (records Trace.Receive)
+
 let () =
   Alcotest.run "net"
     [
@@ -335,6 +370,8 @@ let () =
             test_departed_survives_heal;
           Alcotest.test_case "join under partition" `Quick
             test_join_under_partition_isolated;
+          Alcotest.test_case "traced ids after add_node" `Quick
+            test_traced_info_after_add_node;
         ] );
       ( "misc",
         [
