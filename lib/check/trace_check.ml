@@ -57,7 +57,7 @@ let causal ~graph trace =
          from the set and flag its descendants as premature.  Tags are
          label renderings and unique per run, so tag equality is label
          equality wherever both exist. *)
-      let delivered = Hashtbl.create 64 in
+      let delivered = Hashtbl.create 64 in (* tag -> first Deliver record *)
       let later_record a rest =
         List.find_opt
           (fun r -> String.equal r.Trace.tag (Label.to_string a))
@@ -104,8 +104,16 @@ let causal ~graph trace =
             end);
           (* Every delivery joins the set, resolvable or not — a record
              the graph cannot name still satisfies dependencies that
-             name it. *)
-          Hashtbl.replace delivered r.Trace.tag ();
+             name it.  A tag already in the set is a second delivery of
+             one message. *)
+          (match Hashtbl.find_opt delivered r.Trace.tag with
+          | Some first ->
+            diags :=
+              Diag.make ~check:"duplicate" ~node ~records:[ first; r ]
+                (Printf.sprintf "%s delivered twice (first at t=%.3f)"
+                   r.Trace.tag first.Trace.time)
+              :: !diags
+          | None -> Hashtbl.add delivered r.Trace.tag r);
           scan rest
       in
       scan records)
@@ -133,6 +141,12 @@ let fifo ~graph trace =
                   (Printf.sprintf
                      "sender %d out of order: seq %d delivered after seq %d"
                      origin seq s)
+                :: !diags
+            | Some (s, prev) when s = seq ->
+              diags :=
+                Diag.make ~check:"duplicate" ~node ~records:[ prev; r ]
+                  (Printf.sprintf "sender %d seq %d delivered twice" origin
+                     seq)
                 :: !diags
             | _ -> ());
             (match Hashtbl.find_opt high origin with

@@ -7,9 +7,10 @@
     (empty list = the property holds on this trace):
 
     - {!causal} — causal-delivery safety (§3–4): no member delivers a
-      message before the ancestors its [R(M)] predicate names;
+      message before the ancestors its [R(M)] predicate names, nor one
+      message twice;
     - {!fifo} — FIFO per sender: one origin's messages are delivered in
-      send order at every member;
+      send order, each once, at every member;
     - {!total_order} — agreement (§5.2 / §6.1): members release the same
       sequence up to commutative reordering between synchronization
       points, or the byte-identical sequence in [~strict] mode;
@@ -40,12 +41,16 @@ val causal :
     satisfied by the node's delivered set ([After]/[After_all]: every
     named ancestor delivered; [After_any]: at least one alternative).
     Each violation names the offending records and a minimal dependency
-    chain.  Tags the graph does not know are skipped. *)
+    chain.  Tags the graph does not know are skipped.  A [Deliver] tag
+    seen twice at one node is reported under the check name
+    ["duplicate"], with the first and the repeated record. *)
 
 val fifo :
   graph:Causalb_graph.Depgraph.t -> Causalb_sim.Trace.t -> Diag.t list
 (** FIFO per sender: at every node, the sequence numbers of each origin's
-    delivered messages must be increasing. *)
+    delivered messages must be strictly increasing.  A decrease is a
+    ["fifo"] violation; a repeat of the highest sequence number so far is
+    reported as ["duplicate"]. *)
 
 val total_order :
   ?strict:bool ->

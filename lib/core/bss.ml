@@ -76,10 +76,13 @@ let do_deliver t woken e =
 (* Generation cascade, bit-identical to the seed's repeated pool sweep.
    Readiness is evaluated against generation-start state before any of
    the generation delivers (the seed partitioned first, then released),
-   and releases follow arrival order.  A candidate that is no longer
-   deliverable had its sender-equality overshot by a duplicate — the
-   seed kept such envelopes pending forever, so it is dropped from the
-   index but stays in the buffered count. *)
+   and releases follow arrival order.  Two parked copies of one stamp
+   are both ready at generation start, so the release re-checks the
+   sender's component — one comparison, not a second stamp scan — and
+   the second copy leaves the buffer undelivered.  A candidate that is
+   not deliverable at generation start is dropped from the index but
+   stays in the buffered count: the seed kept such envelopes pending
+   forever. *)
 let rec drain t woken =
   match woken with
   | [] -> ()
@@ -90,7 +93,9 @@ let rec drain t woken =
     List.iter
       (fun w ->
         Metrics.on_unbuffer t.metrics;
-        do_deliver t next w.env)
+        let e = w.env in
+        if Vc.get e.stamp e.sender > Vc.get t.delivered e.sender then
+          do_deliver t next e)
       ready;
     drain t !next
 

@@ -57,10 +57,11 @@ let do_deliver t woken e =
   t.deliver e
 
 (* Generation cascade, bit-identical to the seed's repeated pool sweep:
-   readiness is evaluated at generation start (so duplicate copies of the
-   expected sequence number all release, as the list-scan did), releases
-   follow arrival order, and each release wakes only the bucket of the
-   sequence number it exposes. *)
+   readiness is evaluated at generation start, releases follow arrival
+   order, and each release wakes only the bucket of the sequence number
+   it exposes.  Two parked copies of one (sender, seq) are both ready at
+   generation start, so the release re-checks the cursor: the second
+   copy leaves the buffer undelivered. *)
 let rec drain t woken =
   match woken with
   | [] -> ()
@@ -71,7 +72,7 @@ let rec drain t woken =
     List.iter
       (fun w ->
         Metrics.on_unbuffer t.metrics;
-        do_deliver t next w.env)
+        if w.env.seq >= t.next_seq.(w.env.sender) then do_deliver t next w.env)
       ready;
     drain t !next
 

@@ -2,14 +2,15 @@
 
     A member receives envelopes in arbitrary transport order and releases
     them to the application as soon as their [Occurs_After] predicate is
-    satisfied by the already-delivered set.  Messages whose ancestors are
-    still missing are parked under their unmet ancestor labels in a
-    reverse index, so delivering a label wakes exactly the messages
-    waiting on it — amortized O(outstanding dependency edges) rather than
-    a rescan of the whole pending pool per delivery.  A delivery may
-    unblock a cascade of pending messages; cascades release in arrival
-    order per wakeup generation, bit-identical to the seed list-scan
-    engine (kept as the oracle in [Causalb_reference]).
+    satisfied by the already-delivered set.  The member keeps one table
+    with a slot per label it has received or a parked message names: the
+    label's state (named only, seen, delivered) and the reverse index of
+    the messages parked on it.  Delivering a label wakes exactly the
+    messages waiting on it — amortized O(outstanding dependency edges)
+    rather than a rescan of the whole pending pool per delivery.  A
+    delivery may unblock a cascade of pending messages; cascades release
+    in arrival order per wakeup generation, bit-identical to the seed
+    list-scan engine (kept as the oracle in [Causalb_reference]).
 
     Properties enforced (and tested):
     {ul
@@ -19,9 +20,13 @@
        delivered (in the same [receive] call);}
     {- {b duplicate suppression} — an envelope with an already seen label
        is ignored;}
-    {- {b graph extraction} — the member incrementally rebuilds the
-       dependency graph of everything it has seen, which equals the graph
-       at every other member on the same message set (§3.2).}} *)
+    {- {b graph extraction} — the member extracts the dependency graph of
+       everything it has seen, which equals the graph at every other
+       member on the same message set (§3.2).  R(M) is a function of the
+       first receipts in arrival order, so the member logs those and
+       {!graph} replays the ones not yet extracted: every call returns the
+       graph an eager build would hold at that moment, and delivery itself
+       builds no graph.}} *)
 
 type 'a t
 
@@ -33,7 +38,9 @@ val create :
 val id : 'a t -> int
 
 val receive : 'a t -> 'a Message.t -> unit
-(** Hand a transport-received envelope to the member. *)
+(** Hand a transport-received envelope to the member.
+    @raise Invalid_argument if the envelope's predicate names its own
+    label (the label then counts as seen, so later copies are ignored). *)
 
 val delivered_order : 'a t -> Causalb_graph.Label.t list
 (** Labels in the order the application saw them. *)
@@ -63,8 +70,12 @@ val requires : Causalb_stackbase.Guarantee.t
 
 val graph : 'a t -> Causalb_graph.Depgraph.t
 (** The extracted dependency graph over every message seen (delivered or
-    pending).  Do not mutate. *)
+    pending), brought up to date on each call.  The same value is
+    returned every time and keeps growing with later calls.  Do not
+    mutate. *)
 
 val blocked_on : 'a t -> Causalb_graph.Label.t list
 (** Ancestor labels that pending messages are waiting for and that have
-    not been received at all — the set a recovery protocol would fetch. *)
+    not been received at all — the set a recovery protocol would fetch —
+    sorted by {!Causalb_graph.Label.compare}.  Costs one walk over the
+    parked messages. *)

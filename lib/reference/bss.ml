@@ -1,6 +1,10 @@
 (* Seed list-scan BSS member, kept as the ordering oracle for
    [Causalb_core.Bss].  The envelope type is shared with the core engine
-   so equivalence tests can feed the same values to both. *)
+   so equivalence tests can feed the same values to both.  A sweep
+   partitions the pool by readiness first, so two copies of one stamp
+   can both be ready; the release re-checks the sender's count and the
+   second copy leaves the pool undelivered.  (The seed released both,
+   delivering one message twice and overshooting the count.) *)
 
 module Vc = Causalb_clock.Vector_clock
 module Metrics = Causalb_stackbase.Metrics
@@ -57,7 +61,7 @@ let rec drain t =
     List.iter
       (fun e ->
         Metrics.on_unbuffer t.metrics;
-        do_deliver t e)
+        if Vc.get e.stamp e.sender > t.delivered.(e.sender) then do_deliver t e)
       ready;
     drain t
   end

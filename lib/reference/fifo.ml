@@ -1,8 +1,9 @@
 (* Seed list-scan FIFO member, kept as the ordering oracle for
-   [Causalb_core.Fifo].  Note [do_deliver] *assigns* the next-sequence
-   cursor rather than incrementing it: duplicate copies released in the
-   same sweep leave the cursor unchanged, and the indexed engine
-   replicates exactly that. *)
+   [Causalb_core.Fifo].  A sweep partitions the pool by readiness first,
+   so two copies of one (sender, seq) can both be ready; the release
+   re-checks the cursor and the second copy leaves the pool undelivered.
+   (The seed released both, so a member could deliver one message
+   twice.) *)
 
 module Metrics = Causalb_stackbase.Metrics
 
@@ -49,7 +50,7 @@ let rec drain t =
     List.iter
       (fun e ->
         Metrics.on_unbuffer t.metrics;
-        do_deliver t e)
+        if e.seq >= t.next_seq.(e.sender) then do_deliver t e)
       ready;
     drain t
   end

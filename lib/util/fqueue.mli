@@ -1,8 +1,8 @@
 (** Imperative FIFO queue with O(1) push, pop and length.
 
     The wakeup buckets of the indexed hold-back queues (see
-    {!Causalb_core.Osend}) append a waiter per unmet ancestor at buffer
-    time and consume the whole bucket when that ancestor delivers; both
+    {!Causalb_core.Fifo} and {!Causalb_core.Bss}) append a waiter per unmet
+    threshold at buffer time and consume the whole bucket when it fires; both
     ends must be constant-time and iteration must preserve insertion
     (arrival) order, which is the delivery tie-break.  The standard
     library [Queue] would do; this variant adds the non-destructive

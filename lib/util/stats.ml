@@ -1,10 +1,17 @@
-type t = {
-  mutable n : int;
+(* The Welford sums, [lo] and [hi] live in an all-float record, which
+   OCaml stores flat: [add] updates them without boxing, so it allocates
+   nothing while [data] has room. *)
+type acc = {
   mutable mean_acc : float;
   mutable m2 : float;
   mutable sum : float;
   mutable lo : float;
   mutable hi : float;
+}
+
+type t = {
+  mutable n : int;
+  acc : acc;
   mutable data : float array;
   mutable sorted : float array option; (* cache, invalidated on add *)
 }
@@ -12,11 +19,7 @@ type t = {
 let create () =
   {
     n = 0;
-    mean_acc = 0.0;
-    m2 = 0.0;
-    sum = 0.0;
-    lo = nan;
-    hi = nan;
+    acc = { mean_acc = 0.0; m2 = 0.0; sum = 0.0; lo = nan; hi = nan };
     data = [||];
     sorted = None;
   }
@@ -30,17 +33,18 @@ let add t x =
   end;
   t.data.(t.n) <- x;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
-  let delta = x -. t.mean_acc in
-  t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
+  let a = t.acc in
+  a.sum <- a.sum +. x;
+  let delta = x -. a.mean_acc in
+  a.mean_acc <- a.mean_acc +. (delta /. float_of_int t.n);
+  a.m2 <- a.m2 +. (delta *. (x -. a.mean_acc));
   if t.n = 1 then begin
-    t.lo <- x;
-    t.hi <- x
+    a.lo <- x;
+    a.hi <- x
   end
   else begin
-    if x < t.lo then t.lo <- x;
-    if x > t.hi then t.hi <- x
+    if x < a.lo then a.lo <- x;
+    if x > a.hi then a.hi <- x
   end;
   t.sorted <- None
 
@@ -48,17 +52,17 @@ let add_list t l = List.iter (add t) l
 
 let count t = t.n
 
-let total t = t.sum
+let total t = t.acc.sum
 
-let mean t = if t.n = 0 then nan else t.mean_acc
+let mean t = if t.n = 0 then nan else t.acc.mean_acc
 
-let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
+let variance t = if t.n < 2 then 0.0 else t.acc.m2 /. float_of_int (t.n - 1)
 
 let stddev t = sqrt (variance t)
 
-let min_value t = t.lo
+let min_value t = t.acc.lo
 
-let max_value t = t.hi
+let max_value t = t.acc.hi
 
 let sorted t =
   match t.sorted with

@@ -231,6 +231,29 @@ let test_shrink_is_minimal_and_failing () =
   check "nemesis did not grow" true
     (List.length minimal.C.nemesis <= List.length failing.C.nemesis)
 
+(* --- exactly-once delivery: the FIFO/BSS duplicate release --------- *)
+
+(* Two lossless cases of the seed-42 4096-case campaign in which a
+   member used to deliver one message twice: two parked copies of one
+   (sender, seq) were both ready at the start of a wakeup generation and
+   both released.  Only [checks_ok]'s same-set check noticed, when it
+   noticed at all; now the release re-checks the cursor, and the oracle
+   names a second delivery as [duplicate]. *)
+let test_duplicate_release_cases () =
+  let cases = Array.of_list (C.generate ~base_seed:42 ~seeds:4096 ()) in
+  let clean case =
+    let v = C.run_case case in
+    check_int (case.C.name ^ " is lossless") 0 v.C.lost;
+    check ("exactly once: " ^ C.describe case) true v.C.ok
+  in
+  let fifo = cases.(488) and bss = cases.(3489) in
+  check_str "hunt-488 runs fifo" "fifo" (D.stack_spec_name fifo.C.spec);
+  check_str "hunt-3489 runs bss" "bss" (D.stack_spec_name bss.C.spec);
+  clean fifo;
+  clean bss;
+  (* hunt-488's shrunk repro: node 0 delivered op4 twice *)
+  clean { fifo with C.workload = { fifo.C.workload with D.ops = 4 } }
+
 let () =
   Alcotest.run "campaign"
     [
@@ -257,5 +280,10 @@ let () =
             test_planted_bug_found_and_shrunk;
           Alcotest.test_case "shrinking" `Quick
             test_shrink_is_minimal_and_failing;
+        ] );
+      ( "exactly once",
+        [
+          Alcotest.test_case "fifo/bss duplicate release" `Quick
+            test_duplicate_release_cases;
         ] );
     ]

@@ -126,6 +126,30 @@ let test_fifo_checker () =
   Trace.record clean ~time:2.0 ~node:0 ~kind:Trace.Deliver ~tag:"b" ();
   check "in-order passes" true (Trace_check.fifo ~graph:g clean = [])
 
+(* A doubled Deliver record: the causal checker (per-node delivered set)
+   and the FIFO checker (an equal sequence number) both name it. *)
+let test_duplicate_checker () =
+  let a = lbl ~name:"a" 0 0 and b = lbl ~name:"b" 0 1 in
+  let g = Depgraph.create () in
+  Depgraph.add g a ~dep:Dep.null;
+  Depgraph.add g b ~dep:(Dep.after a);
+  let t = Trace.create () in
+  Trace.record t ~time:1.0 ~node:0 ~kind:Trace.Deliver ~tag:"a" ();
+  Trace.record t ~time:2.0 ~node:0 ~kind:Trace.Deliver ~tag:"b" ();
+  Trace.record t ~time:3.0 ~node:0 ~kind:Trace.Deliver ~tag:"b" ();
+  Trace.record t ~time:1.0 ~node:1 ~kind:Trace.Deliver ~tag:"a" ();
+  Trace.record t ~time:2.0 ~node:1 ~kind:Trace.Deliver ~tag:"b" ();
+  let named checker =
+    match checker ~graph:g t with
+    | [ d ] ->
+      d.Diag.check = "duplicate"
+      && d.Diag.node = Some 0
+      && List.map (fun r -> r.Trace.time) d.Diag.records = [ 2.0; 3.0 ]
+    | _ -> false
+  in
+  check "causal names the duplicate" true (named Trace_check.causal);
+  check "fifo names the duplicate" true (named Trace_check.fifo)
+
 let test_total_order_checker () =
   let a = lbl ~name:"a" 0 0 and b = lbl ~name:"b" 1 0 in
   let s = lbl ~name:"s" 2 0 in
@@ -407,6 +431,7 @@ let () =
         [
           Alcotest.test_case "causal" `Quick test_causal_checker;
           Alcotest.test_case "fifo" `Quick test_fifo_checker;
+          Alcotest.test_case "duplicate" `Quick test_duplicate_checker;
           Alcotest.test_case "total order" `Quick test_total_order_checker;
           Alcotest.test_case "stable points" `Quick test_stable_checker;
         ] );

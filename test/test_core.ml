@@ -120,6 +120,23 @@ let test_osend_graph_extraction () =
     (List.sort compare (Depgraph.edges g1)
     = List.sort compare (Depgraph.edges g2))
 
+let test_osend_self_dependency () =
+  (* A predicate naming its own label can never be met: [receive] rejects
+     it, and the label counts as seen, so a later copy is ignored. *)
+  let a = l 0 0 and b = l 1 0 in
+  List.iter
+    (fun dep ->
+      let m = Osend.create ~id:0 () in
+      Osend.receive m (msg ~origin:1 ~seq:0 ~dep:Dep.null "b");
+      let bad = msg ~origin:0 ~seq:0 ~dep "a" in
+      Alcotest.check_raises "self-dependency rejected"
+        (Invalid_argument "Osend.receive: self-dependency") (fun () ->
+          Osend.receive m bad);
+      Osend.receive m bad;
+      check_int "only b delivered" 1 (Osend.delivered_count m);
+      check "not in the graph" false (Depgraph.mem (Osend.graph m) a))
+    [ Dep.after a; Dep.after_all [ a; b ]; Dep.after_any [ a; b ] ]
+
 (* --- Group over the network --- *)
 
 let make_group ?(nodes = 3) ?(latency = Latency.lan) ?fifo ?seed () =
@@ -378,6 +395,35 @@ let test_fifo_no_cross_sender_constraint () =
   let orders = List.init 4 (Fifo.Group.delivered_tags g) in
   check "some disagreement" true
     (List.exists (fun o -> o <> List.hd orders) orders)
+
+(* Two parked copies of one message wake in the same generation; the
+   second must leave the buffer without a second delivery. *)
+let test_fifo_parked_copies_once () =
+  let m = Fifo.member ~id:0 ~group_size:1 () in
+  let env seq = { Fifo.sender = 0; seq; tag = string_of_int seq; payload = () } in
+  Fifo.receive m (env 1);
+  Fifo.receive m (env 1);
+  Fifo.receive m (env 0);
+  Alcotest.(check (list string)) "each once" [ "0"; "1" ] (Fifo.delivered_tags m);
+  check_int "nothing left buffered" 0 (Fifo.pending_count m)
+
+let test_bss_parked_copies_once () =
+  let m = Bss.member ~id:1 ~group_size:2 () in
+  let env k =
+    {
+      Bss.sender = 0;
+      stamp = Causalb_clock.Vector_clock.of_array [| k; 0 |];
+      tag = string_of_int k;
+      payload = ();
+    }
+  in
+  Bss.receive m (env 2);
+  Bss.receive m (env 2);
+  Bss.receive m (env 1);
+  Bss.receive m (env 3);
+  Alcotest.(check (list string))
+    "each once, count not overshot" [ "1"; "2"; "3" ] (Bss.delivered_tags m);
+  check_int "nothing left buffered" 0 (Bss.pending_count m)
 
 (* --- ASend layers --- *)
 
@@ -923,6 +969,7 @@ let () =
           Alcotest.test_case "callback order" `Quick
             test_osend_delivery_callback_order;
           Alcotest.test_case "graph extraction" `Quick test_osend_graph_extraction;
+          Alcotest.test_case "self-dependency" `Quick test_osend_self_dependency;
         ] );
       ( "group",
         [
@@ -945,12 +992,16 @@ let () =
           Alcotest.test_case "fifo per sender" `Quick test_bss_fifo_per_sender;
           Alcotest.test_case "buffered counter" `Quick test_bss_buffered_counter;
           Alcotest.test_case "same set" `Quick test_bss_same_set_everywhere;
+          Alcotest.test_case "parked copies once" `Quick
+            test_bss_parked_copies_once;
           Alcotest.test_case "malformed envelope" `Quick
             test_bss_rejects_malformed_envelope;
         ] );
       ( "fifo",
         [
           Alcotest.test_case "per-sender order" `Quick test_fifo_per_sender_order;
+          Alcotest.test_case "parked copies once" `Quick
+            test_fifo_parked_copies_once;
           Alcotest.test_case "no cross-sender constraint" `Quick
             test_fifo_no_cross_sender_constraint;
         ] );

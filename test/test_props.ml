@@ -214,6 +214,86 @@ let prop_osend_graph_matches =
            (Label.Set.of_list (Depgraph.labels g))
            (Label.Set.of_list (Depgraph.labels g')))
 
+(* R(M) on demand: [Osend.graph] replays the first receipts not yet
+   extracted, so at every call it must equal the graph an eager
+   [Depgraph.add] per first receipt would hold.  Predicates name earlier,
+   later (forward) and never-sent labels, [After_any] included; the
+   arrival sequence repeats copies; the graph is read mid-run and at the
+   end. *)
+let on_demand_gen =
+  let open QCheck2.Gen in
+  int_range 1 16 >>= fun n ->
+  (* indices n..n+2 are never sent *)
+  let named i = int_range 0 (n + 2) >|= fun j -> if j = i then n + 3 else j in
+  let dep_for i =
+    oneof
+      [
+        return `Null;
+        (named i >|= fun j -> `After j);
+        (list_size (int_range 1 3) (named i) >|= fun js -> `All js);
+        (list_size (int_range 1 3) (named i) >|= fun js -> `Any js);
+      ]
+  in
+  let rec deps i acc =
+    if i >= n then return (List.rev acc)
+    else dep_for i >>= fun d -> deps (i + 1) (d :: acc)
+  in
+  deps 0 [] >>= fun deps ->
+  list_size (int_range 0 8) (int_range 0 (n - 1)) >>= fun dups ->
+  shuffle_l (List.init n Fun.id @ dups) >>= fun arrival ->
+  int_range 0 (List.length arrival) >|= fun mid -> (n, deps, arrival, mid)
+
+let on_demand_message deps i =
+  let ls = List.map label_of_index in
+  let dep =
+    match List.nth deps i with
+    | `Null -> Dep.null
+    | `After j -> Dep.after (label_of_index j)
+    | `All js -> Dep.after_all (ls js)
+    | `Any js -> Dep.after_any (ls js)
+  in
+  Message.make ~label:(label_of_index i) ~sender:(i mod 5) ~dep i
+
+(* What the member used to do on every receipt: add each label once, at
+   its first arrival. *)
+let eager_graph msgs =
+  let g = Depgraph.create () in
+  List.iter
+    (fun m ->
+      let l = Message.label m in
+      if not (Depgraph.mem g l) then Depgraph.add g l ~dep:(Message.dep m))
+    msgs;
+  g
+
+(* In-degrees are private to [Depgraph]; [roots] and [topological] read
+   the maintained counters. *)
+let same_graph g h =
+  let labels = List.equal Label.equal in
+  let ls = Depgraph.labels g in
+  labels ls (Depgraph.labels h)
+  && List.equal
+       (fun (a, b) (c, d) -> Label.equal a c && Label.equal b d)
+       (Depgraph.edges g) (Depgraph.edges h)
+  && List.for_all
+       (fun l ->
+         labels (Depgraph.children g l) (Depgraph.children h l)
+         && Dep.equal (Depgraph.dep_of g l) (Depgraph.dep_of h l))
+       ls
+  && labels (Depgraph.roots g) (Depgraph.roots h)
+  && labels (Depgraph.topological g) (Depgraph.topological h)
+
+let prop_osend_graph_on_demand =
+  test "osend: graph on demand = eager build, at every call" on_demand_gen
+    (fun (_, deps, arrival, mid) ->
+      let msgs = List.map (on_demand_message deps) arrival in
+      let first = List.filteri (fun k _ -> k < mid) msgs in
+      let rest = List.filteri (fun k _ -> k >= mid) msgs in
+      let m = Osend.create ~id:0 () in
+      List.iter (Osend.receive m) first;
+      let at_mid = same_graph (Osend.graph m) (eager_graph first) in
+      List.iter (Osend.receive m) rest;
+      at_mid && same_graph (Osend.graph m) (eager_graph msgs))
+
 (* --- end-to-end group property --- *)
 
 let prop_group_network_safety =
@@ -583,7 +663,11 @@ let () =
           prop_graph_sync_point_total;
         ] );
       ( "osend",
-        [ prop_osend_any_arrival_order_safe; prop_osend_graph_matches ] );
+        [
+          prop_osend_any_arrival_order_safe;
+          prop_osend_graph_matches;
+          prop_osend_graph_on_demand;
+        ] );
       ("group", [ prop_group_network_safety ]);
       ( "total-order",
         [

@@ -376,6 +376,28 @@ let test_stats_unsorted_input () =
   (* cache must invalidate on add *)
   check_float "median updates" 3.0 (Stats.median s)
 
+(* [add] keeps its accumulators unboxed, so once the sample array has
+   room it allocates nothing.  The samples are boxed before the window
+   opens. *)
+let rec add_all s = function
+  | [] -> ()
+  | x :: rest ->
+    Stats.add s x;
+    add_all s rest
+
+let test_stats_add_no_alloc () =
+  let s = Stats.create () in
+  let xs = List.init 1000 (fun i -> float_of_int (i mod 37) *. 0.25) in
+  (* warm-up: 3000 samples grow the array to 4096, room for 1000 more *)
+  add_all s xs;
+  add_all s xs;
+  add_all s xs;
+  let before = Gc.minor_words () in
+  add_all s xs;
+  let words = Gc.minor_words () -. before in
+  check_int "minor words over 1000 adds" 0 (int_of_float words);
+  check_int "all counted" 4000 (Stats.count s)
+
 let test_histogram () =
   let h = Stats.Histogram.create ~bins:4 ~lo:0.0 ~hi:4.0 () in
   List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 3.9; -1.0; 99.0 ];
@@ -496,6 +518,7 @@ let () =
           Alcotest.test_case "interpolation" `Quick test_stats_percentile_interpolation;
           Alcotest.test_case "merge" `Quick test_stats_merge;
           Alcotest.test_case "unsorted input" `Quick test_stats_unsorted_input;
+          Alcotest.test_case "add allocates nothing" `Quick test_stats_add_no_alloc;
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "samples copy" `Quick test_stats_samples_copy;
           Alcotest.test_case "histogram" `Quick test_histogram;
