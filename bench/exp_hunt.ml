@@ -3,9 +3,10 @@
 
    Campaign cases and verdicts are pure functions of the base seed, so
    the table is byte-reproducible and participates in the sweep's
-   parallel-equals-sequential byte check.  Cases run sequentially here —
-   the experiment itself may be sharded by the pool, and a nested pool
-   inside a forked worker would fork from a worker process. *)
+   parallel-equals-sequential byte check.  Cases run sequentially here:
+   the experiment is itself one task of the sweep pool, and a nested
+   pool inside a worker domain would spawn more domains than [-j]
+   granted. *)
 
 module C = Causalb_harness.Campaign
 module D = Causalb_harness.Drivers

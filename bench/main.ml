@@ -11,9 +11,9 @@
      dune exec bench/main.exe -- micro   # bechamel only
 
    The experiment list itself lives in [Causalb_bench.Registry]; the
-   parallel runner is [causalb exp -j N] (or [-J N] for worker domains),
-   which shards the same registry across workers and reassembles
-   byte-identical output. *)
+   parallel runner is [causalb exp -j N], which spreads the same
+   registry over N worker domains and reassembles byte-identical
+   output. *)
 
 module Registry = Causalb_bench.Registry
 

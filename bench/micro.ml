@@ -245,7 +245,8 @@ let all_tests =
   ]
 
 let run () =
-  print_endline "\n================ micro-benchmarks (bechamel) ================";
+  Causalb_util.Printer.line
+    "\n================ micro-benchmarks (bechamel) ================";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

@@ -5,7 +5,8 @@
    work whose printed outputs, concatenated in part order, are the
    experiment's full output.  Most experiments are a single part;
    T1 (the sweep's wall-clock hog) is split per group size so the worker
-   pool can spread its rows across processes.
+   pool can spread its rows across domains.  Every part prints through
+   [Causalb_util.Printer], the pool's only output capture.
 
    [kind] separates the byte-reproducible experiments from the
    timing-dependent ones: [Deterministic] output is a pure function of

@@ -1,14 +1,17 @@
-(* Bridges the experiment registry to the fork-based worker pool.
+(* Bridges the experiment registry to the sweep pool.
 
    Each registry part becomes one pool task; the pool captures every
-   part's stdout+stderr and returns results in task-list order, so
-   [assemble] can rebuild the exact byte stream a sequential run prints:
-   banner, then part outputs, in registry order.  The job count only
-   changes *where* a part ran, never where its bytes land — the property
-   [test/test_pool.ml] asserts. *)
+   part's output and returns results in task-list order, so [assemble]
+   can rebuild the exact byte stream a sequential run prints: banner,
+   then part outputs, in registry order.  The job count only changes
+   *where* a part ran, never where its bytes land — the property
+   [test/test_pool.ml] asserts.
+
+   Deterministic parts run [Parallel] on worker domains; timing parts
+   run [Sequential], in the main domain before any worker domain
+   spawns, so their measurements have the machine to themselves. *)
 
 module Pool = Causalb_harness.Pool
-module Dpool = Causalb_harness.Dpool
 
 type outcome = {
   report : Pool.report;
@@ -19,9 +22,14 @@ type outcome = {
 let tasks_of experiments =
   List.concat_map
     (fun (e : Registry.experiment) ->
+      let mode =
+        match e.kind with
+        | Registry.Deterministic -> Pool.Parallel
+        | Registry.Timing -> Pool.Sequential
+      in
       List.map
         (fun (p : Registry.part) ->
-          Pool.task ~name:p.pname (fun ~seed:_ -> p.prun ()))
+          Pool.task ~mode ~name:p.pname (fun ~seed:_ -> p.prun ()))
         e.parts)
     experiments
 
@@ -44,28 +52,4 @@ let assemble experiments (report : Pool.report) =
 
 let run ?(jobs = 1) ?(base_seed = 42) experiments =
   let report = Pool.run ~jobs ~base_seed (tasks_of experiments) in
-  { report; stdout_text = assemble experiments report }
-
-(* The domains path ([-J n]): same registry, same assembly, but parts
-   run on worker domains with sink capture instead of forked processes
-   with fd capture.  Deterministic parts print through [Printer] and go
-   [Parallel]; timing parts keep raw prints and exclusive machine use,
-   so they run [Sequential] in the main domain before any worker domain
-   spawns. *)
-let dtasks_of experiments =
-  List.concat_map
-    (fun (e : Registry.experiment) ->
-      let mode =
-        match e.kind with
-        | Registry.Deterministic -> Dpool.Parallel
-        | Registry.Timing -> Dpool.Sequential
-      in
-      List.map
-        (fun (p : Registry.part) ->
-          Dpool.task ~mode ~name:p.pname (fun ~seed:_ -> p.prun ()))
-        e.parts)
-    experiments
-
-let run_domains ?(domains = 1) ?(base_seed = 42) experiments =
-  let report = Dpool.run ~domains ~base_seed (dtasks_of experiments) in
   { report; stdout_text = assemble experiments report }

@@ -531,21 +531,12 @@ module Pool = Causalb_harness.Pool
 
 let jobs_arg =
   let doc =
-    "Worker processes for the sweep.  1 (the default) runs in-process; \
-     N > 1 forks N workers and shards experiment parts across them.  \
-     The assembled stdout is byte-identical whatever N."
+    "Worker domains for the sweep.  1 (the default) runs in the calling \
+     domain; N > 1 spreads the work over up to N domains, clamped to \
+     the machine's cores (OCaml 5; on 4.14 every N runs sequentially).  \
+     The output is byte-identical whatever N."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-let domains_arg =
-  let doc =
-    "Worker domains for the sweep (OCaml 5 multicore; on 4.14 the flag \
-     is accepted and runs sequentially).  Unlike -j this parallelises \
-     inside one process — no fork, shared code pages, output captured \
-     per-domain.  The assembled stdout is byte-identical to -j 1.  \
-     0 (the default) means: use -j instead."
-  in
-  Arg.(value & opt int 0 & info [ "J"; "domains" ] ~docv:"N" ~doc)
 
 let list_arg =
   let doc = "List the experiment registry (id, kind, shard count) and exit." in
@@ -595,7 +586,7 @@ let summarise_to_stderr (o : Runner.outcome) =
     Printf.eprintf "# FAILED experiment task(s): %s\n" (String.concat ", " names);
     1
 
-let exp_run jobs domains list seed ids =
+let exp_run jobs list seed ids =
   (* With no ids, run the byte-reproducible experiments: the timing
      bench ([micro]) prints measured durations, so it only runs when
      asked for by name. *)
@@ -609,10 +600,7 @@ let exp_run jobs domains list seed ids =
     match resolve_experiments ids ~default with
     | Error unknown -> report_unknown unknown
     | Ok exps ->
-      let o =
-        if domains > 0 then Runner.run_domains ~domains ~base_seed:seed exps
-        else Runner.run ~jobs ~base_seed:seed exps
-      in
+      let o = Runner.run ~jobs ~base_seed:seed exps in
       print_string o.stdout_text;
       print_endline "\nall requested experiments completed.";
       summarise_to_stderr o
@@ -624,21 +612,20 @@ let exp_cmd =
   in
   Cmd.v
     (Cmd.info "exp"
-       ~doc:"Run registered experiments, optionally sharded across worker \
-             processes (-j) or worker domains (-J); stdout is \
-             byte-identical for every -j/-J")
-    Term.(const exp_run $ jobs_arg $ domains_arg $ list_arg $ seed $ ids)
+       ~doc:"Run registered experiments, optionally spread over worker \
+             domains (-j); stdout is byte-identical for every -j")
+    Term.(const exp_run $ jobs_arg $ list_arg $ seed $ ids)
 
 (* --- hunt: the randomized fault campaign --- *)
 
 module Campaign = Causalb_harness.Campaign
 
-let hunt seed jobs domains seeds buggify churn json self_test =
+let hunt seed jobs seeds buggify churn json self_test =
   if self_test then
     if Campaign.self_test ~base_seed:seed () then 0 else 1
   else begin
     let r =
-      Campaign.run ~jobs ~domains ~base_seed:seed ~buggify ~churn ~seeds ()
+      Campaign.run ~jobs ~base_seed:seed ~buggify ~churn ~seeds ()
     in
     Campaign.print_report ~json r;
     Printf.eprintf "# hunt: %d case(s), %d job(s), %.0f ms wall\n"
@@ -681,8 +668,8 @@ let hunt_cmd =
        ~doc:"Randomized fault campaign: seed \xc3\x97 workload \xc3\x97 nemesis \
              cases over every stack composition, oracle-checked, with \
              failures shrunk to minimal deterministic repros")
-    Term.(const hunt $ seed $ jobs_arg $ domains_arg $ seeds $ buggify
-          $ churn $ json $ self_test)
+    Term.(const hunt $ seed $ jobs_arg $ seeds $ buggify $ churn $ json
+          $ self_test)
 
 let main_cmd =
   let doc =

@@ -1,20 +1,12 @@
 (* Binary codecs for the protocol's wire values, on the Wire primitives.
 
-   Layering note: Wire (lib/util) knows nothing about labels, deps or
-   clocks — those sit above it — so the per-type codecs live here in
-   lib/core, next to Message/Bss, and Fgroup composes them into the
-   encode-once/decode-many delivery path.
-
-   The decode side reconstructs values through the same smart
-   constructors the senders used ([Label.make], [Dep.after_all],
-   [Message.make]), so a decoded value satisfies exactly the invariants
-   a locally built one does — and a frame corrupted into violating them
-   fails in the constructor instead of poisoning an engine. *)
+   Layering note: Wire (lib/util) knows nothing about clocks, envelopes
+   or PC wire values — those sit above it — so the per-type codecs live
+   here in lib/core, next to Bss/Pcbcast, and Fgroup composes them into
+   the encode-once/decode-many delivery path. *)
 
 module Wire = Causalb_util.Wire
 module Vc = Causalb_clock.Vector_clock
-module Label = Causalb_graph.Label
-module Dep = Causalb_graph.Dep
 
 type 'a enc = Wire.writer -> 'a -> unit
 
@@ -54,74 +46,6 @@ let get_clock r =
          (Printf.sprintf "clock of %d components in %d bytes" n
             (Wire.remaining r)));
   Vc.init n (fun _ -> Wire.r_uint r)
-
-(* --- labels --- *)
-
-let put_label w l =
-  Wire.uint w (Label.origin l);
-  Wire.uint w (Label.seq l);
-  match Label.display l with
-  | None -> Wire.bool_ w false
-  | Some name ->
-    Wire.bool_ w true;
-    Wire.str w name
-
-let get_label r =
-  let origin = Wire.r_uint r in
-  let seq = Wire.r_uint r in
-  let name = if Wire.r_bool r then Some (Wire.r_str r) else None in
-  Label.make ?name ~origin ~seq ()
-
-(* --- dependency predicates --- *)
-
-let put_labels w ls =
-  Wire.uint w (List.length ls);
-  List.iter (put_label w) ls
-
-let get_labels r =
-  let n = Wire.r_uint r in
-  List.init n (fun _ -> get_label r)
-
-let put_dep w = function
-  | Dep.Null -> Wire.u8 w 0
-  | Dep.After l ->
-    Wire.u8 w 1;
-    put_label w l
-  | Dep.After_all ls ->
-    Wire.u8 w 2;
-    put_labels w ls
-  | Dep.After_any ls ->
-    Wire.u8 w 3;
-    put_labels w ls
-
-(* [after_all]/[after_any] re-canonicalise (dedup + sort); senders only
-   ever put canonical deps on the wire, so this is the identity there,
-   and it repairs rather than trusts a hand-crafted frame. *)
-let get_dep r =
-  match Wire.r_u8 r with
-  | 0 -> Dep.null
-  | 1 -> Dep.after (get_label r)
-  | 2 -> Dep.after_all (get_labels r)
-  | 3 -> Dep.after_any (get_labels r)
-  | tag -> raise (Wire.Corrupt (Printf.sprintf "bad dep tag %d" tag))
-
-(* --- messages (OSend/Psync traffic) --- *)
-
-let put_message_header w m =
-  put_label w (Message.label m);
-  Wire.uint w (Message.sender m);
-  put_dep w (Message.dep m)
-
-let put_message put_payload w m =
-  put_message_header w m;
-  put_payload w (Message.payload m)
-
-let get_message get_payload r =
-  let label = get_label r in
-  let sender = Wire.r_uint r in
-  let dep = get_dep r in
-  let payload = get_payload r in
-  Message.make ~label ~sender ~dep payload
 
 (* --- BSS envelopes --- *)
 

@@ -3,15 +3,14 @@
     {!Causalb_util.Wire} provides the primitives (pooled writers,
     immutable frames, bounds-checked readers); this module provides the
     codecs for the values that actually cross the simulated wire —
-    vector clocks, labels, dependency predicates, [Message.t] and
-    [Bss.envelope] — plus the {!framed} wrapper {!Fgroup} broadcasts, a
-    frame paired with a memoized decoded view so a fan-out of [n] copies
-    decodes once, not [n] times.
+    vector clocks, [Bss.envelope] and [Pcbcast.wire] — plus the
+    {!framed} wrapper {!Fgroup} broadcasts, a frame paired with a
+    memoized decoded view so a fan-out of [n] copies decodes once, not
+    [n] times.
 
     Every codec is a [put]/[get] pair with [get (put v) = v] (the qcheck
     round-trip property in [test/test_wire.ml]); [get] on a truncated or
-    corrupted frame raises [Wire.Corrupt] or the violated constructor's
-    [Invalid_argument], never returns garbage. *)
+    corrupted frame raises [Wire.Corrupt], never returns garbage. *)
 
 module Wire := Causalb_util.Wire
 
@@ -38,28 +37,6 @@ val get_unit : unit dec
 val put_clock : Causalb_clock.Vector_clock.t enc
 
 val get_clock : Causalb_clock.Vector_clock.t dec
-
-val put_label : Causalb_graph.Label.t enc
-(** Origin, sequence number, and the optional display name — the display
-    round-trips exactly, so printed delivered orders are byte-identical
-    across a codec hop. *)
-
-val get_label : Causalb_graph.Label.t dec
-
-val put_dep : Causalb_graph.Dep.t enc
-
-val get_dep : Causalb_graph.Dep.t dec
-(** Rebuilds through [Dep.after_all]/[after_any], so the decoded
-    predicate is canonical (deduped, sorted) like every locally built
-    one. *)
-
-val put_message : 'a enc -> 'a Message.t enc
-
-val get_message : 'a dec -> 'a Message.t dec
-
-val put_message_header : 'a Message.t enc
-(** Label, sender and dependency predicate — the control span of an
-    OSend/Psync frame ([put_message] is this followed by the payload). *)
 
 val put_envelope : 'a enc -> 'a Bss.envelope enc
 

@@ -18,7 +18,7 @@ module Mutate = Causalb_check.Mutate
 
 type case = {
   id : int;
-  name : string;        (* "hunt-<id>" — also the pool task name *)
+  name : string;        (* "hunt-<id>" — the seed is derived from it *)
   seed : int;           (* the simulation seed (Pool.seed_for-derived) *)
   spec : D.stack_spec;
   replicas : int;
@@ -317,34 +317,6 @@ let verdict_json v =
         match v.violation with Some s -> Json.Str s | None -> Json.Null );
     ]
 
-(* The worker side prints only the run-dependent fields; the parent owns
-   the case list (generation is deterministic), so it re-attaches the
-   case by task order when parsing. *)
-let verdict_line v =
-  Json.to_string
-    (Json.Obj
-       [
-         ("ok", Json.Bool v.ok);
-         ("lost", Json.Num (float_of_int v.lost));
-         ("messages", Json.Num (float_of_int v.messages));
-         ("checks", Json.List (List.map (fun c -> Json.Str c) v.checks));
-         ( "violation",
-           match v.violation with Some s -> Json.Str s | None -> Json.Null );
-       ])
-
-let verdict_of_line c line =
-  let j = Json.of_string line in
-  let field name = Option.get (Json.member name j) in
-  {
-    case = c;
-    ok = Json.get_bool (field "ok");
-    lost = Json.get_int (field "lost");
-    messages = Json.get_int (field "messages");
-    checks = List.map Json.get_string (Json.get_list (field "checks"));
-    violation =
-      (match field "violation" with Json.Null -> None | s -> Some (Json.get_string s));
-  }
-
 type repro = {
   original : verdict;
   minimal : case;
@@ -362,34 +334,26 @@ let failures r = List.filter (fun v -> not v.ok) r.verdicts
 
 (* --- the parallel sweep --- *)
 
-let run ?(jobs = 1) ?(domains = 0) ?(base_seed = 42) ?(buggify = false)
-    ?(plant = false) ?(churn = false) ~seeds () =
+(* A case that raises is a failed verdict of its own, not a torn-down
+   sweep. *)
+let run_case_caught ~plant c =
+  try run_case ~plant c
+  with e ->
+    {
+      case = c;
+      ok = false;
+      lost = 0;
+      messages = 0;
+      checks = [ "task" ];
+      violation = Some ("task failed: " ^ Printexc.to_string e);
+    }
+
+let run ?(jobs = 1) ?(base_seed = 42) ?(buggify = false) ?(plant = false)
+    ?(churn = false) ~seeds () =
   let cases = generate ~base_seed ~buggify ~churn ~seeds () in
-  let body c ~seed:_ = Printer.line (verdict_line (run_case ~plant c)) in
-  let pool_report =
-    if domains > 0 then
-      Dpool.run ~domains ~base_seed
-        (List.map (fun c -> Dpool.task ~name:c.name (body c)) cases)
-    else
-      Pool.run ~jobs ~base_seed
-        (List.map (fun c -> Pool.task ~name:c.name (body c)) cases)
-  in
-  let verdicts =
-    List.map2
-      (fun c (r : Pool.result) ->
-        match r.Pool.status with
-        | Pool.Done -> verdict_of_line c (String.trim r.Pool.output)
-        | Pool.Failed msg ->
-          {
-            case = c;
-            ok = false;
-            lost = 0;
-            messages = 0;
-            checks = [ "task" ];
-            violation = Some ("task failed: " ^ msg);
-          })
-      cases pool_report.Pool.results
-  in
+  let t0 = Unix.gettimeofday () in
+  let verdicts = Pool.map ~jobs (run_case_caught ~plant) cases in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   (* Shrinking is sequential, in-process, after the sweep: each failure
      needs many dependent re-runs, and failures are the rare path. *)
   let repros =
@@ -397,7 +361,7 @@ let run ?(jobs = 1) ?(domains = 0) ?(base_seed = 42) ?(buggify = false)
       (fun v ->
         if v.ok then None
         else if v.checks = [ "task" ] then
-          (* a crashed worker has no trace to shrink against *)
+          (* a case that raised has no trace to shrink against *)
           Some { original = v; minimal = v.case; attempts = 0 }
         else
           let minimal, attempts = shrink ~plant v.case in
@@ -407,8 +371,8 @@ let run ?(jobs = 1) ?(domains = 0) ?(base_seed = 42) ?(buggify = false)
   {
     verdicts;
     repros;
-    jobs = pool_report.Pool.jobs;
-    wall_ms = pool_report.Pool.wall_ms;
+    jobs = Pool.jobs_for ~tasks:(List.length cases) jobs;
+    wall_ms;
   }
 
 (* --- the planted-bug self-test --- *)

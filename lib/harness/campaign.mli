@@ -14,7 +14,7 @@
 
 type case = {
   id : int;
-  name : string;  (** ["hunt-<id>"] — also the pool task name *)
+  name : string;  (** ["hunt-<id>"] — the seed is derived from it *)
   seed : int;     (** simulation seed, {!Pool.seed_for}-derived *)
   spec : Drivers.stack_spec;
   replicas : int;
@@ -94,7 +94,6 @@ val failures : report -> verdict list
 
 val run :
   ?jobs:int ->
-  ?domains:int ->
   ?base_seed:int ->
   ?buggify:bool ->
   ?plant:bool ->
@@ -102,12 +101,12 @@ val run :
   seeds:int ->
   unit ->
   report
-(** The full campaign: generate, sweep, shrink.  [~jobs] shards cases
-    across forked workers ({!Pool}), [~domains] across worker domains
-    ({!Dpool}); each worker prints one JSON verdict line through
-    [Causalb_util.Printer] and the parent reassembles them in case
-    order, so verdicts are identical for every [-j]/[-J].  Failures are
-    shrunk sequentially in the parent afterwards. *)
+(** The full campaign: generate, sweep, shrink.  [~jobs] spreads cases
+    over worker domains through {!Pool.map}, which returns verdicts in
+    case order, so verdicts are identical for every [-j]; [report.jobs]
+    is the count used ({!Pool.jobs_for}).  A case that raises becomes a
+    failed verdict with [checks = ["task"]].  Failures are shrunk
+    sequentially in the calling domain afterwards. *)
 
 val self_test :
   ?base_seed:int -> ?log:(string -> unit) -> unit -> bool
@@ -133,4 +132,4 @@ val print_report : ?json:bool -> ?log:(string -> unit) -> report -> unit
 (** Human summary plus one FAIL block per repro, or ([~json]) one JSON
     verdict line per case and a closing summary object.  Prints through
     [~log] ([Causalb_util.Printer.line] by default, so output is
-    capturable under both pools). *)
+    capturable by the pool's sink). *)

@@ -1,27 +1,24 @@
-(* Fork-based worker pool for the experiment harness.
-
-   [run] shards a task list across [jobs] worker processes.  Sharding is
-   static round-robin (worker [w] owns tasks [w], [w+jobs], ...), so the
-   assignment is a pure function of the task list and the job count —
-   reruns are reproducible and a dead worker's unfinished tasks are
-   identifiable by name.  Each worker executes its tasks in list order,
-   capturing stdout+stderr per task into a temp file, and streams one
-   JSON object per finished task back over its pipe; the parent reorders
-   results into task-list order, so aggregated output is byte-identical
-   whatever the job count.
-
-   Portability: plain [Unix.fork] + pipes + [select], nothing else — the
-   same code runs on the 4.14 and 5.1 CI matrix (no domains, no threads,
-   no new dependencies).  [jobs = 1] (the default) runs every task in the
-   parent process with the same capture discipline, so sequential runs
-   produce the same results records as parallel ones.
+(* The sweep pool: tasks on worker domains, results in task-list order.
 
    Determinism: every task gets a seed derived from the sweep's base
-   seed and the task's own name (FNV-1a), never from its position in a
-   shard — so the seed a task sees is independent of the job count and
-   of which other tasks run. *)
+   seed and the task's own name (FNV-1a), never from the domain that
+   claimed it — so the seed a task sees is independent of the job count
+   and of which other tasks run, and the results a sweep returns are a
+   pure function of the task list.
 
-type task = { name : string; run : seed:int -> unit }
+   Capture is [Printer]'s domain-local sink: fd redirection is
+   process-global, so it cannot isolate two domains printing at once.
+   [Sequential] tasks (the timing parts) run in the calling domain
+   before any worker domain is spawned, so their timings are not
+   polluted by concurrent mutator work.
+
+   The backend is version-selected (see dune): worker domains on OCaml
+   5, a sequential loop in the calling domain on 4.14 — same results,
+   same bytes, no speed-up. *)
+
+type mode = Parallel | Sequential
+
+type task = { name : string; mode : mode; run : seed:int -> unit }
 
 type status = Done | Failed of string
 
@@ -32,7 +29,7 @@ type result = {
   wall_ms : float;
   gc_minor_words : float; (* minor-heap words allocated by the task *)
   gc_major_words : float; (* words promoted to / allocated on the major heap *)
-  output : string;        (* captured stdout + stderr, interleaved *)
+  output : string;        (* what the task printed through Printer *)
 }
 
 type report = {
@@ -42,18 +39,11 @@ type report = {
   jobs : int;
 }
 
-let task ~name run = { name; run }
-
-(* The OCaml 5 runtime refuses [Unix.fork] for the rest of the process
-   once any domain has been spawned — even after every domain is joined.
-   [Dpool] flips this flag when it spawns workers, so a later [run
-   ~jobs:n] degrades to the in-process path (same results, same bytes,
-   no parallelism) instead of crashing the sweep. *)
-let fork_unavailable = ref false
+let task ?(mode = Parallel) ~name run = { name; mode; run }
 
 (* FNV-1a over the task name, folded into the base seed.  Stable across
-   OCaml versions and process boundaries (pure int arithmetic on 63-bit
-   words), unlike [Hashtbl.hash] which we must not depend on here. *)
+   OCaml versions (pure int arithmetic on 63-bit words), unlike
+   [Hashtbl.hash] which we must not depend on here. *)
 let seed_for ~base name =
   (* 32-bit FNV-1a constants; arithmetic wraps identically on every
      64-bit OCaml, so the derived seed is stable across the CI matrix. *)
@@ -67,296 +57,74 @@ let seed_for ~base name =
 
 let ok r = match r.status with Done -> true | Failed _ -> false
 
-(* --- JSON framing: one object per line on the worker pipe --- *)
+let recommended_domains = Pool_backend.recommended
 
-module Json = Causalb_util.Json
-
-let json_of_result (r : result) =
-  Json.Obj
-    [
-      ("name", Json.Str r.name);
-      ("seed", Json.Num (float_of_int r.seed));
-      ("ok", Json.Bool (ok r));
-      ( "error",
-        match r.status with Done -> Json.Null | Failed m -> Json.Str m );
-      ("wall_ms", Json.Num r.wall_ms);
-      ("gc_minor_words", Json.Num r.gc_minor_words);
-      ("gc_major_words", Json.Num r.gc_major_words);
-      ("output", Json.Str r.output);
-    ]
-
-let result_of_json j =
-  let field k = Json.member k j in
-  let str k = match field k with Some v -> Json.get_string v | None -> "" in
-  let num k = match field k with Some v -> Json.get_float v | None -> 0.0 in
-  let status =
-    match field "ok" with
-    | Some (Json.Bool true) -> Done
-    | _ -> Failed (match field "error" with
-        | Some (Json.Str m) -> m
-        | _ -> "unknown failure")
+(* OCaml 5.1 allows at most 128 domains per process; the recommended
+   count is already below that limit, and a domain per task is the most
+   a sweep can use. *)
+let jobs_for ?cores ~tasks jobs =
+  let cores =
+    match cores with Some c -> c | None -> recommended_domains ()
   in
-  {
-    name = str "name";
-    seed = int_of_float (num "seed");
-    status;
-    wall_ms = num "wall_ms";
-    gc_minor_words = num "gc_minor_words";
-    gc_major_words = num "gc_major_words";
-    output = str "output";
-  }
+  max 1 (min jobs (min cores tasks))
 
-(* --- stdout/stderr capture --- *)
+let map ~jobs f xs =
+  let arr = Array.of_list xs in
+  let jobs = jobs_for ~tasks:(Array.length arr) jobs in
+  Array.to_list (Pool_backend.map ~jobs f arr)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+module Printer = Causalb_util.Printer
 
-(* Run [f], with fds 1 and 2 redirected into one temp file for the
-   duration; returns (outcome, captured bytes).  The dup/dup2 dance works
-   identically in the forked worker and in the [jobs = 1] in-process
-   path. *)
-let with_capture f =
-  let path = Filename.temp_file "causalb-pool" ".out" in
-  let saved_out = Unix.dup Unix.stdout and saved_err = Unix.dup Unix.stderr in
-  flush stdout;
-  flush stderr;
-  let fd =
-    Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
-  in
-  Unix.dup2 fd Unix.stdout;
-  Unix.dup2 fd Unix.stderr;
-  Unix.close fd;
-  let restore () =
-    flush stdout;
-    flush stderr;
-    Unix.dup2 saved_out Unix.stdout;
-    Unix.dup2 saved_err Unix.stderr;
-    Unix.close saved_out;
-    Unix.close saved_err
-  in
-  let outcome =
-    try
-      f ();
-      restore ();
-      Done
-    with e ->
-      let msg = Printexc.to_string e in
-      restore ();
-      Failed msg
-  in
-  let out = read_file path in
-  (try Sys.remove path with Sys_error _ -> ());
-  (outcome, out)
-
+(* GC words come from [Gc.counters], which counts the calling domain
+   only; [Gc.quick_stat] on OCaml 5 also counts other domains'
+   allocations.  The exception is caught inside the captured thunk so
+   the buffer's contents survive a failing task. *)
 let run_one ~base_seed (t : task) =
   let seed = seed_for ~base:base_seed t.name in
-  let g0 = Gc.quick_stat () in
+  let minor0, _, major0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
-  let status, output = with_capture (fun () -> t.run ~seed) in
+  let output, status =
+    Printer.capture (fun () ->
+        try
+          t.run ~seed;
+          Done
+        with e -> Failed (Printexc.to_string e))
+  in
   let t1 = Unix.gettimeofday () in
-  let g1 = Gc.quick_stat () in
+  let minor1, _, major1 = Gc.counters () in
   {
     name = t.name;
     seed;
     status;
     wall_ms = (t1 -. t0) *. 1000.0;
-    gc_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    gc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
+    gc_minor_words = minor1 -. minor0;
+    gc_major_words = major1 -. major0;
     output;
   }
 
-(* --- the parallel path --- *)
-
-(* Worker [w]'s slice of the task array, with global indices. *)
-let shard ~jobs ~w tasks =
-  let acc = ref [] in
-  Array.iteri (fun i t -> if i mod jobs = w then acc := (i, t) :: !acc) tasks;
-  List.rev !acc
-
-let worker_main ~base_seed ~write_fd tasks =
-  let oc = Unix.out_channel_of_descr write_fd in
-  List.iter
-    (fun (i, t) ->
-      let r = run_one ~base_seed t in
-      output_string oc
-        (Printf.sprintf "%d %s\n" i (Json.to_string (json_of_result r)));
-      flush oc)
-    tasks;
-  flush oc
-
-type worker = {
-  pid : int;
-  fd : Unix.file_descr;
-  mutable buf : Buffer.t;
-  mutable eof : bool;
-  assigned : (int * task) list;   (* global index, task *)
-  mutable reported : int list;    (* global indices already streamed back *)
-}
-
-let parse_worker_line line =
-  match String.index_opt line ' ' with
-  | None -> None
-  | Some sp ->
-    let idx = int_of_string_opt (String.sub line 0 sp) in
-    let body = String.sub line (sp + 1) (String.length line - sp - 1) in
-    (match idx with
-    | None -> None
-    | Some i ->
-      (try Some (i, result_of_json (Json.of_string body))
-       with Json.Parse_error _ -> None))
-
-let drain_lines w ~on_result =
-  let data = Buffer.contents w.buf in
-  let rec go start =
-    match String.index_from_opt data start '\n' with
-    | None ->
-      Buffer.clear w.buf;
-      Buffer.add_substring w.buf data start (String.length data - start)
-    | Some nl ->
-      (match parse_worker_line (String.sub data start (nl - start)) with
-      | Some (i, r) ->
-        w.reported <- i :: w.reported;
-        on_result i r
-      | None -> ());
-      go (nl + 1)
-  in
-  go 0
-
-let run_parallel ~jobs ~base_seed tasks =
-  let n = Array.length tasks in
-  let jobs = min jobs n in
-  flush stdout;
-  flush stderr;
-  let workers =
-    Array.init jobs (fun w ->
-        let assigned = shard ~jobs ~w tasks in
-        let read_fd, write_fd = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          (* child: own pipe end only; never return to the caller *)
-          Unix.close read_fd;
-          let code =
-            try
-              worker_main ~base_seed ~write_fd assigned;
-              0
-            with _ -> 125
-          in
-          (try Unix.close write_fd with Unix.Unix_error _ -> ());
-          (* _exit: skip at_exit handlers inherited from the parent
-             (alcotest, bechamel) and double-flushing shared buffers *)
-          Unix._exit code
-        | pid ->
-          Unix.close write_fd;
-          {
-            pid;
-            fd = read_fd;
-            buf = Buffer.create 4096;
-            eof = false;
-            assigned;
-            reported = [];
-          })
-  in
-  let results = Array.make n None in
-  let on_result i r = results.(i) <- Some r in
-  let chunk = Bytes.create 65536 in
-  let live () =
-    Array.to_list workers
-    |> List.filter_map (fun w -> if w.eof then None else Some w.fd)
-  in
-  let rec pump () =
-    match live () with
-    | [] -> ()
-    | fds ->
-      let ready, _, _ = Unix.select fds [] [] (-1.0) in
-      List.iter
-        (fun fd ->
-          let w =
-            Array.to_list workers |> List.find (fun w -> w.fd = fd)
-          in
-          let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-          if k = 0 then begin
-            w.eof <- true;
-            Unix.close fd
-          end
-          else Buffer.add_subbytes w.buf chunk 0 k;
-          drain_lines w ~on_result)
-        ready;
-      pump ()
-  in
-  pump ();
-  (* Reap workers; a worker that died before reporting all its tasks
-     gets synthetic failure records naming the unfinished tasks. *)
-  Array.iter
-    (fun w ->
-      let _, wstatus = Unix.waitpid [] w.pid in
-      let describe =
-        match wstatus with
-        | Unix.WEXITED 0 -> None
-        | Unix.WEXITED c -> Some (Printf.sprintf "worker exited with code %d" c)
-        | Unix.WSIGNALED s -> Some (Printf.sprintf "worker killed by signal %d" s)
-        | Unix.WSTOPPED s -> Some (Printf.sprintf "worker stopped by signal %d" s)
-      in
-      let missing =
-        List.filter (fun (i, _) -> not (List.mem i w.reported)) w.assigned
-      in
-      match (describe, missing) with
-      | None, [] -> ()
-      | _ ->
-        let why =
-          Option.value describe
-            ~default:"worker closed its pipe before finishing"
-        in
-        List.iteri
-          (fun k (i, (t : task)) ->
-            (* Quote the task name through the Json escaper, not [%S]:
-               these strings land inside the JSON-line stream and the
-               artifact, where a name containing a newline (the line
-               delimiter) or raw UTF-8 must stay one valid JSON token.
-               [%S] would also mangle non-ASCII bytes to decimal
-               escapes; Json passes them through. *)
-            let quoted = Json.to_string (Json.Str t.name) in
-            let detail =
-              if k = 0 then Printf.sprintf "%s while running %s" why quoted
-              else Printf.sprintf "%s before %s started" why quoted
-            in
-            results.(i) <-
-              Some
-                {
-                  name = t.name;
-                  seed = seed_for ~base:base_seed t.name;
-                  status = Failed detail;
-                  wall_ms = 0.0;
-                  gc_minor_words = 0.0;
-                  gc_major_words = 0.0;
-                  output = "";
-                })
-          missing)
-    workers;
-  Array.to_list results
-  |> List.map (function
-       | Some r -> r
-       | None -> assert false (* every slot is filled above *))
-
 let run ?(jobs = 1) ?(base_seed = 42) tasks =
   let t0 = Unix.gettimeofday () in
-  let arr = Array.of_list tasks in
-  let results =
-    if jobs <= 1 || Array.length arr <= 1 || !fork_unavailable then
-      List.map (run_one ~base_seed) tasks
-    else run_parallel ~jobs ~base_seed arr
+  let sequential, parallel =
+    List.partition (fun t -> t.mode = Sequential) tasks
   in
+  let done_first = List.map (run_one ~base_seed) sequential in
+  let done_par = map ~jobs (run_one ~base_seed) parallel in
+  (* Merge back into task-list order: each list keeps its own order. *)
+  let rec merge seq par = function
+    | [] -> []
+    | t :: rest -> (
+      match (t.mode, seq, par) with
+      | Sequential, r :: seq, par | Parallel, seq, r :: par ->
+        r :: merge seq par rest
+      | _ -> assert false (* one result per task of each mode *))
+  in
+  let results = merge done_first done_par tasks in
   let failures =
-    List.filter_map
-      (fun r -> match r.status with Done -> None | Failed _ -> Some r.name)
-      results
+    List.filter_map (fun r -> if ok r then None else Some r.name) results
   in
   {
     results;
     failures;
     wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-    jobs = max 1 jobs;
+    jobs = jobs_for ~tasks:(List.length parallel) jobs;
   }

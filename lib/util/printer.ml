@@ -14,8 +14,6 @@ let newline () = string "\n"
 
 let printf fmt = Printf.ksprintf string fmt
 
-let redirected () = Printer_sink.get () <> None
-
 let capture f =
   let saved = Printer_sink.get () in
   let buf = Buffer.create 1024 in

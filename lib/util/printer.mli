@@ -1,16 +1,16 @@
-(** Redirectable output for deterministic experiment parts.
+(** Redirectable output for experiment parts and campaign reports.
 
-    The fork pool captures a part's output at the file-descriptor level,
-    which works because each worker is a whole process.  Worker {e
-    domains} share one fd table, so the domains pool cannot dup2 its way
-    to per-task capture — instead, every print site of a deterministic
-    experiment part goes through this module, and the pool points the
-    current domain's sink at a buffer for the duration of a task.
+    The sweep pool runs parts on worker domains, which share one fd
+    table, so it cannot capture a part's output by redirecting file
+    descriptors.  Instead every print site of a registry part goes
+    through this module, and the pool points the current domain's sink
+    at a buffer for the duration of a task: this sink is the pool's only
+    output capture.
 
     With no sink installed (the default, and always the case for direct
-    CLI runs and the fork pool's fd-captured workers), output goes
-    straight to stdout — so the bytes a part produces are identical
-    whether they were captured by dup2, by a sink, or not at all.
+    CLI runs and [bench/main.exe]), output goes straight to stdout — so
+    the bytes a part produces are identical whether they were captured
+    or not.
 
     The sink is domain-local on OCaml 5 ([Domain.DLS]) and a plain ref on
     4.14, via the printer_sink copy rule — same observable behaviour
@@ -25,9 +25,6 @@ val line : string -> unit
 val newline : unit -> unit
 
 val printf : ('a, unit, string, unit) format4 -> 'a
-
-val redirected : unit -> bool
-(** Whether this domain currently has a sink installed. *)
 
 val capture : (unit -> 'a) -> string * 'a
 (** [capture f] runs [f] with this domain's sink pointed at a fresh

@@ -1,16 +1,14 @@
-(* Tests for the fork-based worker pool and the experiment runner built
-   on it.
+(* Tests for the sweep pool and the experiment runner built on it.
 
    The headline property: a parallel run is byte-identical to a
    sequential one.  [Pool.run ~jobs:4] must yield the same JSON-encoded
    results (per task: name, seed, status, captured output) as
    [Pool.run ~jobs:1], and the assembled sweep output of
-   [Runner.run ~jobs:4] must equal the [~jobs:1] bytes.  Failure
-   handling: a worker that dies mid-shard surfaces a non-zero story
-   naming the task it was running and the tasks it never started. *)
+   [Runner.run ~jobs:4] must equal the [~jobs:1] bytes.  A task that
+   raises fails alone and keeps what it printed; the job count is
+   clamped to the machine; GC words are the task's own. *)
 
 module Pool = Causalb_harness.Pool
-module Dpool = Causalb_harness.Dpool
 module Json = Causalb_util.Json
 module Printer = Causalb_util.Printer
 module Registry = Causalb_bench.Registry
@@ -21,50 +19,49 @@ let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
 (* A deterministic task: output depends only on (name, seed). *)
-let noisy_task name =
+let printer_task name =
   Pool.task ~name (fun ~seed ->
-      Printf.printf "%s computed %d\n" name (seed * 3);
-      Printf.eprintf "%s stderr line\n" name;
-      print_string (String.concat "," (List.init 5 string_of_int));
-      print_newline ())
+      Printer.printf "%s computed %d\n" name (seed * 3);
+      Printer.string (String.concat "," (List.init 5 string_of_int));
+      Printer.newline ())
 
 let task_names = [ "alpha"; "beta"; "gamma"; "delta"; "epsilon"; "zeta"; "eta" ]
 
-(* The canonical encoding of a whole report's results: what the byte
-   comparison runs over. *)
-let encode report =
+(* The canonical encoding of a list of results, timings left out: what
+   the byte comparison runs over. *)
+let encode results =
   String.concat "\n"
     (List.map
-       (fun r -> Json.to_string (Pool.json_of_result r))
-       report.Pool.results)
-
-let strip_walls report =
-  (* wall/gc fields are timing, not semantics; zero them so the JSON
-     comparison is exact rather than approximate *)
-  {
-    report with
-    Pool.results =
-      List.map
-        (fun r -> { r with Pool.wall_ms = 0.0; gc_minor_words = 0.0;
-                    gc_major_words = 0.0 })
-        report.Pool.results;
-  }
+       (fun (r : Pool.result) ->
+         Json.to_string
+           (Json.Obj
+              [
+                ("name", Json.Str r.name);
+                ("seed", Json.Num (float_of_int r.seed));
+                ( "error",
+                  match r.status with
+                  | Pool.Done -> Json.Null
+                  | Pool.Failed m -> Json.Str m );
+                ("output", Json.Str r.output);
+              ]))
+       results)
 
 let test_parallel_matches_sequential () =
-  let tasks () = List.map noisy_task task_names in
+  let tasks () = List.map printer_task task_names in
   let r1 = Pool.run ~jobs:1 ~base_seed:7 (tasks ()) in
   let r4 = Pool.run ~jobs:4 ~base_seed:7 (tasks ()) in
   check "no failures j1" true (r1.Pool.failures = []);
   check "no failures j4" true (r4.Pool.failures = []);
-  check_str "JSON byte-identical -j4 vs -j1"
-    (encode (strip_walls r1))
-    (encode (strip_walls r4))
+  check "output captured" true
+    ((List.hd r1.Pool.results).Pool.output <> "");
+  check_str "JSON byte-identical -j4 vs -j1" (encode r1.Pool.results)
+    (encode r4.Pool.results)
 
 let test_seed_independent_of_jobs () =
   let seeds report =
     List.map (fun r -> (r.Pool.name, r.Pool.seed)) report.Pool.results
   in
-  let tasks () = List.map noisy_task task_names in
+  let tasks () = List.map printer_task task_names in
   let r1 = Pool.run ~jobs:1 ~base_seed:11 (tasks ()) in
   let r3 = Pool.run ~jobs:3 ~base_seed:11 (tasks ()) in
   check "same (name, seed) pairs" true (seeds r1 = seeds r3);
@@ -75,27 +72,67 @@ let test_seed_independent_of_jobs () =
 let test_empty_and_singleton () =
   let r = Pool.run ~jobs:4 ~base_seed:1 [] in
   check "empty run ok" true (r.Pool.results = [] && r.Pool.failures = []);
-  let r =
-    Pool.run ~jobs:4 ~base_seed:1 [ noisy_task "only" ]
-  in
+  let r = Pool.run ~jobs:4 ~base_seed:1 [ printer_task "only" ] in
   check_int "one result" 1 (List.length r.Pool.results);
   check "one ok" true (List.for_all Pool.ok r.Pool.results)
 
 let test_oversubscribed () =
   (* more workers than tasks: every task still runs exactly once *)
-  let tasks = List.map noisy_task [ "a"; "b"; "c" ] in
+  let tasks = List.map printer_task [ "a"; "b"; "c" ] in
   let r = Pool.run ~jobs:8 ~base_seed:3 tasks in
   check_int "three results" 3 (List.length r.Pool.results);
   check "all ok" true (List.for_all Pool.ok r.Pool.results);
   check "order preserved" true
-    (List.map (fun x -> x.Pool.name) r.Pool.results = [ "a"; "b"; "c" ])
+    (List.map (fun x -> x.Pool.name) r.Pool.results = [ "a"; "b"; "c" ]);
+  check "jobs clamped to the tasks" true (r.Pool.jobs <= 3)
+
+(* The clamp is a pure function of (cores, tasks, jobs): no domain is
+   started here, whatever the figures. *)
+let test_jobs_clamp () =
+  let clamp ~cores ~tasks jobs = Pool.jobs_for ~cores ~tasks jobs in
+  check_int "capped at the cores" 2 (clamp ~cores:2 ~tasks:4096 200);
+  check_int "capped at the tasks" 3 (clamp ~cores:8 ~tasks:3 200);
+  check_int "granted when it fits" 4 (clamp ~cores:8 ~tasks:100 4);
+  check_int "at least one" 1 (clamp ~cores:8 ~tasks:100 0);
+  check_int "negative asks for one" 1 (clamp ~cores:8 ~tasks:100 (-3));
+  check_int "no tasks, one job" 1 (clamp ~cores:8 ~tasks:0 5);
+  check "never above this machine's cores" true
+    (Pool.jobs_for ~tasks:1_000_000 1_000_000 <= Pool.recommended_domains ())
+
+(* Sequential tasks run first, in the calling domain, before any
+   parallel task starts — here the timing task is listed last and still
+   sees no parallel task begun — and their output is captured too. *)
+let test_sequential_first () =
+  let started = Atomic.make 0 in
+  let seen = ref (-1) in
+  let par name =
+    Pool.task ~name (fun ~seed:_ ->
+        Atomic.incr started;
+        Printer.line name)
+  in
+  let tasks =
+    [
+      par "p1";
+      par "p2";
+      Pool.task ~mode:Pool.Sequential ~name:"timing" (fun ~seed:_ ->
+          seen := Atomic.get started;
+          Printer.line "printed by a timing task");
+    ]
+  in
+  let r = Pool.run ~jobs:2 ~base_seed:3 tasks in
+  check "no failures" true (r.Pool.failures = []);
+  check_int "timing task ran before the parallel ones" 0 !seen;
+  check "order is task order" true
+    (List.map (fun x -> x.Pool.name) r.Pool.results = [ "p1"; "p2"; "timing" ]);
+  check_str "sink captured the timing task" "printed by a timing task\n"
+    (List.nth r.Pool.results 2).Pool.output
 
 let test_task_exception_is_isolated () =
   let tasks =
     [
-      noisy_task "fine";
+      printer_task "fine";
       Pool.task ~name:"boom" (fun ~seed:_ -> failwith "deliberate");
-      noisy_task "also-fine";
+      printer_task "also-fine";
     ]
   in
   let r = Pool.run ~jobs:2 ~base_seed:5 tasks in
@@ -109,182 +146,56 @@ let test_task_exception_is_isolated () =
   check "neighbours unaffected" true
     (Pool.ok (List.nth r.Pool.results 0) && Pool.ok (List.nth r.Pool.results 2))
 
-let test_worker_crash_names_tasks () =
-  (* [Unix._exit] kills the whole worker process: with jobs = 2 and
-     round-robin sharding, worker 0 owns tasks 0 and 2 — it dies inside
-     task 0, so task 0 is "while running" and task 2 "before started";
-     worker 1's task 1 survives. *)
-  let tasks =
-    [
-      Pool.task ~name:"dies" (fun ~seed:_ -> Unix._exit 9);
-      noisy_task "survivor";
-      noisy_task "orphaned";
-    ]
-  in
-  let r = Pool.run ~jobs:2 ~base_seed:5 tasks in
-  check "both shard tasks failed" true
-    (List.sort compare r.Pool.failures = [ "dies"; "orphaned" ]);
-  let find n = List.find (fun x -> x.Pool.name = n) r.Pool.results in
-  let msg n =
-    match (find n).Pool.status with Pool.Failed m -> m | Pool.Done -> ""
-  in
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
-  check "names the dying task" true (contains (msg "dies") "\"dies\"");
-  check "blames exit code" true (contains (msg "dies") "code 9");
-  check "orphan marked not-started" true
-    (contains (msg "orphaned") "before \"orphaned\" started");
-  check "survivor delivered" true (Pool.ok (find "survivor"))
-
-(* Task names chosen to break line-oriented framing and naive quoting:
-   the JSON-line delimiter itself, a quote+backslash, and raw UTF-8.
-   Results must cross the worker pipe intact, and a crashed worker's
-   attribution messages must embed the name as one valid JSON token. *)
-let evil_names =
-  [ "new\nline"; "quote\"back\\slash"; "caf\xc3\xa9 \xe2\x80\x94 utf8" ]
-
-let test_evil_names_roundtrip () =
-  let tasks () = List.map noisy_task evil_names in
-  let r1 = Pool.run ~jobs:1 ~base_seed:9 (tasks ()) in
-  let r3 = Pool.run ~jobs:3 ~base_seed:9 (tasks ()) in
-  check "no failures" true (r1.Pool.failures = [] && r3.Pool.failures = []);
-  check "names intact" true
-    (List.map (fun x -> x.Pool.name) r3.Pool.results = evil_names);
-  check_str "JSON byte-identical -j3 vs -j1"
-    (encode (strip_walls r1))
-    (encode (strip_walls r3))
-
-let test_evil_name_crash_attribution () =
-  (* worker 0 owns tasks 0 and 2 at jobs = 2: it dies inside the
-     newline-named task, orphaning the utf8-named one *)
-  let dying = List.nth evil_names 0 in
-  let orphan = List.nth evil_names 2 in
-  let tasks =
-    [
-      Pool.task ~name:dying (fun ~seed:_ -> Unix._exit 9);
-      noisy_task "survivor";
-      noisy_task orphan;
-    ]
-  in
-  let r = Pool.run ~jobs:2 ~base_seed:5 tasks in
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
-  let msg n =
-    match
-      (List.find (fun x -> x.Pool.name = n) r.Pool.results).Pool.status
-    with
-    | Pool.Failed m -> m
-    | Pool.Done -> ""
-  in
-  (* the embedded name is the Json token: newline escaped, utf8 raw *)
-  check "dying name json-escaped" true
-    (contains (msg dying) (Json.to_string (Json.Str dying)));
-  check "attribution has no raw newline" true
-    (not (String.contains (msg dying) '\n'));
-  check "orphan name kept as utf8" true
-    (contains (msg orphan) (Json.to_string (Json.Str orphan)));
-  (* and the whole report still JSON-roundtrips *)
-  List.iter
-    (fun res ->
-      let res' =
-        Pool.result_of_json
-          (Json.of_string (Json.to_string (Pool.json_of_result res)))
-      in
-      check "result roundtrips" true (res = res'))
-    r.Pool.results
-
-(* --- the domains pool --- *)
-
-(* Dpool's parallel tasks print through [Printer] (sink capture); with no
-   sink installed Printer writes to stdout, so the same task under the
-   fork pool's fd capture produces the same bytes — which is what makes
-   the cross-pool byte comparison below meaningful. *)
-let printer_task name =
-  Dpool.task ~name (fun ~seed ->
-      Printer.printf "%s computed %d\n" name (seed * 3);
-      Printer.string (String.concat "," (List.init 5 string_of_int));
-      Printer.newline ())
-
-let pool_printer_task name =
-  Pool.task ~name (fun ~seed ->
-      Printer.printf "%s computed %d\n" name (seed * 3);
-      Printer.string (String.concat "," (List.init 5 string_of_int));
-      Printer.newline ())
-
-(* stderr is not part of the Printer contract, so the fork-pool task
-   above skips it too: both pools capture exactly the Printer bytes. *)
-
-let test_dpool_matches_pool () =
-  let rp = Pool.run ~jobs:1 ~base_seed:7 (List.map pool_printer_task task_names) in
-  let rd1 = Dpool.run ~domains:1 ~base_seed:7 (List.map printer_task task_names) in
-  let rd3 = Dpool.run ~domains:3 ~base_seed:7 (List.map printer_task task_names) in
-  check "no failures" true
-    (rp.Pool.failures = [] && rd1.Pool.failures = [] && rd3.Pool.failures = []);
-  check_str "JSON byte-identical -J1 vs fork -j1"
-    (encode (strip_walls rp))
-    (encode (strip_walls rd1));
-  check_str "JSON byte-identical -J3 vs -J1"
-    (encode (strip_walls rd1))
-    (encode (strip_walls rd3))
-
-let test_dpool_failure_isolated () =
-  let tasks =
-    [
-      printer_task "fine";
-      Dpool.task ~name:"boom" (fun ~seed:_ -> failwith "deliberate");
-      printer_task "also-fine";
-    ]
-  in
-  let r = Dpool.run ~domains:2 ~base_seed:5 tasks in
-  check "failure recorded" true (r.Pool.failures = [ "boom" ]);
-  check_int "all three reported" 3 (List.length r.Pool.results);
-  check "neighbours unaffected" true
-    (Pool.ok (List.nth r.Pool.results 0) && Pool.ok (List.nth r.Pool.results 2))
-
-let test_dpool_failed_task_keeps_output () =
+let test_failed_task_keeps_output () =
   let t =
-    Dpool.task ~name:"partial" (fun ~seed:_ ->
+    Pool.task ~name:"partial" (fun ~seed:_ ->
         Printer.line "printed before the crash";
         failwith "after printing")
   in
-  let r = Dpool.run_one_buffered ~base_seed:1 t in
+  let r = Pool.run_one ~base_seed:1 t in
   check "failed" true (not (Pool.ok r));
   check_str "output survives the raise" "printed before the crash\n"
     r.Pool.output
 
-let test_dpool_sequential_mode () =
-  (* Sequential tasks go through Pool.run_one's fd capture, so raw
-     prints are captured for them (and only them) *)
-  let tasks =
-    [
-      printer_task "par";
-      Dpool.task ~mode:Dpool.Sequential ~name:"timing" (fun ~seed:_ ->
-          Printf.printf "raw print from a timing task\n");
-    ]
+(* Two tasks on two domains, held together by an atomic barrier so each
+   allocates while the other does: each must be charged its own words
+   only.  A reading taken from [Gc.quick_stat], which sums every domain
+   on OCaml 5, would come out near twice the amount.  Either counter
+   places the words of a partly filled minor heap only roughly, so a
+   reading may be off by up to one minor heap. *)
+let test_gc_words_own_domain () =
+  if Pool.jobs_for ~tasks:2 2 < 2 then Alcotest.skip ();
+  let refs = 1_000_000 in
+  let words = float_of_int (2 * refs) (* header + field per ref *) in
+  let arrived = Atomic.make 0 and finished = Atomic.make 0 in
+  let await c =
+    let spins = ref 0 in
+    while Atomic.get c < 2 && !spins < 20_000_000_000 do
+      incr spins
+    done
   in
-  let r = Dpool.run ~domains:2 ~base_seed:3 tasks in
-  check "no failures" true (r.Pool.failures = []);
-  check "order is task order" true
-    (List.map (fun x -> x.Pool.name) r.Pool.results = [ "par"; "timing" ]);
-  let timing = List.nth r.Pool.results 1 in
-  check_str "fd capture caught the raw print"
-    "raw print from a timing task\n" timing.Pool.output
-
-let test_runner_domains_byte_identical () =
-  let exps = List.filter_map Registry.find [ "T3"; "A3"; "T5" ] in
-  let o1 = Runner.run ~jobs:1 ~base_seed:42 exps in
-  let od = Runner.run_domains ~domains:3 ~base_seed:42 exps in
-  check "no failures" true
-    (o1.Runner.report.Pool.failures = []
-    && od.Runner.report.Pool.failures = []);
-  check_str "sweep bytes identical -J3 vs -j1" o1.Runner.stdout_text
-    od.Runner.stdout_text
+  let alloc ~seed:_ =
+    Atomic.incr arrived;
+    await arrived;
+    for i = 1 to refs do
+      ignore (Sys.opaque_identity (ref i))
+    done;
+    Atomic.incr finished;
+    await finished
+  in
+  let r =
+    Pool.run ~jobs:2 ~base_seed:1
+      [ Pool.task ~name:"a" alloc; Pool.task ~name:"b" alloc ]
+  in
+  check_int "ran on two domains" 2 r.Pool.jobs;
+  let slack = float_of_int (Gc.get ()).Gc.minor_heap_size in
+  List.iter
+    (fun (x : Pool.result) ->
+      let w = x.Pool.gc_minor_words in
+      if Float.abs (w -. words) > slack then
+        Alcotest.failf "%s: %.0f minor words, allocated %.0f" x.Pool.name w
+          words)
+    r.Pool.results
 
 (* --- the runner on the real registry --- *)
 
@@ -304,6 +215,73 @@ let test_runner_sweep_byte_identical () =
   check_str "sweep bytes identical -j4 vs -j1" o1.Runner.stdout_text
     o4.Runner.stdout_text
 
+(* --- the pool against its one-task baseline ---
+
+   These cases keep the ids of the separate domains pool this module
+   absorbed.  Their "fork j1" baseline is now each task run alone by
+   [run_one] in the calling domain. *)
+
+let test_run_matches_run_one () =
+  let tasks () = List.map printer_task task_names in
+  let alone = List.map (Pool.run_one ~base_seed:7) (tasks ()) in
+  let r3 = Pool.run ~jobs:3 ~base_seed:7 (tasks ()) in
+  check "no failures" true
+    (r3.Pool.failures = [] && List.for_all Pool.ok alone);
+  check_str "JSON byte-identical -j3 vs one task at a time" (encode alone)
+    (encode r3.Pool.results)
+
+(* Failures raised on worker domains: recorded in task order, each with
+   the output printed before its raise, neighbours untouched, and the
+   whole report the same bytes as at -j 1. *)
+let test_failures_match_across_jobs () =
+  let tasks () =
+    [
+      printer_task "fine";
+      Pool.task ~name:"boom" (fun ~seed:_ -> failwith "deliberate");
+      printer_task "also-fine";
+      Pool.task ~name:"partial" (fun ~seed:_ ->
+          Printer.line "printed before the crash";
+          raise Not_found);
+      printer_task "last";
+    ]
+  in
+  let r1 = Pool.run ~jobs:1 ~base_seed:5 (tasks ()) in
+  let r3 = Pool.run ~jobs:3 ~base_seed:5 (tasks ()) in
+  let nth i = List.nth r3.Pool.results i in
+  check "failures in task order" true
+    (r3.Pool.failures = [ "boom"; "partial" ]);
+  check_str "output printed before the raise kept"
+    "printed before the crash\n" (nth 3).Pool.output;
+  check "neighbours unaffected" true
+    (List.for_all Pool.ok [ nth 0; nth 2; nth 4 ]);
+  check_str "JSON byte-identical -j3 vs -j1, failures included"
+    (encode r1.Pool.results) (encode r3.Pool.results)
+
+(* An odd job count over a slice given out of registry order: the
+   banners follow the order asked for, and the bytes match -j 1. *)
+let test_runner_sweep_j3 () =
+  let ids = [ "T5"; "A3"; "T3" ] in
+  let exps = List.filter_map Registry.find ids in
+  let o1 = Runner.run ~jobs:1 ~base_seed:42 exps in
+  let o3 = Runner.run ~jobs:3 ~base_seed:42 exps in
+  check "no failures" true
+    (o1.Runner.report.Pool.failures = [] && o3.Runner.report.Pool.failures = []);
+  let at id =
+    let b = "######## " ^ id ^ " " in
+    let n = String.length b and s = o3.Runner.stdout_text in
+    let rec go i =
+      if i + n > String.length s then max_int
+      else if String.sub s i n = b then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let pos = List.map at ids in
+  check "banners in the order asked for" true
+    (List.for_all (fun p -> p < max_int) pos && List.sort compare pos = pos);
+  check_str "sweep bytes identical -j3 vs -j1" o1.Runner.stdout_text
+    o3.Runner.stdout_text
+
 let test_t1_parts_concatenate () =
   (* the split experiment's parts reassemble into one well-formed table:
      header+rows+footer widths all agree *)
@@ -317,21 +295,6 @@ let test_t1_parts_concatenate () =
          (fun n -> String.length n > 3 && String.sub n 0 3 = "T1:")
          names)
 
-let test_json_roundtrip () =
-  let r =
-    {
-      Pool.name = "x";
-      seed = 123;
-      status = Pool.Failed "worker exited with code 9 while running \"x\"";
-      wall_ms = 1.5;
-      gc_minor_words = 42.0;
-      gc_major_words = 7.0;
-      output = "line1\n\"quoted\"\tand unicode: \xe2\x80\x94\n";
-    }
-  in
-  let r' = Pool.result_of_json (Json.of_string (Json.to_string (Pool.json_of_result r))) in
-  check "roundtrip" true (r = r')
-
 let () =
   Alcotest.run "pool"
     [
@@ -341,24 +304,27 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "seeds independent of jobs" `Quick
             test_seed_independent_of_jobs;
-          Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         ] );
       ( "sharding",
         [
           Alcotest.test_case "empty and singleton" `Quick
             test_empty_and_singleton;
           Alcotest.test_case "oversubscribed" `Quick test_oversubscribed;
+          Alcotest.test_case "jobs clamp" `Quick test_jobs_clamp;
+          Alcotest.test_case "sequential tasks run first" `Quick
+            test_sequential_first;
         ] );
       ( "failure",
         [
           Alcotest.test_case "task exception isolated" `Quick
             test_task_exception_is_isolated;
-          Alcotest.test_case "worker crash names tasks" `Quick
-            test_worker_crash_names_tasks;
-          Alcotest.test_case "evil names roundtrip" `Quick
-            test_evil_names_roundtrip;
-          Alcotest.test_case "evil name crash attribution" `Quick
-            test_evil_name_crash_attribution;
+          Alcotest.test_case "failed task keeps output" `Quick
+            test_failed_task_keeps_output;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "gc words of the task's own domain" `Quick
+            test_gc_words_own_domain;
         ] );
       ( "runner",
         [
@@ -366,20 +332,13 @@ let () =
             test_runner_sweep_byte_identical;
           Alcotest.test_case "T1 split parts" `Quick test_t1_parts_concatenate;
         ] );
-      (* Last on purpose: spawning a worker domain makes Unix.fork
-         unavailable for the rest of the process (OCaml 5), so every
-         real-fork test above must run before the first Dpool spawn. *)
       ( "dpool",
         [
           Alcotest.test_case "J JSON = fork j1 JSON" `Quick
-            test_dpool_matches_pool;
+            test_run_matches_run_one;
           Alcotest.test_case "failure isolated" `Quick
-            test_dpool_failure_isolated;
-          Alcotest.test_case "failed task keeps output" `Quick
-            test_dpool_failed_task_keeps_output;
-          Alcotest.test_case "sequential mode fd capture" `Quick
-            test_dpool_sequential_mode;
+            test_failures_match_across_jobs;
           Alcotest.test_case "runner sweep bytes -J3 = -j1" `Quick
-            test_runner_domains_byte_identical;
+            test_runner_sweep_j3;
         ] );
     ]

@@ -7,8 +7,8 @@
       prefix of a valid frame raises [Corrupt] — the decoder never
       returns garbage for truncated input.
 
-   2. Codec: round-trips for labels (display name preserved exactly),
-      deps (canonical after decode), clocks, messages, envelopes; a
+   2. Codec: round-trips for clocks, BSS envelopes and PC wire values;
+      every strict prefix of one of their frames raises [Corrupt]; a
       codec hop in front of the indexed BSS engine changes nothing
       against the frozen seed oracle in [Causalb_reference].
 
@@ -19,13 +19,10 @@
       frame lengths. *)
 
 module Wire = Causalb_util.Wire
-module Label = Causalb_graph.Label
-module Dep = Causalb_graph.Dep
 module Vc = Causalb_clock.Vector_clock
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
 module Net = Causalb_net.Net
-module Message = Causalb_core.Message
 module Codec = Causalb_core.Codec
 module Bss = Causalb_core.Bss
 module Fgroup = Causalb_core.Fgroup
@@ -106,39 +103,10 @@ let test_varint_magnitude_sizes () =
 
 (* --- generators for protocol values --- *)
 
-let label_gen =
-  let open QCheck2.Gen in
-  int_range 0 7 >>= fun origin ->
-  int_range 0 1000 >>= fun seq ->
-  oneof
-    [
-      return (Label.make ~origin ~seq ());
-      ( string_size ~gen:printable (1 -- 8) >|= fun name ->
-        Label.make ~name ~origin ~seq () );
-    ]
-
-let dep_gen =
-  let open QCheck2.Gen in
-  oneof
-    [
-      return Dep.null;
-      (label_gen >|= Dep.after);
-      (list_size (1 -- 4) label_gen >|= Dep.after_all);
-      (list_size (1 -- 4) label_gen >|= Dep.after_any);
-    ]
-
 let clock_gen =
   let open QCheck2.Gen in
   int_range 1 8 >>= fun n ->
   array_size (return n) (int_range 0 1000) >|= Vc.of_array
-
-let message_gen =
-  let open QCheck2.Gen in
-  label_gen >>= fun label ->
-  int_range 0 7 >>= fun sender ->
-  dep_gen >>= fun dep ->
-  string_size ~gen:(char_range '\000' '\255') (0 -- 16) >|= fun payload ->
-  Message.make ~label ~sender ~dep payload
 
 let envelope_gen =
   let open QCheck2.Gen in
@@ -148,44 +116,11 @@ let envelope_gen =
   string_size ~gen:printable (0 -- 16) >|= fun payload ->
   { Bss.sender; stamp; tag; payload }
 
-(* Full equality including the display-name structure the codec must
-   preserve (Label.equal ignores it on purpose). *)
-let label_eq a b =
-  Label.equal a b && Label.display a = Label.display b
-
-let dep_eq a b =
-  match (a, b) with
-  | Dep.Null, Dep.Null -> true
-  | Dep.After x, Dep.After y -> label_eq x y
-  | Dep.After_all xs, Dep.After_all ys | Dep.After_any xs, Dep.After_any ys ->
-    List.length xs = List.length ys && List.for_all2 label_eq xs ys
-  | _ -> false
-
 (* --- 2. codec round-trips --- *)
-
-let prop_label_roundtrip =
-  test "codec: label round-trip (display preserved)" label_gen (fun l ->
-      label_eq l (roundtrip Codec.put_label Codec.get_label l))
-
-let prop_dep_roundtrip =
-  test "codec: dep round-trip" dep_gen (fun d ->
-      dep_eq d (roundtrip Codec.put_dep Codec.get_dep d))
 
 let prop_clock_roundtrip =
   test "codec: clock round-trip" clock_gen (fun v ->
       Vc.equal v (roundtrip Codec.put_clock Codec.get_clock v))
-
-let prop_message_roundtrip =
-  test "codec: message round-trip" message_gen (fun m ->
-      let m' =
-        roundtrip (Codec.put_message Codec.put_str)
-          (Codec.get_message Codec.get_str)
-          m
-      in
-      label_eq (Message.label m) (Message.label m')
-      && Message.sender m = Message.sender m'
-      && dep_eq (Message.dep m) (Message.dep m')
-      && Message.payload m = Message.payload m')
 
 let prop_envelope_roundtrip =
   test "codec: envelope round-trip" envelope_gen (fun e ->
@@ -253,16 +188,21 @@ let test_pc_encode_split () =
    [Corrupt] — never a silent wrong value, never an unchecked crash. *)
 let prop_truncated_fails =
   test "codec: every strict prefix of a frame raises Corrupt"
-    QCheck2.Gen.(pair message_gen (0 -- 1000))
-    (fun (m, cut) ->
-      let frame = Codec.encode pool (Codec.put_message Codec.put_str) m in
+    QCheck2.Gen.(pair (pair envelope_gen pc_wire_gen) (pair bool (0 -- 1000)))
+    (fun ((e, w), (bss, cut)) ->
+      (* a BSS envelope or a PC wire value: the two live decoders *)
+      let frame, decode =
+        if bss then
+          ( Codec.encode pool (Codec.put_envelope Codec.put_str) e,
+            fun f -> ignore (Codec.decode (Codec.get_envelope Codec.get_str) f) )
+        else
+          ( Codec.encode pool (Codec.put_pc Codec.put_str) w,
+            fun f -> ignore (Codec.decode (Codec.get_pc Codec.get_str) f) )
+      in
       let n = Wire.length frame in
       QCheck2.assume (n > 0);
-      let cut = cut mod n in
-      match
-        Codec.decode (Codec.get_message Codec.get_str) (Wire.prefix frame cut)
-      with
-      | _ -> false
+      match decode (Wire.prefix frame (cut mod n)) with
+      | () -> false
       | exception Wire.Corrupt _ -> true)
 
 let test_trailing_bytes () =
@@ -272,8 +212,8 @@ let test_trailing_bytes () =
     (match Codec.decode Wire.r_uint padded with
     | _ -> false
     | exception Wire.Corrupt _ -> true);
-  check "bad dep tag raises Corrupt" true
-    (match Codec.decode Codec.get_dep (Wire.of_string "\009") with
+  check "bad pc wire tag raises Corrupt" true
+    (match Codec.decode (Codec.get_pc Codec.get_str) (Wire.of_string "\009") with
     | _ -> false
     | exception Wire.Corrupt _ -> true);
   check "clock of size 0 raises Corrupt" true
@@ -314,10 +254,7 @@ let test_clock_count_guard () =
 let fuzz_decoders =
   let dec d f = ignore (Codec.decode d f) in
   [
-    dec Codec.get_label;
-    dec Codec.get_dep;
     dec Codec.get_clock;
-    dec (Codec.get_message Codec.get_str);
     dec (Codec.get_envelope Codec.get_str);
     dec (Codec.get_pc Codec.get_str);
   ]
@@ -471,10 +408,7 @@ let () =
         ] );
       ( "codec",
         [
-          prop_label_roundtrip;
-          prop_dep_roundtrip;
           prop_clock_roundtrip;
-          prop_message_roundtrip;
           prop_envelope_roundtrip;
           prop_pc_roundtrip;
           Alcotest.test_case "pc encode split" `Quick test_pc_encode_split;
