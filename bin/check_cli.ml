@@ -196,15 +196,18 @@ let self_test ~seed ~sigma ~replicas ~ops ~window ~spacing () =
       incr failures;
       Printf.printf "  %-34s NOT CAUGHT: %s\n" name msg
   in
-  (* Plant one mutation, run one checker, demand a diagnostic. *)
-  let case name mutated check =
+  (* Plant one mutation, run one checker, demand a diagnostic — named
+     [expect] when given. *)
+  let case ?expect name mutated check =
     report name
       (match mutated with
       | None -> Error "no mutation site in this trace"
       | Some mut -> (
-        match check mut with
-        | [] -> Error "checker accepted the mutated trace"
-        | d :: _ -> Ok (Diag.to_string d)))
+        match (check mut, expect) with
+        | [], _ -> Error "checker accepted the mutated trace"
+        | d :: _, Some name when d.Diag.check <> name ->
+          Error (Printf.sprintf "reported as %s, not %s" d.Diag.check name)
+        | d :: _, _ -> Ok (Diag.to_string d)))
   in
   print_endline
     "self-test: seeding known violations, every checker must object";
@@ -223,6 +226,14 @@ let self_test ~seed ~sigma ~replicas ~ops ~window ~spacing () =
        (fun (t, _, _) -> t)
        (Mutate.reorder_fifo ~graph:(g fifo) (tr fifo)))
     (Trace_check.fifo ~graph:(g fifo));
+  (* One message delivered twice: both checkers that answer for
+     exactly-once delivery must name it. *)
+  case ~expect:"duplicate" "fifo: repeated delivery"
+    (Option.map fst (Mutate.duplicate_delivery ~graph:(g fifo) (tr fifo)))
+    (Trace_check.fifo ~graph:(g fifo));
+  case ~expect:"duplicate" "causal: repeated delivery"
+    (Option.map fst (Mutate.duplicate_delivery ~graph:(g osend) (tr osend)))
+    (Trace_check.causal ~graph:(g osend));
   case "total-order: diverging release"
     (Option.map
        (fun (t, _, _) -> t)
@@ -335,9 +346,9 @@ let verbose =
 let self_test_flag =
   let doc =
     "Run the mutation harness instead: plant one known violation per \
-     checker (reordered delivery, inverted sender order, diverging \
-     release, corrupted stable-point digest, dropped dependency label) \
-     and fail unless every one is caught."
+     checker (reordered delivery, inverted sender order, repeated \
+     delivery, diverging release, corrupted stable-point digest, dropped \
+     dependency label) and fail unless every one is caught."
   in
   Arg.(value & flag & info [ "self-test" ] ~doc)
 

@@ -26,7 +26,8 @@
        pair: [Causal_total].}}
 
     One sweep over the O(sites²) pairs ({!analyse}) grades every pair
-    against a {!Causalb_graph.Depgraph.reach} index of [R(M)] and yields
+    against a {!Causalb_graph.Depgraph.reach} index of [R(M)], over
+    integers resolved once per site, and yields
     both the races and the workload's {e demand}: the minimal
     top-of-stack guarantee under which it is race-free. *)
 
@@ -53,11 +54,23 @@ type report = {
           [Unordered] when every pair commutes *)
 }
 
-val analyse : ?top:Guarantee.t -> Workload.t -> report
+val analyse :
+  ?reach:Causalb_graph.Depgraph.reach -> ?top:Guarantee.t -> Workload.t -> report
 (** The one pair sweep: races over a pipeline providing [top] (default
     [Causal], the §6.1 protocol's setting) and the demand.  No race
     means: every non-commuting pair is ordered by [R(M)] reachability,
-    pinned by per-sender FIFO, or arbitrated by a total order. *)
+    pinned by per-sender FIFO, or arbitrated by a total order.
+
+    Each site's object, class, label and reach rank are resolved once,
+    so the sweep compares integers and reads a per-object table of
+    class conflicts; it grades every pair as {!pair_need} does, in the
+    same order.  [reach] is [Depgraph.reach] of the workload's graph
+    (built here when absent): a caller that also runs
+    {!Causalb_check.Spec_lint.lint} over that graph shares one index.
+    @raise Invalid_argument if [reach] does not index the workload's
+    graph ({!Causalb_graph.Depgraph.indexes}).
+    @raise Not_found on a conflicting cross-origin pair whose label is
+    absent from the graph, as {!pair_need} does. *)
 
 val check : ?top:Guarantee.t -> Workload.t -> race list
 (** [(analyse ?top w).races]. *)

@@ -46,7 +46,7 @@ let build ~spec ~obj indexed =
         in
         Hashtbl.replace seqs origin (seq + 1);
         let label =
-          Label.make ~name:(Printf.sprintf "op%d" i) ~origin ~seq ()
+          Label.make ~name:("op" ^ string_of_int i) ~origin ~seq ()
         in
         let kind = Seq_spec.kind spec op in
         let dep = Dep.after_all (Window.deps_for win ~kind ~fallback:[]) in

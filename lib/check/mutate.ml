@@ -79,6 +79,34 @@ let reorder_release ?sync ~graph trace =
   in
   find_adjacent trace ~kind:Trace.Release ~pick |> swap_found trace
 
+(* Record [i] twice: the copy follows the original at once, so the node's
+   delivered set and its per-sender high-water mark both already hold
+   the message — a second delivery, not a reordering. *)
+let duplicate_delivery ~graph trace =
+  let resolve = resolver graph in
+  let idx = ref None and i = ref 0 in
+  Trace.iter trace (fun r ->
+      if
+        !idx = None
+        && r.Trace.kind = Trace.Deliver
+        && r.Trace.node >= 0
+        && resolve r.Trace.tag <> None
+      then idx := Some (!i, r);
+      incr i);
+  match !idx with
+  | None -> None
+  | Some (i, victim) ->
+    let out = Trace.create ~capacity:(Trace.length trace + 1) () in
+    let copy (r : Trace.record) =
+      Trace.record out ~time:r.Trace.time ~node:r.Trace.node
+        ~kind:r.Trace.kind ~tag:r.Trace.tag ~info:r.Trace.info ()
+    in
+    for k = 0 to Trace.length trace - 1 do
+      copy (Trace.get trace k);
+      if k = i then copy victim
+    done;
+    Some (out, victim)
+
 let corrupt_mark trace =
   let idx = ref None and i = ref 0 in
   Trace.iter trace (fun r ->

@@ -41,6 +41,13 @@ val reorder_release :
     message migrates to the next window at that node only, breaking
     window agreement. *)
 
+val duplicate_delivery :
+  graph:Depgraph.t -> Trace.t -> (Trace.t * Trace.record) option
+(** Repeat the first graph-known [Deliver] record at its node, right
+    after the original: one message delivered twice.
+    {!Trace_check.fifo} and {!Trace_check.causal} must both report it as
+    ["duplicate"]. *)
+
 val corrupt_mark : Trace.t -> (Trace.t * Trace.record) option
 (** Tamper with the digest of the first stable-point [Mark] record.
     {!Trace_check.stable_points} must reject the result. *)

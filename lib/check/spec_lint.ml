@@ -68,9 +68,7 @@ let to_diag i =
    what else is delivered: an AND-ancestor that no send defines, or an
    OR whose every alternative is undefined.  (Cyclic waits are also
    unsatisfiable but reported once, as the cycle.) *)
-let unsatisfiable g l =
-  let dep = Depgraph.dep_of g l in
-  let missing = Depgraph.missing_parents g l in
+let unsatisfiable dep missing =
   match dep with
   | Dep.Null -> None
   | Dep.After _ | Dep.After_all _ ->
@@ -80,20 +78,43 @@ let unsatisfiable g l =
       Some missing
     else None
 
-let lint g =
-  let reach = Depgraph.reach g in
+(* Every ancestry question is asked of the reachability index by rank:
+   the labels are numbered in insertion order, and each label's present
+   parents are paired with their ranks in predicate order. *)
+let lint ?reach g =
+  let reach =
+    match reach with
+    | None -> Depgraph.reach g
+    | Some r ->
+      if not (Depgraph.indexes r g) then
+        invalid_arg "Spec_lint.lint: the index is not this graph's";
+      r
+  in
   let issues = ref [] in
   let add i = issues := i :: !issues in
-  (match Depgraph.find_cycle g with
-  | Some path -> add (Cycle path)
-  | None -> ());
+  let labels = Depgraph.labels g in
+  (* a cycle shows in the index as a label that precedes itself *)
+  let cyclic = ref false in
+  List.iteri
+    (fun i _ -> if Depgraph.precedes_rank reach i i then cyclic := true)
+    labels;
+  (if !cyclic then
+     match Depgraph.find_cycle g with
+     | Some path -> add (Cycle path)
+     | None -> ());
   List.iter
     (fun l ->
       let dep = Depgraph.dep_of g l in
-      List.iter
-        (fun missing -> add (Dangling { label = l; missing }))
-        (Depgraph.missing_parents g l);
-      (match unsatisfiable g l with
+      let ancestors = Dep.ancestors dep in
+      (* (label as named, rank) of every present parent *)
+      let parents =
+        List.filter_map
+          (fun a -> Option.map (fun r -> (a, r)) (Depgraph.rank reach a))
+          ancestors
+      in
+      let missing = List.filter (fun a -> not (Depgraph.mem g a)) ancestors in
+      List.iter (fun missing -> add (Dangling { label = l; missing })) missing;
+      (match unsatisfiable dep missing with
       | Some missing -> add (Unsatisfiable { label = l; missing })
       | None -> ());
       match dep with
@@ -101,35 +122,33 @@ let lint g =
       | Dep.After_all _ ->
         (* Direct edge a -> l is redundant when another parent already
            transitively requires a: the wait is implied. *)
-        let parents = Depgraph.parents g l in
         List.iter
-          (fun a ->
+          (fun (a, ra) ->
             match
               List.find_opt
-                (fun p ->
-                  (not (Label.equal p a)) && Depgraph.precedes reach a p)
+                (fun (_, rp) -> rp <> ra && Depgraph.precedes_rank reach ra rp)
                 parents
             with
-            | Some via -> add (Redundant_edge { label = l; ancestor = a; via })
+            | Some (via, _) ->
+              add (Redundant_edge { label = l; ancestor = a; via })
             | None -> ())
           parents
-      | Dep.After_any alts ->
+      | Dep.After_any _ ->
         (* An alternative that happens-after another alternative can
            never be the one that fires: by the time it is delivered the
            earlier alternative already satisfied the OR. *)
-        let present = List.filter (Depgraph.mem g) alts in
         List.iter
-          (fun b ->
+          (fun (b, rb) ->
             match
               List.find_opt
-                (fun a ->
-                  (not (Label.equal a b)) && Depgraph.precedes reach a b)
-                present
+                (fun (_, ra) -> ra <> rb && Depgraph.precedes_rank reach ra rb)
+                parents
             with
-            | Some a -> add (Dead_alternative { label = l; alt = b; implied_by = a })
+            | Some (a, _) ->
+              add (Dead_alternative { label = l; alt = b; implied_by = a })
             | None -> ())
-          present)
-    (Depgraph.labels g);
+          parents)
+    labels;
   List.rev !issues
 
 (* [Depgraph.add] rejects a second definition of a label outright, so the

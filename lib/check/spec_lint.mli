@@ -35,11 +35,16 @@ type issue =
       (** sends [first] and [second] (positions in the send list) both
           define the same label — waits on it are ambiguous *)
 
-val lint : Causalb_graph.Depgraph.t -> issue list
+val lint :
+  ?reach:Causalb_graph.Depgraph.reach -> Causalb_graph.Depgraph.t -> issue list
 (** All issues, in graph insertion order (cycle first when present).
     An empty list means the specification is clean.  [Duplicate_label]
     never appears here: a {!Causalb_graph.Depgraph.t} cannot hold two
-    definitions of one label — use {!lint_sends} on the raw send list. *)
+    definitions of one label — use {!lint_sends} on the raw send list.
+    [reach] is [Depgraph.reach] of this graph (built here when absent),
+    so a caller that also runs the race lint over the graph shares one
+    index.  @raise Invalid_argument if [reach] does not index this graph
+    ({!Causalb_graph.Depgraph.indexes}). *)
 
 val lint_sends : (Label.t * Causalb_graph.Dep.t) list -> issue list
 (** Lint a specification still in send-list form, {e before} graph

@@ -20,19 +20,15 @@
     The checkers are pure trace analyses: they know nothing about which
     engine or stack composition produced the trace, so the same oracle
     audits every composition (and seeded mutations of their traces — see
-    {!Mutate}). *)
+    {!Mutate}).
+
+    An audit that runs several checkers over one trace builds one
+    {!index} and hands it to each [check_*] function: the trace is
+    scanned once, and tags are resolved to graph labels once.  The
+    [~graph trace] functions build an index per call. *)
 
 val nodes : Causalb_sim.Trace.t -> int list
 (** Distinct non-negative node ids appearing in the trace, sorted. *)
-
-val deliver_records :
-  Causalb_sim.Trace.t -> node:int -> Causalb_sim.Trace.record list
-(** The node's causal-layer [Deliver] records, in order. *)
-
-val release_records :
-  Causalb_sim.Trace.t -> node:int -> Causalb_sim.Trace.record list
-(** The node's application-visible sequence: its [Release] records when
-    it has any, otherwise its [Deliver] records. *)
 
 val causal :
   graph:Causalb_graph.Depgraph.t -> Causalb_sim.Trace.t -> Diag.t list
@@ -58,8 +54,9 @@ val total_order :
   ?sync:Causalb_graph.Label.Set.t ->
   Causalb_sim.Trace.t ->
   Diag.t list
-(** Agreement on the application-visible sequences ({!release_records})
-    of all members.  Default mode: sequences must be equal up to
+(** Agreement on the application-visible sequences of all members:
+    each node's [Release] records when it has any, otherwise its
+    [Deliver] records.  Default mode: sequences must be equal up to
     commutative reordering between synchronization points — same sync
     order, equal interior {e set} per window ([sync] defaults to
     {!Causalb_graph.Depgraph.sync_points}; pass the empty set for plain
@@ -69,4 +66,35 @@ val total_order :
 val stable_points : Causalb_sim.Trace.t -> Diag.t list
 (** Stable-point agreement: [Mark] records whose tag is ["stable:<k>"]
     carry a replica digest in their [info]; for every cycle closed at two
-    or more members, the digests must be equal. *)
+    or more members, the digests must be equal.  Each cycle is compared
+    against the lowest node that recorded its tag, so a cycle the lowest
+    marking node never closed is still cross-checked among the others.
+    Disagreements with the lowest marking node are reported first, node
+    by node; the rest follow. *)
+
+(** {1 One index per audit} *)
+
+type index
+(** One pass over a trace for a given graph: the nodes that recorded
+    [Deliver], [Release] or stable-point [Mark] records, each node's
+    records of those kinds in trace order, every [Deliver]/[Release] tag
+    numbered once, and each number resolved to the graph label rendering
+    to it ([Causalb_graph.Label.to_string]).  Node ids are member
+    indices: the index keeps a table as long as the largest one.  The
+    index does not follow later records. *)
+
+val index :
+  graph:Causalb_graph.Depgraph.t -> Causalb_sim.Trace.t -> index
+
+val check_causal : index -> Diag.t list
+(** {!causal} over the index's trace and graph. *)
+
+val check_fifo : index -> Diag.t list
+(** {!fifo} over the index's trace and graph. *)
+
+val check_total_order :
+  ?strict:bool -> ?sync:Causalb_graph.Label.Set.t -> index -> Diag.t list
+(** {!total_order} over the index's trace and graph. *)
+
+val check_stable_points : index -> Diag.t list
+(** {!stable_points} over the index's trace. *)

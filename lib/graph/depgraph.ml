@@ -169,11 +169,23 @@ let concurrent g a b =
   && not (happens_before g b a)
 
 (* Row [i] of [bits] (words [i*words .. (i+1)*words - 1]) is the ancestor
-   set of the [i]-th label in insertion order.  Each row doubles as the
-   visited set of its own DFS, which starts from the label's parents and
-   never pre-marks the label itself: so, exactly like [ancestors], a
-   label is its own ancestor only when a cycle leads back to it. *)
-type reach = { rank : int Label.Tbl.t; words : int; bits : int array }
+   set of the [i]-th label in insertion order.  A label whose parents all
+   came earlier takes the union of their rows and the parents
+   themselves.  Any other label (a forward reference, perhaps on a
+   cycle) gets a DFS whose visited set is its own row, started from its
+   parents without pre-marking the label itself: so, exactly like
+   [ancestors], a label is its own ancestor only when a cycle leads back
+   to it.  Rows are filled in rank order, so every row a union reads is
+   final.  The index keeps the graph it was built from and that graph's
+   size then, so a lint handed an index can tell that it answers for the
+   graph it lints. *)
+type reach = {
+  graph : t;
+  size : int;
+  rank : int Label.Tbl.t;
+  words : int;
+  bits : int array;
+}
 
 let reach g =
   let labels = Array.of_list (labels g) in
@@ -189,28 +201,46 @@ let reach g =
   in
   let words = (n + Sys.int_size - 1) / Sys.int_size in
   let bits = Array.make (n * words) 0 in
+  let set row y =
+    let k = row + (y / Sys.int_size) and m = 1 lsl (y mod Sys.int_size) in
+    let fresh = bits.(k) land m = 0 in
+    if fresh then bits.(k) <- bits.(k) lor m;
+    fresh
+  in
   for i = 0 to n - 1 do
     let row = i * words in
-    let rec visit x =
+    if List.for_all (fun p -> p < i) parents.(i) then
+      (* every parent's row is final: the ancestors are the parents and
+         theirs — the common case, labels added after their ancestors *)
       List.iter
-        (fun y ->
-          let k = row + (y / Sys.int_size) and m = 1 lsl (y mod Sys.int_size) in
-          if bits.(k) land m = 0 then begin
-            bits.(k) <- bits.(k) lor m;
-            visit y
-          end)
-        parents.(x)
-    in
-    visit i
+        (fun p ->
+          ignore (set row p);
+          let prow = p * words in
+          for w = 0 to words - 1 do
+            bits.(row + w) <- bits.(row + w) lor bits.(prow + w)
+          done)
+        parents.(i)
+    else
+      let rec visit x =
+        List.iter (fun y -> if set row y then visit y) parents.(x)
+      in
+      visit i
   done;
-  { rank; words; bits }
+  { graph = g; size = n; rank; words; bits }
+
+let indexes r g = r.graph == g && r.size = g.n
+
+let rank r l = Label.Tbl.find_opt r.rank l
+
+let precedes_rank r i j =
+  r.bits.((j * r.words) + (i / Sys.int_size)) land (1 lsl (i mod Sys.int_size))
+  <> 0
 
 let precedes r a b =
-  let row = Label.Tbl.find r.rank b * r.words in
+  let j = Label.Tbl.find r.rank b in
   match Label.Tbl.find_opt r.rank a with
   | None -> false
-  | Some i ->
-    r.bits.(row + (i / Sys.int_size)) land (1 lsl (i mod Sys.int_size)) <> 0
+  | Some i -> precedes_rank r i j
 
 let roots g = List.filter (fun l -> (node g l).indeg = 0) (labels g)
 

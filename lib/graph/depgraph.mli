@@ -68,17 +68,34 @@ type reach
 (** A reachability index over one snapshot of a graph, for analyses that
     ask many ancestry queries (the static lints).  Labels are numbered in
     insertion order and each label's {!ancestors} are held as a bit set
-    over [int] words, built by one depth-first search per label:
-    O(n·(n+e)) time and n²/{!Sys.int_size} words for [n] labels and [e]
-    present edges.  The index does not follow later {!add}s. *)
+    over [int] words.  A label whose parents were all added before it
+    takes the union of their sets, O(e·n/{!Sys.int_size}) over the
+    graph; any other label gets its own depth-first search, O(n+e).  The
+    index takes n²/{!Sys.int_size} words for [n] labels and [e] present
+    edges, and does not follow later {!add}s. *)
 
 val reach : t -> reach
+
+val indexes : reach -> t -> bool
+(** [indexes r g]: [r] was built from [g] itself (not a copy) and [g]
+    has gained no label since, so [r] answers for [g].  A function that
+    takes an index beside its graph checks this first. *)
 
 val precedes : reach -> Label.t -> Label.t -> bool
 (** [precedes r a b] is [Label.Set.mem a (ancestors g b)] for the graph
     [g] the index was built from: [a] reaches [b] through present edges,
     and [b] precedes itself only on a cycle.  An absent [a] precedes
     nothing.  @raise Not_found if [b] is absent, as {!ancestors} does. *)
+
+val rank : reach -> Label.t -> int option
+(** The label's position in insertion order, the number the index's bit
+    sets use; [None] when the label was absent from the graph. *)
+
+val precedes_rank : reach -> int -> int -> bool
+(** [precedes_rank r i j] is [precedes r a b] for the labels [a] and [b]
+    of ranks [i] and [j] ({!rank}): the pair sweep of a lint resolves
+    every label once and then asks by number.  Both ranks must come
+    from {!rank} on the same index. *)
 
 val roots : t -> Label.t list
 (** Labels with no parents. *)

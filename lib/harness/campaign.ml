@@ -171,12 +171,12 @@ let generate ?(base_seed = 42) ?(buggify = false) ?(min_phases = 0)
 let dedup xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
-(* [plant] re-audits the run with one seeded ordering violation spliced
-   into the trace ([Causalb_check.Mutate]) — the self-test that the
-   campaign's oracle plumbing actually rejects bad orderings, end to
-   end, on the very traces it hunts over.  A case whose trace has no
-   mutation site (too few dependent deliveries) passes. *)
-let run_case_stack ?(plant = false) (c : case) =
+(* [mutate] re-audits the run with one seeded violation spliced into the
+   trace ([Causalb_check.Mutate]) — the self-test that the campaign's
+   oracle plumbing actually rejects bad orderings, end to end, on the
+   very traces it hunts over.  A case whose trace has no mutation site
+   (too few dependent deliveries) passes. *)
+let run_case_stack ?mutate (c : case) =
   let r =
     D.run_stack ~seed:c.seed ~check:true ~nemesis:c.nemesis
       ~replicas:c.replicas c.spec c.workload
@@ -187,19 +187,13 @@ let run_case_stack ?(plant = false) (c : case) =
     | None -> assert false (* ~check:true always produces an audit *)
   in
   let diags =
-    if not plant then audit.D.diagnostics
-    else
-      let mutate =
-        match c.spec with
-        (* FIFO/BSS are only held to per-sender order, so the planted
-           violation must be one their checker sees. *)
-        | D.Fifo_only | D.Bss_stack -> Mutate.reorder_fifo
-        | _ -> Mutate.reorder_causal
-      in
+    match mutate with
+    | None -> audit.D.diagnostics
+    | Some mutate -> (
       match mutate ~graph:audit.D.graph audit.D.trace with
       | None -> audit.D.diagnostics
-      | Some (mutated, _, _) ->
-        D.recheck c.spec ~lost:r.D.lost { audit with D.trace = mutated }
+      | Some mutated ->
+        D.recheck c.spec ~lost:r.D.lost { audit with D.trace = mutated })
   in
   {
     case = c;
@@ -247,7 +241,18 @@ let run_case_pc ?(plant = false) (c : case) =
    runs (validly) through the stack driver. *)
 let run_case ?plant (c : case) =
   if Nemesis.has_churn c.nemesis then run_case_pc ?plant c
-  else run_case_stack ?plant c
+  else
+    let reorder =
+      match c.spec with
+      (* FIFO/BSS are only held to per-sender order, so the planted
+         violation must be one their checker sees. *)
+      | D.Fifo_only | D.Bss_stack -> Mutate.reorder_fifo
+      | _ -> Mutate.reorder_causal
+    in
+    let mutate ~graph trace =
+      Option.map (fun (t, _, _) -> t) (reorder ~graph trace)
+    in
+    if plant = Some true then run_case_stack ~mutate c else run_case_stack c
 
 (* --- shrinking --- *)
 
@@ -428,7 +433,27 @@ let self_test ?(base_seed = 42) ?(log = Printer.line) () =
       (Printf.sprintf
          "self-test: churn plant detected on %d-case campaign: %b" 4
          churn_found);
-    let ok = nemesis_reduced && ops_reduced && still_fails && churn_found in
+    (* exactly-once delivery: one repeated [Deliver] record must fail
+       every composition's case as a [duplicate] *)
+    let duplicate ~graph trace =
+      Option.map fst (Mutate.duplicate_delivery ~graph trace)
+    in
+    let dup_found =
+      List.length
+        (List.filter
+           (fun c ->
+             let v = run_case_stack ~mutate:duplicate c in
+             (not v.ok) && List.mem "duplicate" v.checks)
+           cases)
+    in
+    log
+      (Printf.sprintf
+         "self-test: planted duplicate delivery detected in %d of %d cases"
+         dup_found (List.length cases));
+    let ok =
+      nemesis_reduced && ops_reduced && still_fails && churn_found
+      && dup_found = List.length cases
+    in
     log (if ok then "self-test: ok" else "self-test: FAILED");
     ok
   end

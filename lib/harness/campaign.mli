@@ -117,7 +117,10 @@ val self_test :
     checker sets) and shrank on {e both} axes — fewer nemesis events and
     fewer ops.  Then plant over a small churn campaign and assert the
     founders-scoped causal pass rejects at least one inversion there
-    too.  [true] iff all of that holds. *)
+    too.  Last, repeat one [Deliver] record in each of the 8 cases'
+    traces ([Causalb_check.Mutate.duplicate_delivery]) and assert every
+    case fails with a ["duplicate"] diagnostic.  [true] iff all of that
+    holds. *)
 
 val describe : case -> string
 (** One-line repro description: seed, composition, replicas, workload

@@ -160,9 +160,12 @@ let claim_of = function
   | Psync_stack | Osend_stack | Pc_stack -> Guarantee.Causal
   | Osend_merge | Osend_counted _ | Osend_sequencer -> Guarantee.Causal_total
 
-(* The workload intent the race lint analyses: the same §6.1 Window
-   bookkeeping [submit_op] performs below, replayed purely over the op
-   list, with the same per-origin label numbering. *)
+(* The workload intent: the same §6.1 Window bookkeeping [submit_op]
+   performs below, replayed purely over the op list, with the same
+   per-origin label numbering.  [run_stack ~check:true] builds it once,
+   before execution: the race lint analyses it, the spec lint lints its
+   graph (both over one reachability index), and it is the audit graph
+   of the compositions whose causal layer extracts no R(M). *)
 let intent_of_ops ~replicas ops =
   Analysis_workload.of_ops ~spec:Dt.Int_register.spec
     ~src:(fun i -> i mod replicas)
@@ -179,17 +182,14 @@ type static_report = {
 
 let static_ok r = r.static_diags = []
 
-let static_passes ~replicas spec ops =
+let static_of_intent ?reach spec intent =
   let ordering, total = stack_params spec in
   let claim = claim_of spec in
   let verify =
     Stack_verify.verify ~claim
       (Stack_verify.layers_of ~ordering ~total ~fifo:(transport_fifo_of spec))
   in
-  let lint =
-    Race_lint.analyse ~top:verify.Stack_verify.top
-      (intent_of_ops ~replicas ops)
-  in
+  let lint = Race_lint.analyse ?reach ~top:verify.Stack_verify.top intent in
   (* The race lint holds a composition to what it claims: under-ordered
      baselines (claim < Causal) are exempt — their pairs are audited
      dynamically against the weaker fifo/same-set oracle instead. *)
@@ -216,7 +216,7 @@ let static_audit ?(seed = 42) ?(latency = default_latency) ~replicas spec w =
       engine ~nodes:replicas ()
   in
   let rng = Engine.fork_rng engine in
-  static_passes ~replicas spec (op_sequence rng w)
+  static_of_intent spec (intent_of_ops ~replicas (op_sequence rng w))
 
 (* Which offline checkers soundly apply to one audited run.  [lost = 0]
    means every scheduled copy arrived, so completeness-dependent
@@ -230,32 +230,37 @@ let static_audit ?(seed = 42) ?(latency = default_latency) ~replicas spec w =
    checkers over a mutated trace. *)
 let recheck spec ~lost (a : stack_audit) =
   let module C = Causalb_check.Trace_check in
-  let graph = a.graph and tr = a.trace in
+  let ix = C.index ~graph:a.graph a.trace in
   let none = Label.Set.empty in
   let complete = lost = 0 in
   let if_complete diags = if complete then diags () else [] in
   match spec with
   | Fifo_only | Bss_stack ->
-    C.fifo ~graph tr
-    @ if_complete (fun () -> C.total_order ~graph ~sync:none tr)
+    C.check_fifo ix
+    @ if_complete (fun () -> C.check_total_order ~sync:none ix)
   | Pc_stack ->
     (* FIFO per origin holds unconditionally (gaps park, they never
        skip); causal order is only promised over reliable links, so its
        checker arms with the completeness-dependent ones. *)
-    C.fifo ~graph tr
+    C.check_fifo ix
     @ if_complete (fun () ->
-          C.causal ~graph tr @ C.total_order ~graph ~sync:none tr)
+          C.check_causal ix @ C.check_total_order ~sync:none ix)
   | Psync_stack ->
-    C.causal ~graph tr
-    @ if_complete (fun () -> C.total_order ~graph ~sync:none tr)
+    C.check_causal ix
+    @ if_complete (fun () -> C.check_total_order ~sync:none ix)
   | Osend_stack ->
-    C.causal ~graph tr
-    @ if_complete (fun () -> C.total_order ~graph ~sync:a.sync tr)
-    @ C.stable_points tr
+    C.check_causal ix
+    @ if_complete (fun () -> C.check_total_order ~sync:a.sync ix)
+    @ C.check_stable_points ix
   | Osend_merge | Osend_counted _ | Osend_sequencer ->
-    C.causal ~graph tr
-    @ if_complete (fun () -> C.total_order ~strict:true ~graph ~sync:none tr)
-    @ C.stable_points tr
+    C.check_causal ix
+    @ if_complete (fun () -> C.check_total_order ~strict:true ~sync:none ix)
+    @ C.check_stable_points ix
+
+(* [Printf.sprintf "%08x" d] for [0 <= d < 2^32], without the format
+   interpreter: audited runs render one per stable point per member. *)
+let hex8 d =
+  String.init 8 (fun i -> "0123456789abcdef".[(d lsr (28 - (4 * i))) land 15])
 
 let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     ?(on_static = `Warn) ?nemesis ~replicas spec w : stack_result =
@@ -303,8 +308,8 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
                  in
                  Causalb_sim.Trace.record tr ~time:now ~node
                    ~kind:Causalb_sim.Trace.Mark
-                   ~tag:(Printf.sprintf "stable:%d" p.Sp.cycle)
-                   ~info:(Printf.sprintf "digest=%08x" (digest land 0xffffffff))
+                   ~tag:("stable:" ^ string_of_int p.Sp.cycle)
+                   ~info:("digest=" ^ hex8 (digest land 0xffffffff))
                    ()
              in
              Sp.create
@@ -327,23 +332,14 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
      commutative ops follow the last sync; a sync AND-closes the window.
      Layers that infer their own ordering ignore the predicate. *)
   let win = Window.create () in
-  (* The dependency graph the front-end intends, and its sync points —
-     the specification the oracle lints and (for engines that do not
-     extract their own graph) audits delivery against. *)
-  let intended = Causalb_graph.Depgraph.create () in
-  let sync_labels = ref Label.Set.empty in
   let submit_op i op =
-    let name = Printf.sprintf "op%d" i in
+    let name = "op" ^ string_of_int i in
     let kind = if op_is_sync op then Op.Non_commutative else Op.Commutative in
     let dep = Dep.after_all (Window.deps_for win ~kind ~fallback:[]) in
     Hashtbl.replace issue name (Engine.now engine);
     match Stack.submit stack ~src:(i mod replicas) ~name ~dep op with
     | None -> ()
-    | Some label ->
-      if check then Causalb_graph.Depgraph.add intended label ~dep;
-      if op_is_sync op then
-        sync_labels := Label.Set.add label !sync_labels;
-      Window.note win ~kind label
+    | Some label -> Window.note win ~kind label
   in
   let rng = Engine.fork_rng engine in
   let ops = op_sequence rng w in
@@ -352,10 +348,19 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
      workload (O(ops²) pairs) and is only computed when the oracle is on.
      [`Refuse] rejects an ill-formed configuration without spending the
      simulation budget; [`Warn] (default) runs it anyway and lets
-     [checks_ok] report the issues. *)
+     [checks_ok] report the issues.  The intent — the dependency graph
+     the front-end intends and its sync points — is built once, with
+     one reachability index for both static lints. *)
+  let intent =
+    if check then
+      let i = intent_of_ops ~replicas ops in
+      Some (i, Causalb_graph.Depgraph.reach i.Analysis_workload.graph)
+    else None
+  in
   let static_diags =
-    if check then (static_passes ~replicas spec ops).static_diags
-    else
+    match intent with
+    | Some (i, reach) -> (static_of_intent ~reach spec i).static_diags
+    | None ->
       Stack_verify.to_diags
         (Stack_verify.verify ~claim:(claim_of spec)
            (Stack_verify.layers_of ~ordering ~total
@@ -413,23 +418,21 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
      digests. *)
   let extracted = Stack.graph stack in
   let audit =
-    match trace with
-    | None -> None
-    | Some tr ->
-      let graph = Option.value extracted ~default:intended in
-      let sync = !sync_labels in
-      let lint = Causalb_check.Spec_lint.lint intended in
+    match (trace, intent) with
+    | Some tr, Some (i, reach) ->
+      let intended = i.Analysis_workload.graph in
       let a =
         {
           trace = tr;
-          graph;
-          sync;
+          graph = Option.value extracted ~default:intended;
+          sync = i.Analysis_workload.sync;
           diagnostics = [];
-          lint;
+          lint = Causalb_check.Spec_lint.lint ~reach intended;
           static = static_diags;
         }
       in
       Some { a with diagnostics = recheck spec ~lost a }
+    | _ -> None
   in
   let checks_ok =
     checks_ok && static_diags = []
@@ -662,7 +665,8 @@ let run_object ?(seed = 42) ?(latency = default_latency) ~replicas ~machine
   Service.run svc;
   let graph = Osend.graph (Group.member (Service.group svc) 0) in
   let module C = Causalb_check.Trace_check in
-  let diagnostics = C.causal ~graph trace @ C.stable_points trace in
+  let ix = C.index ~graph trace in
+  let diagnostics = C.check_causal ix @ C.check_stable_points ix in
   let stable_marks = ref 0 in
   Causalb_sim.Trace.iter trace (fun r ->
       if r.Causalb_sim.Trace.kind = Causalb_sim.Trace.Mark then

@@ -65,6 +65,7 @@ type stack_audit = {
   trace : Causalb_sim.Trace.t;
   graph : Causalb_graph.Depgraph.t;
   sync : Causalb_graph.Label.Set.t;
+      (** the sync points of the intent ({!intent_of_ops}) *)
   diagnostics : Causalb_check.Diag.t list;
       (** trace-checker violations; empty = every applicable property held *)
   lint : Causalb_check.Spec_lint.issue list;
@@ -118,6 +119,22 @@ val claim_of : stack_spec -> Causalb_stackbase.Guarantee.t
     top-of-stack guarantee, and the race lint applies to compositions
     claiming at least [Causal]. *)
 
+val intent_of_ops :
+  replicas:int ->
+  Causalb_data.Datatypes.Int_register.op list ->
+  Causalb_analysis.Workload.t
+(** The workload intent of an op sequence: the §6.1 front-end
+    bookkeeping {!run_stack} performs when it submits, replayed purely —
+    operation [i] from member [i mod replicas], labelled [op<i>] with
+    the per-origin sequence numbers the stack assigns.  Under [~check]
+    {!run_stack} builds it once, before execution: both static lints
+    read it, over one reachability index, and its graph is the audit
+    graph of the compositions whose causal layer extracts none.  It
+    equals, label for label and predicate for predicate, the graph of
+    what {!run_stack} submits — except under [Osend_sequencer], whose
+    submissions return no label (the chain allocates them later), so
+    only the intent names its §6.1 pattern there. *)
+
 (** One configuration's static verdict, computed without executing it:
     both passes of the static consistency verifier
     ({!Causalb_analysis.Stack_verify} over the declared layer lattice,
@@ -159,7 +176,8 @@ val recheck :
     an audit's trace: causal safety / FIFO / stable-point digests
     always, the completeness-dependent agreement checkers only when
     [lost = 0] (under loss a member legitimately never sees some
-    messages).  [run_stack] computes its [audit.diagnostics] with
+    messages).  All of them read one {!Causalb_check.Trace_check.index}
+    of the trace.  [run_stack] computes its [audit.diagnostics] with
     exactly this function; the campaign driver re-runs it over mutated
     traces ([Causalb_check.Mutate]) in its planted-bug self-test. *)
 
@@ -183,7 +201,8 @@ val run_stack :
     over the trace (causal safety for the explicit-graph engines, FIFO
     per sender for FIFO/BSS, window or strict agreement per total layer,
     stable-point digests for OSend compositions), the intended dependency
-    spec is linted, and the evidence is returned in [audit].
+    spec ({!intent_of_ops}, built once before execution) is linted, and
+    the evidence is returned in [audit].
 
     The static verifier runs {e before} execution in every mode: the
     guarantee-lattice pass always, the causal-race lint when [~check] is

@@ -36,7 +36,10 @@ type result = {
   wall_ms : float;
   gc_minor_words : float;
       (** minor-heap words the task allocated, counted in its own domain
-          ([Gc.counters]) *)
+          ([Gc.counters]).  Exact only to about one minor heap (262 144
+          words by default): the counters place the words of a partly
+          filled minor heap roughly, so a task that allocates less than
+          that can read well off its true figure. *)
   gc_major_words : float;
   output : string;    (** everything the task printed through [Printer] *)
 }

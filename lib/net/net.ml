@@ -128,8 +128,8 @@ let set_handler t node f =
 (* Tracing is off on the hot benchmarking paths, so info strings must
    never be built eagerly: call sites guard [record] behind [tracing] (or
    a match on the recorder) and only then pay for the string — a table
-   lookup for the per-copy Send/Receive records, a [Printf.sprintf] for
-   the rare drops. *)
+   lookup for the per-copy Send/Receive records, a concatenation for the
+   rarer drops. *)
 let tracing t = t.tracer <> None
 
 let record t ~node ~kind ~tag ~info =
@@ -200,7 +200,7 @@ let deliver t ~src ~dst payload =
     t.dropped_departed <- t.dropped_departed + 1;
     if tracing t then
       record t ~node:dst ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "departed from=%d" src)
+        ~info:("departed from=" ^ string_of_int src)
   end
   else
     match t.handlers.(dst) with
@@ -285,19 +285,19 @@ let send_copy t ~src ~dst ~size payload =
     t.dropped_departed <- t.dropped_departed + 1;
     if tracing t then
       record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "departed dst=%d" dst)
+        ~info:("departed dst=" ^ string_of_int dst)
   end
   else if not (reachable t src dst) then begin
     t.dropped_partition <- t.dropped_partition + 1;
     if tracing t then
       record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "partition dst=%d" dst)
+        ~info:("partition dst=" ^ string_of_int dst)
   end
   else if Rng.bernoulli t.rng t.fault.Fault.drop_prob then begin
     t.dropped_loss <- t.dropped_loss + 1;
     if tracing t then
       record t ~node:src ~kind:Trace.Drop ~tag:""
-        ~info:(Printf.sprintf "loss dst=%d" dst)
+        ~info:("loss dst=" ^ string_of_int dst)
   end
   else begin
     schedule_copy t ~src ~dst payload;

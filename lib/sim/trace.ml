@@ -8,45 +8,49 @@ type record = {
   info : string;
 }
 
-(* Records live in a growable array so that scanning a large trace (the
-   offline checkers walk every record, often several times) allocates
-   nothing: the old reversed-list representation forced a full List.rev
-   on every [events] call. *)
-type t = { mutable items : record array; mutable n : int }
+(* Records live in chunks of [chunk] records.  A chunk is small enough
+   for the minor heap, so storing a fresh record into it needs no
+   remembered-set entry, and growing the trace never copies a record. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
+
+type t = { mutable chunks : record array array; mutable n : int }
 
 let dummy = { time = 0.0; node = -1; kind = Send; tag = ""; info = "" }
 
 let create ?(capacity = 64) () =
-  { items = Array.make (max 1 capacity) dummy; n = 0 }
+  { chunks = Array.make (max 1 ((capacity + chunk - 1) / chunk)) [||]; n = 0 }
 
 let record t ~time ~node ~kind ~tag ?(info = "") () =
-  if t.n = Array.length t.items then begin
-    let bigger = Array.make (2 * Array.length t.items) dummy in
-    Array.blit t.items 0 bigger 0 t.n;
-    t.items <- bigger
+  let c = t.n lsr chunk_bits and k = t.n land (chunk - 1) in
+  if k = 0 then begin
+    if c = Array.length t.chunks then begin
+      let bigger = Array.make (2 * c) [||] in
+      Array.blit t.chunks 0 bigger 0 c;
+      t.chunks <- bigger
+    end;
+    t.chunks.(c) <- Array.make chunk dummy
   end;
-  t.items.(t.n) <- { time; node; kind; tag; info };
+  t.chunks.(c).(k) <- { time; node; kind; tag; info };
   t.n <- t.n + 1
 
 let length t = t.n
 
 let get t i =
   if i < 0 || i >= t.n then invalid_arg "Trace.get: index out of range";
-  t.items.(i)
+  t.chunks.(i lsr chunk_bits).(i land (chunk - 1))
 
 let iter t f =
   for i = 0 to t.n - 1 do
-    f t.items.(i)
+    f t.chunks.(i lsr chunk_bits).(i land (chunk - 1))
   done
 
 let fold t ~init ~f =
   let acc = ref init in
-  for i = 0 to t.n - 1 do
-    acc := f !acc t.items.(i)
-  done;
+  iter t (fun r -> acc := f !acc r);
   !acc
 
-let events t = List.init t.n (fun i -> t.items.(i))
+let events t = List.init t.n (get t)
 
 let filter t p =
   List.rev (fold t ~init:[] ~f:(fun acc r -> if p r then r :: acc else acc))

@@ -3,10 +3,12 @@
     Engines and protocols append timestamped records; verifiers and the
     experiment harness read them back.  A trace is append-only and cheap
     enough to leave enabled in benchmarks (it is the measurement source,
-    not an afterthought).  Records are stored in a growable array, so the
-    scan functions ({!iter}, {!fold}) allocate nothing per record — the
-    offline checkers of [Causalb_check] walk full bench traces with
-    them. *)
+    not an afterthought).  Records are stored in fixed-size chunks of an
+    array, so the scan functions ({!iter}, {!fold}) allocate nothing per
+    record — the offline checkers of [Causalb_check] walk full bench
+    traces with them — and appending never copies a record: each chunk
+    fits the minor heap, so a record stored in a fresh chunk costs the
+    write barrier no remembered-set entry. *)
 
 type kind =
   | Send        (** message handed to the transport *)

@@ -595,7 +595,32 @@ let prop_spec_lint_equals_per_pair =
   QCheck2.Test.make ~count:200 ~name:"spec lint = per-pair searches"
     ~print:print_reach_graph reach_graph_gen (fun d ->
       let g = reach_graph d in
-      Spec_lint.lint g = spec_lint_per_pair g)
+      let expected = spec_lint_per_pair g in
+      Spec_lint.lint g = expected
+      && Spec_lint.lint ~reach:(Depgraph.reach g) g = expected)
+
+(* Both lints refuse an index that does not answer for the graph they
+   are handed: one built from an equal copy, or one the graph has
+   outgrown. *)
+let test_foreign_reach () =
+  let d = (4, [ (0, []); (1, [ 0 ]); (2, [ 0; 1 ]) ]) in
+  let g = reach_graph d and copy = reach_graph d in
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let w = { Workload.graph = g; sync = Label.Set.empty; objects = []; sites = [] } in
+  Alcotest.(check bool) "own index accepted" false
+    (refused (fun () -> Spec_lint.lint ~reach:(Depgraph.reach g) g));
+  Alcotest.(check bool) "spec lint, copy's index" true
+    (refused (fun () -> Spec_lint.lint ~reach:(Depgraph.reach copy) g));
+  Alcotest.(check bool) "race lint, copy's index" true
+    (refused (fun () -> Race_lint.analyse ~reach:(Depgraph.reach copy) w));
+  let stale = Depgraph.reach g in
+  Depgraph.add g (reach_label 3) ~dep:Dep.Null;
+  Alcotest.(check bool) "spec lint, stale index" true
+    (refused (fun () -> Spec_lint.lint ~reach:stale g));
+  Alcotest.(check bool) "race lint, stale index" true
+    (refused (fun () -> Race_lint.analyse ~reach:stale w))
 
 (* [Race_lint] as it was written before the one sweep: [check] and
    [required] each visit every pair, against memoised [ancestors] sets
@@ -706,6 +731,103 @@ let prop_race_lint_equals_two_sweeps =
       let races, demand = race_lint_two_sweeps ~top w in
       Race_lint.analyse ~top w = { Race_lint.races; demand })
 
+(* [Race_lint.analyse] as it was written before the integer sweep: each
+   pair compares object names through [Workload.conflicts], which calls
+   the spec closures, and asks [Depgraph.precedes] by label. *)
+let race_lint_per_pair ~top (w : Workload.t) =
+  let reach = Depgraph.reach w.Workload.graph in
+  let need (a : Workload.site) (b : Workload.site) =
+    if not (Workload.conflicts w a b) then None
+    else if Label.origin a.Workload.label = Label.origin b.Workload.label
+    then Some Guarantee.Fifo
+    else if
+      Depgraph.precedes reach a.Workload.label b.Workload.label
+      || Depgraph.precedes reach b.Workload.label a.Workload.label
+    then Some Guarantee.Causal
+    else Some Guarantee.Causal_total
+  in
+  let sites = Array.of_list w.Workload.sites in
+  let n = Array.length sites in
+  let races = ref [] and demand = ref Guarantee.bot in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = sites.(i) and b = sites.(j) in
+      match need a b with
+      | None -> ()
+      | Some need ->
+        demand := Guarantee.join !demand need;
+        if not (Guarantee.leq need top) then
+          races :=
+            {
+              Race_lint.a;
+              b;
+              need;
+              top;
+              missing = [ a.Workload.label; b.Workload.label ];
+            }
+            :: !races
+    done
+  done;
+  { Race_lint.races = List.rev !races; demand = !demand }
+
+(* Multi-object workloads built field by field, past [Workload.of_sites]'
+   validation: one to three objects named from x/y/z (a name may repeat;
+   the first one counts), each with its own possibly asymmetric
+   commutativity matrix and observer set over classes c0..c3; sites on
+   x/y/z or the unknown w, on classes c0..c4 (c4 undeclared), on labels
+   the graph may lack — where both sweeps must raise [Not_found]. *)
+let multi_workload_gen =
+  let open QCheck2.Gen in
+  reach_graph_gen >>= fun ((u, _) as d) ->
+  let obj = triple (oneofl [ "x"; "y"; "z" ]) (list_repeat 16 bool) (list_repeat 4 bool) in
+  let site = triple (int_range 0 (u - 1)) (oneofl [ "x"; "y"; "z"; "w" ]) (int_range 0 4) in
+  quad (return d) (list_size (int_range 1 3) obj)
+    (list_size (int_range 0 40) site) (oneofl all_guarantees)
+
+let multi_workload (d, objs, sites, top) =
+  let cls c = Printf.sprintf "c%d" c in
+  let idx c = (Char.code c.[1] - Char.code '0') mod 4 in
+  let objects =
+    List.map
+      (fun (name, commute, observe) ->
+        {
+          Workload.name;
+          commutes = (fun a b -> List.nth commute ((4 * idx a) + idx b));
+          observer = (fun c -> List.nth observe (idx c));
+        })
+      objs
+  in
+  let sites =
+    List.map
+      (fun (i, obj, c) -> { Workload.label = reach_label i; obj; cls = cls c })
+      sites
+  in
+  ( { Workload.graph = reach_graph d; sync = Label.Set.empty; objects; sites },
+    top )
+
+let prop_race_sweep_equals_per_pair =
+  QCheck2.Test.make ~count:300 ~name:"race sweep = per-pair need"
+    ~print:(fun (d, objs, sites, top) ->
+      Printf.sprintf "%s objects=[%s] sites=[%s] top=%s" (print_reach_graph d)
+        (String.concat ","
+           (List.map
+              (fun (n, c, o) ->
+                Printf.sprintf "%s:%s/%s" n
+                  (String.concat "" (List.map (fun b -> if b then "1" else "0") c))
+                  (String.concat "" (List.map (fun b -> if b then "1" else "0") o)))
+              objs))
+        (String.concat ","
+           (List.map (fun (i, o, c) -> Printf.sprintf "%d/%s/c%d" i o c) sites))
+        (Guarantee.to_string top))
+    multi_workload_gen (fun x ->
+      let w, top = multi_workload x in
+      let run f = match f () with r -> Some r | exception Not_found -> None in
+      let expected = run (fun () -> race_lint_per_pair ~top w) in
+      expected = run (fun () -> Race_lint.analyse ~top w)
+      && expected
+         = run (fun () ->
+               Race_lint.analyse ~reach:(Depgraph.reach w.Workload.graph) ~top w))
+
 let () =
   Alcotest.run "analysis"
     [
@@ -748,7 +870,9 @@ let () =
             prop_reach_equals_ancestors;
             prop_spec_lint_equals_per_pair;
             prop_race_lint_equals_two_sweeps;
-          ] );
+            prop_race_sweep_equals_per_pair;
+          ]
+        @ [ Alcotest.test_case "foreign index refused" `Quick test_foreign_reach ] );
       ( "cross-check",
         [
           test ~count:40 "static accept => dynamic clean" config_gen

@@ -254,6 +254,97 @@ let test_duplicate_release_cases () =
   (* hunt-488's shrunk repro: node 0 delivered op4 twice *)
   clean { fifo with C.workload = { fifo.C.workload with D.ops = 4 } }
 
+(* --- the intent equals what the run submits ----------------------------- *)
+
+module Stack = Causalb_stack.Stack
+module Message = Causalb_core.Message
+module Label = Causalb_graph.Label
+module Dep = Causalb_graph.Dep
+module Depgraph = Causalb_graph.Depgraph
+module Window = Causalb_data.Window
+module Op = Causalb_data.Op
+module Dt = Causalb_data.Datatypes
+module W = Causalb_analysis.Workload
+
+(* The graph an audited [D.run_stack] used to build while it ran, before
+   the pre-execution intent took its place: each label [Stack.submit]
+   returned, added with the predicate it was submitted with.  Written out
+   as [D.run_stack] ran it: same engine prelude, nemesis, schedule and §6.1
+   window bookkeeping. *)
+let submitted_graph (c : C.case) =
+  let is_sync = function
+    | Dt.Int_register.Read | Dt.Int_register.Set _ -> true
+    | Dt.Int_register.Inc _ | Dt.Int_register.Dec _ -> false
+  in
+  let ordering, total =
+    match c.C.spec with
+    | D.Fifo_only -> (Stack.Fifo, Stack.Pass)
+    | D.Bss_stack -> (Stack.Bss, Stack.Pass)
+    | D.Psync_stack -> (Stack.Psync, Stack.Pass)
+    | D.Osend_stack -> (Stack.Osend, Stack.Pass)
+    | D.Osend_merge -> (Stack.Osend, Stack.Merge (fun m -> is_sync (Message.payload m)))
+    | D.Osend_counted n -> (Stack.Osend, Stack.Counted n)
+    | D.Osend_sequencer -> (Stack.Osend, Stack.Sequencer { node = 0 })
+    | D.Pc_stack -> (Stack.Pc, Stack.Pass)
+  in
+  let engine = Engine.create ~seed:c.C.seed () in
+  let stack =
+    Stack.compose ~ordering ~total ~latency:D.default_latency
+      ~fifo:(D.transport_fifo_of c.C.spec) ~trace:(Trace.create ())
+      engine ~nodes:c.C.replicas ()
+  in
+  let win = Window.create () in
+  let g = Depgraph.create () in
+  let ops = D.op_sequence (Engine.fork_rng engine) c.C.workload in
+  Stack.install_nemesis stack c.C.nemesis;
+  List.iteri
+    (fun i op ->
+      Engine.schedule_at engine
+        ~time:(float_of_int i *. c.C.workload.D.spacing)
+        (fun () ->
+          let kind = if is_sync op then Op.Non_commutative else Op.Commutative in
+          let dep = Dep.after_all (Window.deps_for win ~kind ~fallback:[]) in
+          match
+            Stack.submit stack ~src:(i mod c.C.replicas)
+              ~name:(Printf.sprintf "op%d" i) ~dep op
+          with
+          | None -> ()
+          | Some label ->
+            Depgraph.add g label ~dep;
+            Window.note win ~kind label))
+    ops;
+  Stack.run stack;
+  (ops, g)
+
+(* Label for label (name, origin, seq) and predicate for predicate, in
+   order — except under the sequencer, whose submissions return no
+   label, so the run itself built an empty graph. *)
+let test_intent_equals_submitted () =
+  let render g =
+    List.map
+      (fun l ->
+        Format.asprintf "%s/%d/%d %a" (Label.name l) (Label.origin l)
+          (Label.seq l) Dep.pp (Depgraph.dep_of g l))
+      (Depgraph.labels g)
+  in
+  List.iter
+    (fun base_seed ->
+      List.iter
+        (fun (c : C.case) ->
+          let ops, submitted = submitted_graph c in
+          let intent = D.intent_of_ops ~replicas:c.C.replicas ops in
+          match c.C.spec with
+          | D.Osend_sequencer ->
+            check_int (c.C.name ^ " sequencer submits no label") 0
+              (Depgraph.size submitted)
+          | _ ->
+            Alcotest.(check (list string))
+              (c.C.name ^ " intent = submitted")
+              (render submitted)
+              (render intent.W.graph))
+        (C.generate ~base_seed ~buggify:(base_seed = 7) ~seeds:96 ()))
+    [ 42; 7 ]
+
 let () =
   Alcotest.run "campaign"
     [
@@ -270,6 +361,8 @@ let () =
         ] );
       ( "campaign",
         [
+          Alcotest.test_case "intent = submitted graph" `Quick
+            test_intent_equals_submitted;
           Alcotest.test_case "generation" `Quick test_generation_deterministic;
           Alcotest.test_case "churn generation" `Quick test_churn_generation;
           Alcotest.test_case "case verdicts" `Quick

@@ -193,6 +193,32 @@ let test_stable_checker () =
   | [ d ] -> check_int "both marks cited" 2 (List.length d.Diag.records)
   | _ -> Alcotest.fail "expected one stable-point diag"
 
+(* A cycle the lowest marking node never closed is still cross-checked:
+   node 0 closes only stable:0, nodes 1 and 2 disagree on stable:1.  The
+   checker used to compare everyone against node 0 alone, and passed. *)
+let test_stable_checker_per_tag () =
+  let mark t node tag info =
+    Trace.record t ~time:1.0 ~node ~kind:Trace.Mark ~tag ~info ()
+  in
+  let t = Trace.create () in
+  mark t 0 "stable:0" "digest=aa";
+  mark t 1 "stable:0" "digest=aa";
+  mark t 1 "stable:1" "digest=bb";
+  mark t 2 "stable:0" "digest=aa";
+  mark t 2 "stable:1" "digest=cc";
+  match List.map Diag.to_string (Trace_check.stable_points t) with
+  | [ d ] ->
+    Alcotest.(check string)
+      "node 2 against node 1"
+      "[stable] node 2: replica digests disagree at stable:1: node 1 \
+       recorded digest=bb, node 2 recorded digest=cc\n\
+      \  |      1.000 n1 mark stable:1 digest=bb\n\
+      \  |      1.000 n2 mark stable:1 digest=cc"
+      d
+  | ds ->
+    Alcotest.fail
+      (Printf.sprintf "expected one stable-point diag, got %d" (List.length ds))
+
 (* --- spec lint --------------------------------------------------------- *)
 
 let test_lint () =
@@ -358,6 +384,21 @@ let test_mutations_caught () =
       (Trace_check.total_order ~graph:osend.Drivers.graph
          ~sync:osend.Drivers.sync mut
       <> []));
+  List.iter
+    (fun (a : Drivers.stack_audit) ->
+      match Mutate.duplicate_delivery ~graph:a.Drivers.graph a.Drivers.trace with
+      | None -> Alcotest.fail "no Deliver record to repeat"
+      | Some (mut, victim) ->
+        List.iter
+          (fun (name, checker) ->
+            match checker ~graph:a.Drivers.graph mut with
+            | d :: _ ->
+              check (name ^ " names the repeat a duplicate") true
+                (d.Diag.check = "duplicate"
+                && List.for_all (fun r -> r.Trace.tag = victim.Trace.tag) d.Diag.records)
+            | [] -> Alcotest.fail (name ^ " missed the repeated delivery"))
+          [ ("fifo", Trace_check.fifo); ("causal", Trace_check.causal) ])
+    [ fifo; osend ];
   match Mutate.corrupt_mark merge.Drivers.trace with
   | None -> Alcotest.fail "no stable mark to corrupt"
   | Some (mut, victim) -> (
@@ -366,6 +407,553 @@ let test_mutations_caught () =
     | d :: _ ->
       check "stable diag names the mark" true
         (List.exists (fun r -> r.Trace.tag = victim.Trace.tag) d.Diag.records))
+
+(* --- the oracle as it was before the index, written out ---------------- *)
+
+(* Every checker rescanned the trace per node and kind, rebuilt the tag
+   resolver, and rendered each dependency's tag to test membership; the
+   stable-point checker compared every node against the lowest marking
+   node only.  The indexed oracle must report the very same diagnostics
+   (stable points: the same ones first, then only cycles that node never
+   closed). *)
+module Parent = struct
+  let nodes trace =
+    let seen = Hashtbl.create 8 in
+    Trace.iter trace (fun r ->
+        if r.Trace.node >= 0 then Hashtbl.replace seen r.Trace.node ());
+    List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
+
+  let records_at trace ~node kind =
+    List.rev
+      (Trace.fold trace ~init:[] ~f:(fun acc r ->
+           if r.Trace.node = node && r.Trace.kind = kind then r :: acc else acc))
+
+  let deliver_records trace ~node = records_at trace ~node Trace.Deliver
+
+  let release_records trace ~node =
+    (* The application-visible sequence: [Release] when the stack or a
+       total-order layer recorded releases at this node, else the causal
+       [Deliver] sequence (standalone engines record only that). *)
+    match records_at trace ~node Trace.Release with
+    | [] -> records_at trace ~node Trace.Deliver
+    | rs -> rs
+
+  (* Trace tags are label renderings ([Label.to_string]); the graph is the
+     authority for mapping them back.  Tags the graph does not know (bare
+     transport records, protocol milestones) are skipped by every
+     checker. *)
+  let resolver graph =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun l -> Hashtbl.replace tbl (Label.to_string l) l)
+      (Depgraph.labels graph);
+    fun tag -> Hashtbl.find_opt tbl tag
+
+  let chain_of graph a b =
+    match Depgraph.shortest_path graph a b with
+    | Some path -> path
+    | None -> [ a; b ]
+
+  (* --- causal-delivery safety (paper §3–4) ----------------------------- *)
+
+  let causal ~graph trace =
+    let resolve = resolver graph in
+    let diags = ref [] in
+    List.iter
+      (fun node ->
+        let records = deliver_records trace ~node in
+        (* Membership is tracked by trace tag, not by graph-resolved label:
+           the audited graph is one member's extracted R(M), and under loss
+           it can lack a vertex for a message other members legitimately
+           delivered — resolving such a delivery to nothing would drop it
+           from the set and flag its descendants as premature.  Tags are
+           label renderings and unique per run, so tag equality is label
+           equality wherever both exist. *)
+        let delivered = Hashtbl.create 64 in (* tag -> first Deliver record *)
+        let later_record a rest =
+          List.find_opt
+            (fun r -> String.equal r.Trace.tag (Label.to_string a))
+            rest
+        in
+        let rec scan = function
+          | [] -> ()
+          | r :: rest ->
+            (match resolve r.Trace.tag with
+            | None -> ()
+            | Some label ->
+              let ok l = Hashtbl.mem delivered (Label.to_string l) in
+              let dep = Depgraph.dep_of graph label in
+              if not (Dep.satisfied ~delivered:ok dep) then begin
+                let missing =
+                  List.filter (fun a -> not (ok a)) (Dep.ancestors dep)
+                in
+                let first = List.hd missing in
+                let ancestor_records =
+                  List.filter_map (fun a -> later_record a rest) missing
+                in
+                let describe a =
+                  match later_record a rest with
+                  | Some r' ->
+                    Printf.sprintf "%s (delivered later, t=%.3f)"
+                      (Label.to_string a) r'.Trace.time
+                  | None ->
+                    Printf.sprintf "%s (never delivered here)"
+                      (Label.to_string a)
+                in
+                let which =
+                  match dep with
+                  | Dep.After_any _ -> "any of its R(M) alternatives"
+                  | _ -> "its R(M) ancestors"
+                in
+                diags :=
+                  Diag.make ~check:"causal" ~node
+                    ~records:(r :: ancestor_records)
+                    ~chain:(chain_of graph first label)
+                    (Printf.sprintf "%s delivered before %s: %s"
+                       (Label.to_string label) which
+                       (String.concat ", " (List.map describe missing)))
+                  :: !diags
+              end);
+            (* Every delivery joins the set, resolvable or not — a record
+               the graph cannot name still satisfies dependencies that
+               name it.  A tag already in the set is a second delivery of
+               one message. *)
+            (match Hashtbl.find_opt delivered r.Trace.tag with
+            | Some first ->
+              diags :=
+                Diag.make ~check:"duplicate" ~node ~records:[ first; r ]
+                  (Printf.sprintf "%s delivered twice (first at t=%.3f)"
+                     r.Trace.tag first.Trace.time)
+                :: !diags
+            | None -> Hashtbl.add delivered r.Trace.tag r);
+            scan rest
+        in
+        scan records)
+      (nodes trace);
+    List.rev !diags
+
+  (* --- FIFO per sender -------------------------------------------------- *)
+
+  let fifo ~graph trace =
+    let resolve = resolver graph in
+    let diags = ref [] in
+    List.iter
+      (fun node ->
+        let high = Hashtbl.create 8 in (* origin -> highest (seq, record) *)
+        List.iter
+          (fun r ->
+            match resolve r.Trace.tag with
+            | None -> ()
+            | Some label ->
+              let origin = Label.origin label and seq = Label.seq label in
+              (match Hashtbl.find_opt high origin with
+              | Some (s, prev) when s > seq ->
+                diags :=
+                  Diag.make ~check:"fifo" ~node ~records:[ prev; r ]
+                    (Printf.sprintf
+                       "sender %d out of order: seq %d delivered after seq %d"
+                       origin seq s)
+                  :: !diags
+              | Some (s, prev) when s = seq ->
+                diags :=
+                  Diag.make ~check:"duplicate" ~node ~records:[ prev; r ]
+                    (Printf.sprintf "sender %d seq %d delivered twice" origin
+                       seq)
+                  :: !diags
+              | _ -> ());
+              (match Hashtbl.find_opt high origin with
+              | Some (s, _) when s > seq -> ()
+              | _ -> Hashtbl.replace high origin (seq, r)))
+          (deliver_records trace ~node))
+      (nodes trace);
+    List.rev !diags
+
+  (* --- total-order agreement (paper §5.2 / §3.2 windows) ---------------- *)
+
+  let strict_agreement per_node =
+    match per_node with
+    | [] | [ _ ] -> []
+    | (n0, r0) :: rest ->
+      List.concat_map
+        (fun (n, r) ->
+          let rec cmp i a b =
+            match (a, b) with
+            | [], [] -> []
+            | x :: xs, y :: ys ->
+              if String.equal x.Trace.tag y.Trace.tag then cmp (i + 1) xs ys
+              else
+                [
+                  Diag.make ~check:"total" ~node:n ~records:[ x; y ]
+                    (Printf.sprintf
+                       "release sequences diverge at position %d: node %d \
+                        released %s where node %d released %s"
+                       i n y.Trace.tag n0 x.Trace.tag);
+                ]
+            | x :: _, [] ->
+              [
+                Diag.make ~check:"total" ~node:n ~records:[ x ]
+                  (Printf.sprintf
+                     "node %d released only %d messages; node %d continued \
+                      with %s"
+                     n i n0 x.Trace.tag);
+              ]
+            | [], y :: _ ->
+              [
+                Diag.make ~check:"total" ~node:n ~records:[ y ]
+                  (Printf.sprintf
+                     "node %d released only %d messages; node %d continued \
+                      with %s"
+                     n0 i n y.Trace.tag);
+              ]
+          in
+          cmp 0 r0 r)
+        rest
+
+  (* Split a node's release sequence at the synchronization points: the
+     result is a list of (interior set, closing sync) windows plus a
+     trailing open window.  Members must agree on the sync order and on
+     each interior *set* — order inside a window is free (commutative
+     [Cid] reordering between [Ncid] anchors, §6.1). *)
+  let windows_of ~resolve ~sync records =
+    let close (set, recs) sync_r = (set, recs, sync_r) in
+    let rec go acc cur = function
+      | [] -> (List.rev acc, cur)
+      | r :: rest -> (
+        match resolve r.Trace.tag with
+        | None -> go acc cur rest
+        | Some label ->
+          if Label.Set.mem label sync then go (close cur r :: acc) (Label.Set.empty, []) rest
+          else
+            let set, recs = cur in
+            go acc (Label.Set.add label set, r :: recs) rest)
+    in
+    go [] (Label.Set.empty, []) records
+
+  let set_to_string s =
+    String.concat ", " (List.map Label.to_string (Label.Set.elements s))
+
+  let window_agreement ~resolve ~sync per_node =
+    match per_node with
+    | [] | [ _ ] -> []
+    | (n0, r0) :: rest ->
+      let w0, (tail0, _) = windows_of ~resolve ~sync r0 in
+      List.concat_map
+        (fun (n, r) ->
+          let w, (tail, _) = windows_of ~resolve ~sync r in
+          let rec cmp k a b =
+            match (a, b) with
+            | [], [] ->
+              if Label.Set.equal tail0 tail then []
+              else
+                [
+                  Diag.make ~check:"total" ~node:n
+                    (Printf.sprintf
+                       "open windows differ after the last sync: node %d has \
+                        {%s}, node %d has {%s}"
+                       n0 (set_to_string tail0) n (set_to_string tail));
+                ]
+            | (s0, recs0, sr0) :: xs, (s, recs, sr) :: ys ->
+              if not (String.equal sr0.Trace.tag sr.Trace.tag) then
+                [
+                  Diag.make ~check:"total" ~node:n ~records:[ sr0; sr ]
+                    (Printf.sprintf
+                       "sync order diverges at window %d: node %d closed with \
+                        %s, node %d with %s"
+                       k n0 sr0.Trace.tag n sr.Trace.tag);
+                ]
+              else if not (Label.Set.equal s0 s) then begin
+                let only0 = Label.Set.diff s0 s and only = Label.Set.diff s s0 in
+                let offending =
+                  List.filter
+                    (fun r ->
+                      Label.Set.exists
+                        (fun l -> String.equal (Label.to_string l) r.Trace.tag)
+                        (Label.Set.union only0 only))
+                    (List.rev_append recs0 (List.rev recs))
+                in
+                [
+                  Diag.make ~check:"total" ~node:n
+                    ~records:(offending @ [ sr ])
+                    (Printf.sprintf
+                       "window %d (closed by %s) differs: only node %d has \
+                        {%s}; only node %d has {%s}"
+                       k sr.Trace.tag n0 (set_to_string only0) n
+                       (set_to_string only));
+                ]
+              end
+              else cmp (k + 1) xs ys
+            | (_, _, sr) :: _, [] ->
+              [
+                Diag.make ~check:"total" ~node:n ~records:[ sr ]
+                  (Printf.sprintf
+                     "node %d closed window %d with %s; node %d never closed it"
+                     n0 k sr.Trace.tag n);
+              ]
+            | [], (_, _, sr) :: _ ->
+              [
+                Diag.make ~check:"total" ~node:n ~records:[ sr ]
+                  (Printf.sprintf
+                     "node %d closed window %d with %s; node %d never closed it"
+                     n k sr.Trace.tag n0);
+              ]
+          in
+          cmp 0 w0 w)
+        rest
+
+  let total_order ?(strict = false) ~graph ?sync trace =
+    let per_node =
+      List.map (fun n -> (n, release_records trace ~node:n)) (nodes trace)
+      |> List.filter (fun (_, rs) -> rs <> [])
+    in
+    if strict then strict_agreement per_node
+    else
+      let resolve = resolver graph in
+      let sync =
+        match sync with
+        | Some s -> s
+        | None -> Label.Set.of_list (Depgraph.sync_points graph)
+      in
+      window_agreement ~resolve ~sync per_node
+
+  (* --- stable-point agreement (paper §4.1, §6.1) ------------------------ *)
+
+  let is_stable_mark r =
+    r.Trace.kind = Trace.Mark
+    && String.length r.Trace.tag >= 7
+    && String.sub r.Trace.tag 0 7 = "stable:"
+
+  let stable_points trace =
+    let marks_of node =
+      List.filter is_stable_mark (records_at trace ~node Trace.Mark)
+    in
+    let per_node =
+      List.map (fun n -> (n, marks_of n)) (nodes trace)
+      |> List.filter (fun (_, ms) -> ms <> [])
+    in
+    match per_node with
+    | [] | [ _ ] -> []
+    | (n0, m0) :: rest ->
+      let digest_at marks tag =
+        List.find_opt (fun r -> String.equal r.Trace.tag tag) marks
+      in
+      List.concat_map
+        (fun (n, marks) ->
+          List.filter_map
+            (fun r0 ->
+              match digest_at marks r0.Trace.tag with
+              | Some r when not (String.equal r.Trace.info r0.Trace.info) ->
+                Some
+                  (Diag.make ~check:"stable" ~node:n ~records:[ r0; r ]
+                     (Printf.sprintf
+                        "replica digests disagree at %s: node %d recorded %s, \
+                         node %d recorded %s"
+                        r0.Trace.tag n0 r0.Trace.info n r.Trace.info))
+              | _ -> None)
+            m0)
+        rest
+end
+
+let rendered = List.map Diag.to_string
+
+(* The per-tag rule, as a predicate: some node's first mark of a tag
+   differs from a mark of that tag at the lowest node that recorded it. *)
+let stable_disagreement trace =
+  let marks =
+    List.filter
+      (fun r ->
+        r.Trace.node >= 0
+        && r.Trace.kind = Trace.Mark
+        && String.length r.Trace.tag >= 7
+        && String.sub r.Trace.tag 0 7 = "stable:")
+      (Trace.events trace)
+  in
+  let tags = List.sort_uniq compare (List.map (fun r -> r.Trace.tag) marks) in
+  List.exists
+    (fun tag ->
+      let of_tag = List.filter (fun r -> r.Trace.tag = tag) marks in
+      let low = List.fold_left (fun m r -> min m r.Trace.node) max_int of_tag in
+      let refs = List.filter (fun r -> r.Trace.node = low) of_tag in
+      let others =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun r -> if r.Trace.node > low then Some r.Trace.node else None)
+             of_tag)
+      in
+      List.exists
+        (fun n ->
+          let first = List.find (fun r -> r.Trace.node = n) of_tag in
+          List.exists (fun r0 -> r0.Trace.info <> first.Trace.info) refs)
+        others)
+    tags
+
+(* The indexed oracle against the parent's, every checker, one trace.
+   [Error] names the first checker that differs. *)
+let oracle_agrees ~graph ~sync trace =
+  let same name a b = if rendered a = rendered b then Ok () else Error name in
+  let ( let* ) = Result.bind in
+  let* () =
+    same "causal" (Trace_check.causal ~graph trace) (Parent.causal ~graph trace)
+  in
+  let* () = same "fifo" (Trace_check.fifo ~graph trace) (Parent.fifo ~graph trace) in
+  let* () =
+    same "strict"
+      (Trace_check.total_order ~strict:true ~graph ~sync:Label.Set.empty trace)
+      (Parent.total_order ~strict:true ~graph ~sync:Label.Set.empty trace)
+  in
+  let* () =
+    same "windows"
+      (Trace_check.total_order ~graph ~sync trace)
+      (Parent.total_order ~graph ~sync trace)
+  in
+  let* () =
+    same "same-set"
+      (Trace_check.total_order ~graph ~sync:Label.Set.empty trace)
+      (Parent.total_order ~graph ~sync:Label.Set.empty trace)
+  in
+  let* () =
+    same "sync points"
+      (Trace_check.total_order ~graph trace)
+      (Parent.total_order ~graph trace)
+  in
+  let ix = Trace_check.index ~graph trace in
+  let* () =
+    same "one index"
+      (Trace_check.check_causal ix @ Trace_check.check_fifo ix
+      @ Trace_check.check_total_order ~sync ix
+      @ Trace_check.check_stable_points ix)
+      (Trace_check.causal ~graph trace @ Trace_check.fifo ~graph trace
+      @ Trace_check.total_order ~graph ~sync trace
+      @ Trace_check.stable_points trace)
+  in
+  let now = rendered (Trace_check.stable_points trace)
+  and before = rendered (Parent.stable_points trace) in
+  let k = List.length before in
+  if List.filteri (fun i _ -> i < k) now <> before then Error "stable prefix"
+  else if (now <> []) <> stable_disagreement trace then Error "stable per tag"
+  else Ok ()
+
+(* Random graphs over [u] labels ([u - n] never added; predicates may
+   name them, name later labels, or name a label under its unnamed
+   rendering; labels 2 and 3 render alike), and random traces over their
+   renderings, a stray tag and three stable-point tags, at nodes -1..3
+   and one far-off node id. *)
+let oracle_label i =
+  lbl ~name:(Printf.sprintf "op%d" (if i = 3 then 2 else i)) (i mod 3) (i / 3)
+
+let oracle_gen =
+  let open QCheck2.Gen in
+  int_range 1 10 >>= fun n ->
+  int_range 0 3 >>= fun absent ->
+  let u = n + absent in
+  let dep = pair (int_range 0 3) (list_size (int_range 0 3) (pair (int_range 0 (u - 1)) bool)) in
+  let record =
+    quad
+      (frequency
+         [ (1, return Trace.Send); (1, return Trace.Receive); (5, return Trace.Deliver);
+           (4, return Trace.Release); (3, return Trace.Mark); (1, return Trace.Drop) ])
+      (int_range (-1) 4) (int_range 0 (u + 1)) (int_range 0 2)
+  in
+  quad (return u) (list_repeat n dep)
+    (list_size (int_range 0 60) record)
+    (list_size (int_range 0 4) (int_range 0 (u - 1)))
+
+let oracle_case (u, deps, records, sync) =
+  let g = Depgraph.create () in
+  List.iteri
+    (fun i (kind, names) ->
+      let ls =
+        List.filter_map
+          (fun (j, unnamed) ->
+            if j = i then None
+            else if unnamed then Some (lbl (j mod 3) (j / 3))
+            else Some (oracle_label j))
+          names
+      in
+      let dep =
+        match (kind, ls) with
+        | 0, _ | _, [] -> Dep.Null
+        | 1, l :: _ -> Dep.After l
+        | 2, _ -> Dep.After_all ls
+        | _ -> Dep.After_any ls
+      in
+      Depgraph.add g (oracle_label i) ~dep)
+    deps;
+  let t = Trace.create () in
+  List.iteri
+    (fun i (kind, node, tag, info) ->
+      let node = if node = 4 then 5000 else node in
+      let tag =
+        match kind with
+        | Trace.Mark -> if tag = u + 1 then "lock" else Printf.sprintf "stable:%d" (tag mod 3)
+        | _ ->
+          if tag < u then Label.to_string (oracle_label tag)
+          else if tag = u then "m0.0"
+          else "x"
+      in
+      Trace.record t ~time:(float_of_int i) ~node ~kind ~tag
+        ~info:(Printf.sprintf "digest=%d" info) ())
+    records;
+  (g, Label.Set.of_list (List.map oracle_label sync), t)
+
+let print_oracle_case (u, deps, records, sync) =
+  Printf.sprintf "u=%d deps=[%s] records=[%s] sync=[%s]" u
+    (String.concat "; "
+       (List.map
+          (fun (k, ns) ->
+            Printf.sprintf "%d:%s" k
+              (String.concat ","
+                 (List.map (fun (j, un) -> Printf.sprintf "%d%s" j (if un then "'" else "")) ns)))
+          deps))
+    (String.concat "; "
+       (List.map
+          (fun (k, n, tag, info) ->
+            Printf.sprintf "%s@%d:%d/%d" (Trace.kind_to_string k) n tag info)
+          records))
+    (String.concat "," (List.map string_of_int sync))
+
+let prop_oracle_equals_parent =
+  QCheck2.Test.make ~count:500 ~name:"oracle = parent, random traces"
+    ~print:print_oracle_case oracle_gen (fun c ->
+      let graph, sync, trace = oracle_case c in
+      match oracle_agrees ~graph ~sync trace with
+      | Ok () -> true
+      | Error which -> QCheck2.Test.fail_reportf "%s differs" which)
+
+(* The same comparison on simulated traces, clean and with each Mutate
+   plant, over every composition. *)
+let test_oracle_equals_parent_planted () =
+  List.iter
+    (fun (seed, spec) ->
+      let _, a = audit_of ~seed ~replicas:4 ~ops:24 ~window:3 spec in
+      let graph = a.Drivers.graph and sync = a.Drivers.sync in
+      let tr = a.Drivers.trace in
+      let first (t, _, _) = t in
+      let plants =
+        [
+          ("clean", Some tr);
+          ("reorder_causal", Option.map first (Mutate.reorder_causal ~graph tr));
+          ("reorder_fifo", Option.map first (Mutate.reorder_fifo ~graph tr));
+          ("reorder_release", Option.map first (Mutate.reorder_release ~graph tr));
+          ( "reorder_release ~sync",
+            Option.map first (Mutate.reorder_release ~sync ~graph tr) );
+          ("corrupt_mark", Option.map fst (Mutate.corrupt_mark tr));
+          ("duplicate_delivery", Option.map fst (Mutate.duplicate_delivery ~graph tr));
+        ]
+      in
+      List.iter
+        (fun (plant, mutated) ->
+          match mutated with
+          | None -> ()
+          | Some t -> (
+            match oracle_agrees ~graph ~sync t with
+            | Ok () -> ()
+            | Error which ->
+              Alcotest.failf "%s seed %d, %s: %s differs"
+                (Drivers.stack_spec_name spec) seed plant which))
+        plants)
+    (List.concat_map
+       (fun seed -> List.map (fun spec -> (seed, spec)) (all_specs 24 @ [ Drivers.Pc_stack ]))
+       [ 3; 42; 77 ])
 
 (* --- properties -------------------------------------------------------- *)
 
@@ -434,6 +1022,8 @@ let () =
           Alcotest.test_case "duplicate" `Quick test_duplicate_checker;
           Alcotest.test_case "total order" `Quick test_total_order_checker;
           Alcotest.test_case "stable points" `Quick test_stable_checker;
+          Alcotest.test_case "stable points per tag" `Quick
+            test_stable_checker_per_tag;
         ] );
       ( "lint",
         [
@@ -448,4 +1038,10 @@ let () =
           Alcotest.test_case "mutations caught" `Quick test_mutations_caught;
         ] );
       ("props", [ prop_clean_workloads; prop_mutations_always_caught ]);
+      ( "index",
+        [
+          QCheck_alcotest.to_alcotest prop_oracle_equals_parent;
+          Alcotest.test_case "simulated and planted traces" `Quick
+            test_oracle_equals_parent_planted;
+        ] );
     ]
