@@ -27,42 +27,12 @@ module Objects = Causalb_data.Objects
 module Commute_lint = Causalb_data.Commute_lint
 module Rng = Causalb_util.Rng
 
-let all_specs ops =
-  [
-    Drivers.Fifo_only;
-    Drivers.Bss_stack;
-    Drivers.Psync_stack;
-    Drivers.Osend_stack;
-    Drivers.Osend_merge;
-    Drivers.Osend_counted (ops + 1);
-    Drivers.Osend_sequencer;
-    Drivers.Pc_stack;
-  ]
-
-let spec_of_string ops s =
-  match String.lowercase_ascii s with
-  | "fifo" -> Ok Drivers.Fifo_only
-  | "bss" -> Ok Drivers.Bss_stack
-  | "psync" -> Ok Drivers.Psync_stack
-  | "osend" -> Ok Drivers.Osend_stack
-  | "merge" | "osend+merge" -> Ok Drivers.Osend_merge
-  | "counted" | "osend+counted" -> Ok (Drivers.Osend_counted (ops + 1))
-  | "sequencer" | "osend+sequencer" -> Ok Drivers.Osend_sequencer
-  | "pc" -> Ok Drivers.Pc_stack
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown composition %S (expected \
-          fifo|bss|psync|osend|merge|counted|sequencer|pc)"
-         s)
-
-let checkers_for = function
-  | Drivers.Fifo_only | Drivers.Bss_stack -> "fifo, same-set"
-  | Drivers.Pc_stack -> "fifo, causal, same-set"
-  | Drivers.Psync_stack -> "causal, same-set"
-  | Drivers.Osend_stack -> "causal, windows, stable"
-  | Drivers.Osend_merge | Drivers.Osend_counted _ | Drivers.Osend_sequencer ->
-    "causal, strict-order, stable"
+(* The checker column: the composition's audit-policy row. *)
+let checkers_column spec =
+  String.concat ", "
+    (List.map
+       (fun (c, _) -> Drivers.checker_name c)
+       (Drivers.audit_policy spec Drivers.Fixed))
 
 let audit_of ~seed ~latency ~replicas ~w spec =
   let r = Drivers.run_stack ~seed ~latency ~check:true ~replicas spec w in
@@ -91,7 +61,7 @@ let run_audits ~seed ~sigma ~replicas ~ops ~window ~spacing ~verbose ~json
     if not json then
       Printf.printf "%-18s [%-27s] trace=%-5d lint=%d static=%d  %s\n"
         (Drivers.stack_spec_name spec)
-        (checkers_for spec)
+        (checkers_column spec)
         (Trace.length a.Drivers.trace)
         (List.length a.Drivers.lint)
         (List.length a.Drivers.static)
@@ -379,18 +349,7 @@ let main seed sigma replicas ops window spacing verbose json self objects specs
   if self then self_test ~seed ~sigma ~replicas ~ops ~window ~spacing ()
   else if objects then run_objects ~seed ~replicas ~verbose ~json ()
   else
-    let chosen =
-      if specs = [] then Ok (all_specs ops)
-      else
-        List.fold_right
-          (fun s acc ->
-            match (spec_of_string ops s, acc) with
-            | Ok spec, Ok rest -> Ok (spec :: rest)
-            | Error e, _ -> Error e
-            | _, (Error _ as e) -> e)
-          specs (Ok [])
-    in
-    match chosen with
+    match Drivers.parse_specs ~counted:(ops + 1) specs with
     | Error msg ->
       prerr_endline ("causalb-check: " ^ msg);
       2

@@ -35,35 +35,6 @@ module Conference = Causalb_protocols.Conference
 module Card_game = Causalb_protocols.Card_game
 module Name_service = Causalb_protocols.Name_service
 
-let all_specs ops =
-  [
-    Drivers.Fifo_only;
-    Drivers.Bss_stack;
-    Drivers.Psync_stack;
-    Drivers.Osend_stack;
-    Drivers.Osend_merge;
-    Drivers.Osend_counted (ops + 1);
-    Drivers.Osend_sequencer;
-    Drivers.Pc_stack;
-  ]
-
-let spec_of_string ops s =
-  match String.lowercase_ascii s with
-  | "fifo" -> Ok Drivers.Fifo_only
-  | "bss" -> Ok Drivers.Bss_stack
-  | "psync" -> Ok Drivers.Psync_stack
-  | "osend" -> Ok Drivers.Osend_stack
-  | "merge" | "osend+merge" -> Ok Drivers.Osend_merge
-  | "counted" | "osend+counted" -> Ok (Drivers.Osend_counted (ops + 1))
-  | "sequencer" | "osend+sequencer" -> Ok Drivers.Osend_sequencer
-  | "pc" -> Ok Drivers.Pc_stack
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown composition %S (expected \
-          fifo|bss|psync|osend|merge|counted|sequencer|pc)"
-         s)
-
 let emit_diags ~json ds =
   if json then List.iter (fun d -> print_endline (Diag.to_json_line d)) ds
   else List.iter (fun d -> print_endline ("    " ^ Diag.to_string d)) ds
@@ -348,7 +319,7 @@ let self_test ~json () =
           (Drivers.stack_spec_name spec);
         emit_diags ~json r.Drivers.static_diags
       end)
-    (all_specs 60);
+    (Drivers.stack_specs ~counted:61);
   print_newline ();
   if !failures = 0 then begin
     print_endline "self-test passed: every seeded violation was caught";
@@ -423,18 +394,7 @@ let spec_args =
 let main seed sigma replicas ops window spacing verbose json all self specs =
   if self then self_test ~json ()
   else
-    let chosen =
-      if specs = [] then Ok (all_specs ops)
-      else
-        List.fold_right
-          (fun s acc ->
-            match (spec_of_string ops s, acc) with
-            | Ok spec, Ok rest -> Ok (spec :: rest)
-            | Error e, _ -> Error e
-            | _, (Error _ as e) -> e)
-          specs (Ok [])
-    in
-    match chosen with
+    match Drivers.parse_specs ~counted:(ops + 1) specs with
     | Error msg ->
       prerr_endline ("causalb-lint: " ^ msg);
       2

@@ -3,13 +3,13 @@
 
     Every layer of a composed pipeline declares what ordering guarantee
     it {e requires} from the composition below it and what it
-    {e provides} above ({!Causalb_stack.Layer.S}).  This pass folds a
-    pipeline bottom-up through the {!Causalb_stackbase.Guarantee}
-    lattice: at each layer the guarantee available so far must dominate
-    the layer's requirement, and the layer's [provides] joins into what
-    is available above it.  The fold yields the {e top-of-stack}
-    guarantee — what the application may rely on — and every violated
-    requirement as a structured issue.
+    {e provides} above ({!Causalb_stack.Stack.layer_guarantees}).  This
+    pass folds a pipeline bottom-up through the
+    {!Causalb_stackbase.Guarantee} lattice: at each layer the guarantee
+    available so far must dominate the layer's requirement, and the
+    layer's [provides] joins into what is available above it.  The fold
+    yields the {e top-of-stack} guarantee — what the application may
+    rely on — and every violated requirement as a structured issue.
 
     A second check compares a {e claim} — the consistency level a
     configuration declares it needs (for the shipped compositions, the

@@ -18,6 +18,7 @@ type t = {
   sync : Label.Set.t;
   objects : obj list;
   sites : site list;
+  deps : Dep.t array;
 }
 
 let obj_of_spec ?name (spec : _ Seq_spec.t) =
@@ -29,7 +30,9 @@ let obj_of_spec ?name (spec : _ Seq_spec.t) =
 
 (* Replay the §6.1 front-end bookkeeping purely: member [src i] submits
    operation [i] with the Window-derived predicate, under the same
-   per-origin label numbering the stack's submission path uses. *)
+   per-origin label numbering the stack's submission path uses.  The
+   predicates are also kept by position, for a driver that submits
+   operation [i] with [deps.(i)]. *)
 let build ~spec ~obj indexed =
   let obj_name =
     match obj with Some n -> n | None -> spec.Seq_spec.name
@@ -38,6 +41,7 @@ let build ~spec ~obj indexed =
   let graph = Depgraph.create () in
   let sync = ref Label.Set.empty in
   let seqs = Hashtbl.create 8 in
+  let deps = Array.make (List.length indexed) Dep.null in
   let sites =
     List.mapi
       (fun i (origin, op) ->
@@ -50,6 +54,7 @@ let build ~spec ~obj indexed =
         in
         let kind = Seq_spec.kind spec op in
         let dep = Dep.after_all (Window.deps_for win ~kind ~fallback:[]) in
+        deps.(i) <- dep;
         Depgraph.add graph label ~dep;
         Window.note win ~kind label;
         if kind = Op.Non_commutative then sync := Label.Set.add label !sync;
@@ -61,6 +66,7 @@ let build ~spec ~obj indexed =
     sync = !sync;
     objects = [ obj_of_spec ~name:obj_name spec ];
     sites;
+    deps;
   }
 
 let of_ops ~spec ?obj ?(src = fun _ -> 0) ops =
@@ -83,7 +89,14 @@ let of_sites ~graph ?(sync = Label.Set.empty) ~objects sites =
         invalid_arg
           (Printf.sprintf "Workload.of_sites: unknown object %S" s.obj))
     sites;
-  { graph; sync; objects; sites }
+  {
+    graph;
+    sync;
+    objects;
+    sites;
+    deps =
+      Array.of_list (List.map (fun s -> Depgraph.dep_of graph s.label) sites);
+  }
 
 let conflicts t a b =
   a.obj = b.obj

@@ -13,6 +13,7 @@
     [Workflow]-derived graphs. *)
 
 module Label := Causalb_graph.Label
+module Dep := Causalb_graph.Dep
 module Depgraph := Causalb_graph.Depgraph
 module Seq_spec := Causalb_data.Seq_spec
 
@@ -37,6 +38,9 @@ type t = {
   sync : Label.Set.t;     (** labels submitted as synchronization points *)
   objects : obj list;
   sites : site list;      (** in submission order *)
+  deps : Dep.t array;
+      (** the predicate each site is submitted with, by position: site
+          [i]'s label carries [deps.(i)] in [graph] *)
 }
 
 val obj_of_spec : ?name:string -> ('op, 'state) Seq_spec.t -> obj
@@ -69,7 +73,8 @@ val of_sites :
   objects:obj list ->
   site list ->
   t
-(** Wrap an existing graph (e.g. [Workflow.graph_of]) and its sites.
+(** Wrap an existing graph (e.g. [Workflow.graph_of]) and its sites;
+    [deps] are the sites' predicates in the graph.
     @raise Invalid_argument if a site's label is missing from the graph
     or its [obj] names no object. *)
 

@@ -51,7 +51,7 @@ module Merge : sig
   (** Completed brackets so far. *)
 
   val metrics : 'a t -> Causalb_stackbase.Metrics.t
-  (** Uniform layer metrics (see {!Causalb_stack.Layer}). *)
+  (** Uniform layer metrics (see {!Causalb_stackbase.Metrics}). *)
 
   val provides : Causalb_stackbase.Guarantee.t
   (** [Causal_total] — identical release sequence at every member. *)
@@ -83,7 +83,7 @@ module Counted : sig
   val batches : 'a t -> int
 
   val metrics : 'a t -> Causalb_stackbase.Metrics.t
-  (** Uniform layer metrics (see {!Causalb_stack.Layer}). *)
+  (** Uniform layer metrics (see {!Causalb_stackbase.Metrics}). *)
 
   val provides : Causalb_stackbase.Guarantee.t
   (** [Causal_total] — identical release sequence at every member. *)

@@ -49,7 +49,7 @@ val buffered_ever : 'a member -> int
     forced-wait counter of T6. *)
 
 val metrics : 'a member -> Causalb_stackbase.Metrics.t
-(** The member's uniform layer metrics (see {!Causalb_stack.Layer}). *)
+(** The member's uniform layer metrics (see {!Causalb_stackbase.Metrics}). *)
 
 val provides : Causalb_stackbase.Guarantee.t
 (** [Causal] — vector-clock potential causality. *)

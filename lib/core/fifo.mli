@@ -26,7 +26,7 @@ val buffered_ever : 'a member -> int
     — the uniform forced-wait counter of the ordering stack. *)
 
 val metrics : 'a member -> Causalb_stackbase.Metrics.t
-(** The member's uniform layer metrics (see {!Causalb_stack.Layer}). *)
+(** The member's uniform layer metrics (see {!Causalb_stackbase.Metrics}). *)
 
 val provides : Causalb_stackbase.Guarantee.t
 (** [Fifo] — per-sender order, nothing across senders. *)

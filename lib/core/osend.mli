@@ -60,7 +60,7 @@ val buffered_ever : 'a t -> int
     experiment T6. *)
 
 val metrics : 'a t -> Causalb_stackbase.Metrics.t
-(** The member's uniform layer metrics (see {!Causalb_stack.Layer}). *)
+(** The member's uniform layer metrics (see {!Causalb_stackbase.Metrics}). *)
 
 val provides : Causalb_stackbase.Guarantee.t
 (** [Causal] — explicit [Occurs_After] predicates, exactly [R(M)]. *)

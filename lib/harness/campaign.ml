@@ -171,11 +171,27 @@ let generate ?(base_seed = 42) ?(buggify = false) ?(min_phases = 0)
 let dedup xs =
   List.fold_left (fun acc x -> if List.mem x acc then acc else acc @ [ x ]) [] xs
 
-(* [mutate] re-audits the run with one seeded violation spliced into the
+(* [mutate] re-audits the run with one seeded violation spliced into its
    trace ([Causalb_check.Mutate]) — the self-test that the campaign's
    oracle plumbing actually rejects bad orderings, end to end, on the
    very traces it hunts over.  A case whose trace has no mutation site
-   (too few dependent deliveries) passes. *)
+   (too few dependent deliveries) keeps its verdicts. *)
+let reaudit ?mutate spec ~lost (a : D.stack_audit) =
+  match Option.bind mutate (fun mutate -> mutate a) with
+  | None -> a.D.diagnostics
+  | Some mutated -> D.recheck spec ~lost { a with D.trace = mutated }
+
+let verdict (c : case) ~ok ~lost ~messages diags =
+  {
+    case = c;
+    ok = ok && diags = [];
+    lost;
+    messages;
+    checks = dedup (List.map (fun d -> d.Diag.check) diags);
+    violation =
+      (match diags with d :: _ -> Some (Diag.to_string d) | [] -> None);
+  }
+
 let run_case_stack ?mutate (c : case) =
   let r =
     D.run_stack ~seed:c.seed ~check:true ~nemesis:c.nemesis
@@ -186,73 +202,46 @@ let run_case_stack ?mutate (c : case) =
     | Some a -> a
     | None -> assert false (* ~check:true always produces an audit *)
   in
-  let diags =
-    match mutate with
-    | None -> audit.D.diagnostics
-    | Some mutate -> (
-      match mutate ~graph:audit.D.graph audit.D.trace with
-      | None -> audit.D.diagnostics
-      | Some mutated ->
-        D.recheck c.spec ~lost:r.D.lost { audit with D.trace = mutated })
-  in
-  {
-    case = c;
-    ok = r.D.checks_ok && diags = [];
-    lost = r.D.lost;
-    messages = r.D.messages;
-    checks = dedup (List.map (fun d -> d.Diag.check) diags);
-    violation =
-      (match diags with d :: _ -> Some (Diag.to_string d) | [] -> None);
-  }
+  verdict c ~ok:r.D.checks_ok ~lost:r.D.lost ~messages:r.D.messages
+    (reaudit ?mutate c.spec ~lost:r.D.lost audit)
 
 (* A schedule with membership events runs the PC-broadcast churn driver
-   instead, audited by the same gate the driver applies to itself
-   ([Drivers.recheck_pc]).  The planted inversion is spliced into the
-   founders' view — the portion of the trace the causal pass actually
-   audits — so a mutation landing on a joiner can't silently pass.
-   [lost] reports departure drops too (they are copies the nemesis
-   removed from the wire); the causal gate counts only partition/loss. *)
-let run_case_pc ?(plant = false) (c : case) =
+   instead, audited under its [Churned] view.  The verdict's [lost]
+   reports departure drops too (they are copies the nemesis removed from
+   the wire); the audit counts only partition/loss. *)
+let run_case_pc ?mutate (c : case) =
   let r =
     D.run_pc ~seed:c.seed ~nemesis:c.nemesis ~replicas:c.replicas c.workload
   in
-  let diags =
-    if not plant then r.D.pc_diagnostics
-    else
-      let view = D.founders_view r.D.pc_trace ~founders:c.replicas in
-      match Mutate.reorder_causal ~graph:r.D.pc_graph view with
-      | None -> r.D.pc_diagnostics
-      | Some (mutated, _, _) ->
-        D.recheck_pc ~replicas:c.replicas ~lost:r.D.pc_lost
-          ~graph:r.D.pc_graph mutated
+  verdict c ~ok:r.D.pc_checks_ok
+    ~lost:(r.D.pc_lost + r.D.pc_departure_drops)
+    ~messages:r.D.pc_messages
+    (reaudit ?mutate c.spec ~lost:r.D.pc_lost r.D.pc_audit)
+
+(* The planted violation: a FIFO inversion for the compositions held to
+   per-sender order only, a causal inversion otherwise — spliced, under
+   churn, into the founders' view, the portion of the trace the causal
+   pass audits, so a mutation landing on a joiner can't silently pass. *)
+let planted (c : case) (a : D.stack_audit) =
+  let reorder =
+    match c.spec with
+    | D.Fifo_only | D.Bss_stack -> Mutate.reorder_fifo
+    | _ -> Mutate.reorder_causal
   in
-  {
-    case = c;
-    ok = r.D.pc_checks_ok && diags = [];
-    lost = r.D.pc_lost + r.D.pc_departure_drops;
-    messages = r.D.pc_messages;
-    checks = dedup (List.map (fun d -> d.Diag.check) diags);
-    violation =
-      (match diags with d :: _ -> Some (Diag.to_string d) | [] -> None);
-  }
+  let trace =
+    match a.D.membership with
+    | D.Fixed -> a.D.trace
+    | D.Churned { founders } -> D.founders_view a.D.trace ~founders
+  in
+  Option.map (fun (t, _, _) -> t) (reorder ~graph:a.D.graph trace)
 
 (* Dispatch is per-case-value, not per-campaign: a shrinker candidate
    whose churn events were all removed is an ordinary static case and
    runs (validly) through the stack driver. *)
-let run_case ?plant (c : case) =
-  if Nemesis.has_churn c.nemesis then run_case_pc ?plant c
-  else
-    let reorder =
-      match c.spec with
-      (* FIFO/BSS are only held to per-sender order, so the planted
-         violation must be one their checker sees. *)
-      | D.Fifo_only | D.Bss_stack -> Mutate.reorder_fifo
-      | _ -> Mutate.reorder_causal
-    in
-    let mutate ~graph trace =
-      Option.map (fun (t, _, _) -> t) (reorder ~graph trace)
-    in
-    if plant = Some true then run_case_stack ~mutate c else run_case_stack c
+let run_case ?(plant = false) (c : case) =
+  let mutate = if plant then Some (planted c) else None in
+  if Nemesis.has_churn c.nemesis then run_case_pc ?mutate c
+  else run_case_stack ?mutate c
 
 (* --- shrinking --- *)
 
@@ -341,8 +330,8 @@ let failures r = List.filter (fun v -> not v.ok) r.verdicts
 
 (* A case that raises is a failed verdict of its own, not a torn-down
    sweep. *)
-let run_case_caught ~plant c =
-  try run_case ~plant c
+let run_case_caught c =
+  try run_case c
   with e ->
     {
       case = c;
@@ -353,11 +342,11 @@ let run_case_caught ~plant c =
       violation = Some ("task failed: " ^ Printexc.to_string e);
     }
 
-let run ?(jobs = 1) ?(base_seed = 42) ?(buggify = false) ?(plant = false)
-    ?(churn = false) ~seeds () =
+let run ?(jobs = 1) ?(base_seed = 42) ?(buggify = false) ?(churn = false)
+    ~seeds () =
   let cases = generate ~base_seed ~buggify ~churn ~seeds () in
   let t0 = Unix.gettimeofday () in
-  let verdicts = Pool.map ~jobs (run_case_caught ~plant) cases in
+  let verdicts = Pool.map ~jobs run_case_caught cases in
   let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
   (* Shrinking is sequential, in-process, after the sweep: each failure
      needs many dependent re-runs, and failures are the rare path. *)
@@ -369,7 +358,7 @@ let run ?(jobs = 1) ?(base_seed = 42) ?(buggify = false) ?(plant = false)
           (* a case that raised has no trace to shrink against *)
           Some { original = v; minimal = v.case; attempts = 0 }
         else
-          let minimal, attempts = shrink ~plant v.case in
+          let minimal, attempts = shrink v.case in
           Some { original = v; minimal; attempts })
       verdicts
   in
@@ -435,8 +424,8 @@ let self_test ?(base_seed = 42) ?(log = Printer.line) () =
          churn_found);
     (* exactly-once delivery: one repeated [Deliver] record must fail
        every composition's case as a [duplicate] *)
-    let duplicate ~graph trace =
-      Option.map fst (Mutate.duplicate_delivery ~graph trace)
+    let duplicate (a : D.stack_audit) =
+      Option.map fst (Mutate.duplicate_delivery ~graph:a.D.graph a.D.trace)
     in
     let dup_found =
       List.length

@@ -59,16 +59,16 @@ val generate :
 
 val run_case : ?plant:bool -> case -> verdict
 (** Execute one case.  A schedule with membership events runs
-    {!Drivers.run_pc} and is audited by the same gate the driver applies
-    to itself ({!Drivers.recheck_pc}: FIFO over everyone, causal over
-    the founders' view, disarmed by partition/loss); any other case runs
-    {!Drivers.run_stack} with [~check:true].  [~plant:true] additionally
-    splices one seeded ordering violation into the run's trace
-    ([Causalb_check.Mutate] — a FIFO inversion for the FIFO/BSS
-    compositions, a causal inversion for the graph engines and the
-    churn path, where it lands inside the founders' view) and re-audits:
-    the verdict must come back [ok = false] if the oracle plumbing
-    works.  A planted case whose trace has no mutation site passes. *)
+    {!Drivers.run_pc} (audited under its [Churned] view: FIFO over
+    everyone, causal over the founders' view, disarmed by
+    partition/loss); any other case runs {!Drivers.run_stack} with
+    [~check:true].  [~plant:true] additionally splices one seeded
+    ordering violation into the run's trace ([Causalb_check.Mutate] — a
+    FIFO inversion for the FIFO/BSS compositions, a causal inversion for
+    the graph engines and the churn path, where it lands inside the
+    founders' view) and re-audits through {!Drivers.recheck}: the
+    verdict must come back [ok = false] if the oracle plumbing works.  A
+    planted case whose trace has no mutation site passes. *)
 
 val shrink : ?plant:bool -> case -> case * int
 (** Minimize a failing case: drop nemesis events one at a time (keeping
@@ -96,7 +96,6 @@ val run :
   ?jobs:int ->
   ?base_seed:int ->
   ?buggify:bool ->
-  ?plant:bool ->
   ?churn:bool ->
   seeds:int ->
   unit ->

@@ -1,7 +1,9 @@
-(* Shared machinery for the experiment harness: one §6.1 workload driver
-   over any stack composition ([run_stack]), the standalone
-   Lamport-timestamp order ([run_timestamp]), the PC-broadcast churn
-   driver ([run_pc]) and the spec-derived object driver ([run_object]). *)
+(* Shared machinery for the experiment harness: the composition
+   catalogue and the audit policy every run is held to ([recheck]), one
+   §6.1 workload driver over any stack composition ([run_stack]), the
+   standalone Lamport-timestamp order ([run_timestamp]), the
+   PC-broadcast churn driver ([run_pc]) and the spec-derived object
+   driver ([run_object]). *)
 
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
@@ -11,11 +13,8 @@ module Osend = Causalb_core.Osend
 module Asend = Causalb_core.Asend
 module Message = Causalb_core.Message
 module Label = Causalb_graph.Label
-module Dep = Causalb_graph.Dep
-module Op = Causalb_data.Op
 module Dt = Causalb_data.Datatypes
 module Service = Causalb_data.Service
-module Window = Causalb_data.Window
 module Objects = Causalb_data.Objects
 module Replica = Causalb_data.Replica
 module Stats = Causalb_util.Stats
@@ -82,15 +81,102 @@ let stack_spec_name = function
   | Osend_sequencer -> "osend+sequencer"
   | Pc_stack -> "pc"
 
+(* The catalogue, in report order.  A function, not a value: the
+   count-merge size is the caller's. *)
+let stack_specs ~counted =
+  [
+    Fifo_only;
+    Bss_stack;
+    Psync_stack;
+    Osend_stack;
+    Osend_merge;
+    Osend_counted counted;
+    Osend_sequencer;
+    Pc_stack;
+  ]
+
+let stack_spec_of_string ~counted s =
+  match String.lowercase_ascii s with
+  | "fifo" -> Ok Fifo_only
+  | "bss" -> Ok Bss_stack
+  | "psync" -> Ok Psync_stack
+  | "osend" -> Ok Osend_stack
+  | "merge" | "osend+merge" -> Ok Osend_merge
+  | "counted" | "osend+counted" -> Ok (Osend_counted counted)
+  | "sequencer" | "osend+sequencer" -> Ok Osend_sequencer
+  | "pc" -> Ok Pc_stack
+  | _ ->
+    Error
+      (Printf.sprintf
+         "unknown composition %S (expected \
+          fifo|bss|psync|osend|merge|counted|sequencer|pc)"
+         s)
+
+let parse_specs ~counted = function
+  | [] -> Ok (stack_specs ~counted)
+  | names ->
+    List.fold_right
+      (fun s acc ->
+        match (stack_spec_of_string ~counted s, acc) with
+        | Ok spec, Ok rest -> Ok (spec :: rest)
+        | Error e, _ -> Error e
+        | _, (Error _ as e) -> e)
+      names (Ok [])
+
+(* --- the audit policy ---
+   Which of the paper's guarantees each composition answers for, written
+   once: [recheck] runs it, [run_stack]'s online agreement check and
+   stable-point trackers read it, and causalb-check renders its checker
+   column from it. *)
+
+type checker = Fifo | Causal | Same_set | Windows | Strict_order | Stable
+
+type arming = Always | Complete
+
+type membership = Fixed | Churned of { founders : int }
+
+let checker_name = function
+  | Fifo -> "fifo"
+  | Causal -> "causal"
+  | Same_set -> "same-set"
+  | Windows -> "windows"
+  | Strict_order -> "strict-order"
+  | Stable -> "stable"
+
+(* One row per composition, in report order (the table is in the
+   interface).  [Complete] checkers need every scheduled copy to arrive:
+   under loss a member legitimately never sees some messages, so the
+   oracle keeps to safety — causal order, FIFO per sender over what {e
+   was} delivered, and stable-point digests (a cycle only closes at
+   members that saw its whole window, so closed cycles must still
+   agree).  FIFO and BSS answer for per-sender order only: the front-end
+   submits on schedule without waiting for delivery, so explicit R(M)
+   edges between senders are not potential causality.  PC keeps FIFO
+   per origin unconditionally (gaps park, they never skip) but promises
+   causal order only over reliable links.  Under churn the causal pass
+   reads the founders' view ([founders_view]). *)
+let audit_policy spec membership =
+  match (membership, spec) with
+  | Churned _, _ -> [ (Fifo, Always); (Causal, Complete) ]
+  | Fixed, (Fifo_only | Bss_stack) -> [ (Fifo, Always); (Same_set, Complete) ]
+  | Fixed, Pc_stack ->
+    [ (Fifo, Always); (Causal, Complete); (Same_set, Complete) ]
+  | Fixed, Psync_stack -> [ (Causal, Always); (Same_set, Complete) ]
+  | Fixed, Osend_stack ->
+    [ (Causal, Always); (Windows, Complete); (Stable, Always) ]
+  | Fixed, (Osend_merge | Osend_counted _ | Osend_sequencer) ->
+    [ (Causal, Always); (Strict_order, Complete); (Stable, Always) ]
+
 (* Everything the offline ordering oracle needs to audit one run: the
    trace, the dependency graph the delivery order is checked against
    (extracted from member 0 when the causal layer builds one, else the
-   graph the front-end intended), the synchronization points, and the
-   verdicts. *)
+   graph the front-end intended), the synchronization points, the
+   membership view, and the verdicts. *)
 type stack_audit = {
   trace : Causalb_sim.Trace.t;
   graph : Causalb_graph.Depgraph.t;
   sync : Label.Set.t;
+  membership : membership;
   diagnostics : Causalb_check.Diag.t list;
   lint : Causalb_check.Spec_lint.issue list;
   static : Causalb_check.Diag.t list;
@@ -108,7 +194,6 @@ type stack_result = {
   layers : Metrics.t list;
   checks_ok : bool;
   sim_time : float;
-  refused : bool;       (* static verifier rejected before execution *)
   audit : stack_audit option;  (* present under [~check:true] *)
 }
 
@@ -160,12 +245,12 @@ let claim_of = function
   | Psync_stack | Osend_stack | Pc_stack -> Guarantee.Causal
   | Osend_merge | Osend_counted _ | Osend_sequencer -> Guarantee.Causal_total
 
-(* The workload intent: the same §6.1 Window bookkeeping [submit_op]
-   performs below, replayed purely over the op list, with the same
-   per-origin label numbering.  [run_stack ~check:true] builds it once,
-   before execution: the race lint analyses it, the spec lint lints its
-   graph (both over one reachability index), and it is the audit graph
-   of the compositions whose causal layer extracts no R(M). *)
+(* The workload intent: the §6.1 Window bookkeeping over the op list,
+   with the per-origin label numbering the stack assigns.  [run_stack]
+   builds it once, before execution, and submits from it; under
+   [~check] the race lint analyses it, the spec lint lints its graph
+   (both over one reachability index), and it is the audit graph of the
+   compositions whose causal layer extracts no R(M). *)
 let intent_of_ops ~replicas ops =
   Analysis_workload.of_ops ~spec:Dt.Int_register.spec
     ~src:(fun i -> i mod replicas)
@@ -218,44 +303,42 @@ let static_audit ?(seed = 42) ?(latency = default_latency) ~replicas spec w =
   let rng = Engine.fork_rng engine in
   static_of_intent spec (intent_of_ops ~replicas (op_sequence rng w))
 
-(* Which offline checkers soundly apply to one audited run.  [lost = 0]
-   means every scheduled copy arrived, so completeness-dependent
-   properties (same-set windows, strict release agreement) are
-   checkable; under loss (partition or injected drops, the campaign's
-   nemesis) the oracle is restricted to safety — causal order, FIFO per
-   sender over what {e was} delivered, and stable-point digests (a cycle
-   only closes at members that saw its whole window, so digests of
-   closed cycles must still agree).  Shared by [run_stack] and the
-   campaign driver, whose planted-bug self-test re-runs the same
-   checkers over a mutated trace. *)
+(* The trace restricted to the founding members — the view the causal
+   pass audits under churn. *)
+let founders_view trace ~founders =
+  let t = Trace.create () in
+  Trace.iter trace (fun r ->
+      if r.Trace.node < founders then
+        Trace.record t ~time:r.Trace.time ~node:r.Trace.node ~kind:r.Trace.kind
+          ~tag:r.Trace.tag ~info:r.Trace.info ());
+  t
+
+(* The one oracle entry: run the policy's row for this composition and
+   membership over one index of the trace (the causal pass under churn
+   reads its own index of the founders' view).  Shared by every driver
+   and by the campaign's planted re-audits, so the plant path can never
+   drift from the gating the hunt enforces. *)
 let recheck spec ~lost (a : stack_audit) =
   let module C = Causalb_check.Trace_check in
   let ix = C.index ~graph:a.graph a.trace in
   let none = Label.Set.empty in
-  let complete = lost = 0 in
-  let if_complete diags = if complete then diags () else [] in
-  match spec with
-  | Fifo_only | Bss_stack ->
-    C.check_fifo ix
-    @ if_complete (fun () -> C.check_total_order ~sync:none ix)
-  | Pc_stack ->
-    (* FIFO per origin holds unconditionally (gaps park, they never
-       skip); causal order is only promised over reliable links, so its
-       checker arms with the completeness-dependent ones. *)
-    C.check_fifo ix
-    @ if_complete (fun () ->
-          C.check_causal ix @ C.check_total_order ~sync:none ix)
-  | Psync_stack ->
-    C.check_causal ix
-    @ if_complete (fun () -> C.check_total_order ~sync:none ix)
-  | Osend_stack ->
-    C.check_causal ix
-    @ if_complete (fun () -> C.check_total_order ~sync:a.sync ix)
-    @ C.check_stable_points ix
-  | Osend_merge | Osend_counted _ | Osend_sequencer ->
-    C.check_causal ix
-    @ if_complete (fun () -> C.check_total_order ~strict:true ~sync:none ix)
-    @ C.check_stable_points ix
+  let run = function
+    | Fifo -> C.check_fifo ix
+    | Causal -> (
+      match a.membership with
+      | Fixed -> C.check_causal ix
+      | Churned { founders } ->
+        C.check_causal
+          (C.index ~graph:a.graph (founders_view a.trace ~founders)))
+    | Same_set -> C.check_total_order ~sync:none ix
+    | Windows -> C.check_total_order ~sync:a.sync ix
+    | Strict_order -> C.check_total_order ~strict:true ~sync:none ix
+    | Stable -> C.check_stable_points ix
+  in
+  List.concat_map
+    (fun (checker, arming) ->
+      if arming = Always || lost = 0 then run checker else [])
+    (audit_policy spec a.membership)
 
 (* [Printf.sprintf "%08x" d] for [0 <= d < 2^32], without the format
    interpreter: audited runs render one per stable point per member. *)
@@ -263,9 +346,10 @@ let hex8 d =
   String.init 8 (fun i -> "0123456789abcdef".[(d lsr (28 - (4 * i))) land 15])
 
 let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
-    ?(on_static = `Warn) ?nemesis ~replicas spec w : stack_result =
+    ?nemesis ~replicas spec w : stack_result =
   let engine = Engine.create ~seed () in
   let ordering, total = stack_params spec in
+  let policy = audit_policy spec Fixed in
   (* Submit times keyed by op name: names survive even when the label is
      allocated later (sequencer). *)
   let issue = Hashtbl.create 256 in
@@ -283,14 +367,13 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
      submit->stable.  Traced runs also leave a [Mark] record whose digest
      covers the window set and the closing sync, for the offline
      stable-point checker to compare across members.  Only attached where
-     the causal layer actually enforces the §6.1 dependency pattern
-     (OSend); under FIFO/BSS a sync can overtake its window, so cycles
-     are not stable points there. *)
+     the policy audits stable points: the OSend compositions, whose causal
+     layer enforces the §6.1 dependency pattern (under FIFO/BSS a sync
+     can overtake its window, so cycles are not stable points there). *)
   let module Sp = Causalb_core.Stable_points in
   let trackers =
-    match spec with
-    | Fifo_only | Bss_stack | Psync_stack | Pc_stack -> None
-    | Osend_stack | Osend_merge | Osend_counted _ | Osend_sequencer ->
+    if not (List.mem_assoc Stable policy) then None
+    else
       Some
         (Array.init replicas (fun node ->
              let on_stable (p : Sp.point) =
@@ -328,76 +411,69 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     Stack.compose ~ordering ~total ~latency ~fifo:(transport_fifo_of spec)
       ?trace ~on_deliver engine ~nodes:replicas ()
   in
-  (* The §6.1 front-end dependency pattern, driven through the stack:
-     commutative ops follow the last sync; a sync AND-closes the window.
-     Layers that infer their own ordering ignore the predicate. *)
-  let win = Window.create () in
-  let submit_op i op =
-    let name = "op" ^ string_of_int i in
-    let kind = if op_is_sync op then Op.Non_commutative else Op.Commutative in
-    let dep = Dep.after_all (Window.deps_for win ~kind ~fallback:[]) in
-    Hashtbl.replace issue name (Engine.now engine);
-    match Stack.submit stack ~src:(i mod replicas) ~name ~dep op with
-    | None -> ()
-    | Some label -> Window.note win ~kind label
-  in
-  let rng = Engine.fork_rng engine in
-  let ops = op_sequence rng w in
+  (* The submission plan: the §6.1 intent of the op sequence, built once
+     before execution.  Operation [i] goes out from its intended label's
+     origin, under that label's name, with the intended predicate, so
+     the intent is what the run submits.  Layers that infer their own
+     ordering ignore the predicate. *)
+  let ops = op_sequence (Engine.fork_rng engine) w in
+  let intent = intent_of_ops ~replicas ops in
   (* Static passes BEFORE execution.  The guarantee-lattice verifier is
-     O(layers) and always runs; the causal-race lint replays the intended
-     workload (O(ops²) pairs) and is only computed when the oracle is on.
-     [`Refuse] rejects an ill-formed configuration without spending the
-     simulation budget; [`Warn] (default) runs it anyway and lets
-     [checks_ok] report the issues.  The intent — the dependency graph
-     the front-end intends and its sync points — is built once, with
-     one reachability index for both static lints. *)
-  let intent =
+     O(layers) and always runs; the causal-race lint (O(ops²) pairs) and
+     the spec lint read the intent only when the oracle is on, over one
+     reachability index.  Issues go to stderr and fail [checks_ok]; the
+     run goes ahead. *)
+  let reach =
     if check then
-      let i = intent_of_ops ~replicas ops in
-      Some (i, Causalb_graph.Depgraph.reach i.Analysis_workload.graph)
+      Some (Causalb_graph.Depgraph.reach intent.Analysis_workload.graph)
     else None
   in
   let static_diags =
-    match intent with
-    | Some (i, reach) -> (static_of_intent ~reach spec i).static_diags
+    match reach with
+    | Some reach -> (static_of_intent ~reach spec intent).static_diags
     | None ->
       Stack_verify.to_diags
         (Stack_verify.verify ~claim:(claim_of spec)
            (Stack_verify.layers_of ~ordering ~total
               ~fifo:(transport_fifo_of spec)))
   in
-  let refused = on_static = `Refuse && static_diags <> [] in
-  if static_diags <> [] && not refused then
+  if static_diags <> [] then
     Format.eprintf "@[<v>causalb: static verifier: %d issue(s) in %s:@,%a@]@."
       (List.length static_diags) (stack_spec_name spec)
       Causalb_check.Diag.pp_list static_diags;
-  if not refused then begin
-    (* Arm the nemesis before the workload: an action and a submission
-       scheduled at the same virtual instant fire nemesis-first, so a
-       fault phase covers the ops whose times it spans. *)
-    (match nemesis with
-    | Some schedule -> Stack.install_nemesis stack schedule
-    | None -> ());
-    List.iteri
-      (fun i op ->
-        Engine.schedule_at engine ~time:(float_of_int i *. w.spacing)
-          (fun () -> submit_op i op))
-      ops;
-    Stack.run stack
-  end;
+  (* Arm the nemesis before the workload: an action and a submission
+     scheduled at the same virtual instant fire nemesis-first, so a
+     fault phase covers the ops whose times it spans. *)
+  (match nemesis with
+  | Some schedule -> Stack.install_nemesis stack schedule
+  | None -> ());
+  let sites = Array.of_list intent.Analysis_workload.sites in
+  let submit i op =
+    let label = sites.(i).Analysis_workload.label in
+    let name = Label.name label in
+    Hashtbl.replace issue name (Engine.now engine);
+    ignore
+      (Stack.submit stack ~src:(Label.origin label) ~name
+         ~dep:intent.Analysis_workload.deps.(i) op)
+  in
+  List.iteri
+    (fun i op ->
+      Engine.schedule_at engine ~time:(float_of_int i *. w.spacing)
+        (fun () -> submit i op))
+    ops;
+  Stack.run stack;
   let lost = Stack.lost_copies stack in
   let orders = Stack.all_delivered_orders stack in
-  (* Agreement properties need complete delivery; when the nemesis
-     removed copies from the wire they are vacuous, and the oracle below
-     is restricted to safety the same way (see [recheck]). *)
+  (* The online agreement check, armed as the policy's completeness-
+     dependent checkers are: identical release sequences where the row
+     holds the composition to a strict order, the same delivered set
+     otherwise. *)
   let checks_ok =
     lost > 0
     ||
-    match spec with
-    | Osend_merge | Osend_counted _ | Osend_sequencer ->
+    if List.mem_assoc Strict_order policy then
       Causalb_core.Checker.identical_orders orders
-    | Fifo_only | Bss_stack | Psync_stack | Osend_stack | Pc_stack ->
-      Causalb_core.Checker.same_set orders
+    else Causalb_core.Checker.same_set orders
   in
   let layers = Stack.metrics stack in
   let buffered =
@@ -408,24 +484,20 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
         else acc)
       0 layers
   in
-  (* The offline oracle: which checkers soundly apply depends on the
-     composition.  The front-end submits on schedule without waiting for
-     delivery, so only the explicit-graph engines (OSend, Psync) can be
-     held to the causal predicate — audited against the graph member 0
-     extracted from the messages themselves.  FIFO/BSS answer for
-     per-sender order only; the total-order tails answer for identical
-     release sequences; OSend compositions also answer for stable-point
-     digests. *)
+  (* The offline oracle: the policy's row, against the graph member 0
+     extracted from the messages themselves where the causal layer builds
+     one, else against the intent's. *)
   let extracted = Stack.graph stack in
   let audit =
-    match (trace, intent) with
-    | Some tr, Some (i, reach) ->
-      let intended = i.Analysis_workload.graph in
+    match (trace, reach) with
+    | Some tr, Some reach ->
+      let intended = intent.Analysis_workload.graph in
       let a =
         {
           trace = tr;
           graph = Option.value extracted ~default:intended;
-          sync = i.Analysis_workload.sync;
+          sync = intent.Analysis_workload.sync;
+          membership = Fixed;
           diagnostics = [];
           lint = Causalb_check.Spec_lint.lint ~reach intended;
           static = static_diags;
@@ -456,7 +528,6 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     layers;
     checks_ok;
     sim_time = Engine.now engine;
-    refused;
     audit;
   }
 
@@ -498,7 +569,6 @@ let run_timestamp ?(seed = 42) ?(latency = default_latency) ~replicas w =
     layers = [];
     checks_ok = List.for_all (fun o -> o = List.hd orders) orders;
     sim_time = Engine.now engine;
-    refused = false;
     audit = None;
   }
 
@@ -507,7 +577,7 @@ let run_timestamp ?(seed = 42) ?(latency = default_latency) ~replicas w =
    fixed membership): a Pcbcast.Group over FIFO links, a nemesis that
    may join/leave members mid-run, ops submitted round-robin over
    whoever is alive at fire time, every causal delivery traced, and the
-   offline oracle over the extracted R(M). *)
+   offline oracle over the extracted R(M) and the founders' view. *)
 
 type pc_result = {
   pc_delivered : int;       (* causal deliveries across members ever *)
@@ -517,38 +587,10 @@ type pc_result = {
   pc_joined : int list;     (* ids the nemesis added, join order *)
   pc_left : int list;       (* ids the nemesis removed, leave order *)
   pc_members : int;         (* members ever: founders + joiners *)
-  pc_diagnostics : Causalb_check.Diag.t list;
-  pc_trace : Trace.t;
-  pc_graph : Causalb_graph.Depgraph.t;
+  pc_audit : stack_audit;
   pc_checks_ok : bool;
   pc_sim_time : float;
 }
-
-(* The causal checker demands a delivery's R(M) ancestors be delivered
-   at the same node first — which joiners legitimately violate: their
-   causal past starts at the contact's adopt-first baseline, so pre-join
-   history never arrives.  Scope the causal pass to founders by
-   rebuilding the trace without joiner records; FIFO (and the joiners'
-   per-origin monotonicity it implies) is still checked on everyone. *)
-let founders_view trace ~founders =
-  let t = Trace.create () in
-  Trace.iter trace (fun r ->
-      if r.Trace.node < founders then
-        Trace.record t ~time:r.Trace.time ~node:r.Trace.node ~kind:r.Trace.kind
-          ~tag:r.Trace.tag ~info:r.Trace.info ());
-  t
-
-(* The churn oracle as a pure function of (trace, graph, loss) — the
-   live driver below and the campaign's planted re-audits share it, so
-   the plant path can never drift from the gating the hunt enforces.
-   Causal order is only promised over reliable links; departure drops
-   don't dent survivor safety, partition/loss drops do. *)
-let recheck_pc ~replicas ~lost ~graph trace =
-  let module C = Causalb_check.Trace_check in
-  C.fifo ~graph trace
-  @
-  if lost = 0 then C.causal ~graph (founders_view trace ~founders:replicas)
-  else []
 
 let run_pc ?(seed = 42) ?(latency = default_latency) ?nemesis ~replicas w =
   let engine = Engine.create ~seed () in
@@ -609,9 +651,19 @@ let run_pc ?(seed = 42) ?(latency = default_latency) ?nemesis ~replicas w =
           ignore (Pcb.Group.bcast g ~src ~tag:(Printf.sprintf "op%d" i) i))
   done;
   Engine.run engine;
-  let graph = Pcb.Group.graph g in
   let faulty = Net.dropped_by_partition net + Net.dropped_by_loss net in
-  let diagnostics = recheck_pc ~replicas ~lost:faulty ~graph trace in
+  let audit =
+    {
+      trace;
+      graph = Pcb.Group.graph g;
+      sync = Label.Set.empty;
+      membership = Churned { founders = replicas };
+      diagnostics = [];
+      lint = [];
+      static = [];
+    }
+  in
+  let diagnostics = recheck Pc_stack ~lost:faulty audit in
   let delivered =
     List.init (Pcb.Group.size g) (fun i ->
         Pcb.delivered_count (Pcb.Group.member g i))
@@ -625,9 +677,7 @@ let run_pc ?(seed = 42) ?(latency = default_latency) ?nemesis ~replicas w =
     pc_joined = List.rev !joined;
     pc_left = List.rev !left;
     pc_members = Pcb.Group.size g;
-    pc_diagnostics = diagnostics;
-    pc_trace = trace;
-    pc_graph = graph;
+    pc_audit = { audit with diagnostics };
     pc_checks_ok = diagnostics = [];
     pc_sim_time = Engine.now engine;
   }

@@ -1,10 +1,11 @@
-(** Experiment drivers.  The §6.1 register workload has one driver,
-    {!run_stack}, run over whichever stack composition an experiment
-    compares: the paper's stable-point protocol ([Osend_stack]), its ASend
-    total-order tails, and the causal baselines.  Beside it sit the
-    standalone Lamport-timestamp order ({!run_timestamp}), the
-    PC-broadcast churn driver ({!run_pc}) and the spec-derived object
-    driver ({!run_object}).
+(** Experiment drivers, and the one place that says how each stack
+    composition is run and audited.  The §6.1 register workload has one
+    driver, {!run_stack}, run over whichever stack composition an
+    experiment compares: the paper's stable-point protocol
+    ([Osend_stack]), its ASend total-order tails, and the causal
+    baselines.  Beside it sit the standalone Lamport-timestamp order
+    ({!run_timestamp}), the PC-broadcast churn driver ({!run_pc}) and
+    the spec-derived object driver ({!run_object}).
 
     Each driver builds a fresh engine/network/group, submits an operation
     sequence derived deterministically from the seed and returns its
@@ -49,6 +50,19 @@ type stack_spec =
 
 val stack_spec_name : stack_spec -> string
 
+val stack_specs : counted:int -> stack_spec list
+(** The eight compositions, in report order:
+    fifo, bss, psync, osend, osend+merge, osend+counted([counted]),
+    osend+sequencer, pc. *)
+
+val parse_specs :
+  counted:int -> string list -> (stack_spec list, string) result
+(** The CLIs' [--spec] list, in order; [[]] selects {!stack_specs}.  A
+    name is a {!stack_spec_name} (["osend+counted"] without the size) or
+    a short alias (["merge"], ["counted"], ["sequencer"]), in any case;
+    the counted merge is [Osend_counted counted].  The first unknown
+    name is an [Error] naming the accepted ones. *)
+
 val transport_fifo_of : stack_spec -> bool
 (** The transport each composition runs over: [false] (raw datagram
     links) for every composition but PC-broadcast, [true] for it — its
@@ -56,16 +70,70 @@ val transport_fifo_of : stack_spec -> bool
     static passes thread this, so a spec's declared requirement and the
     network it actually gets can never drift apart. *)
 
+(** {2 The audit policy}
+
+    Which of the paper's guarantees each composition answers for, as
+    data: {!recheck} runs it, {!run_stack}'s online agreement check and
+    stable-point trackers read it, and [causalb-check] renders its
+    checker column from it. *)
+
+type checker =
+  | Fifo          (** per-sender order, each message once *)
+  | Causal        (** delivery after the [R(M)] ancestors (§3–4) *)
+  | Same_set      (** every member released the same set *)
+  | Windows
+      (** the same sets between the intent's sync points, in the same
+          sync order (§6.1) *)
+  | Strict_order  (** identical release sequences (§5.2) *)
+  | Stable        (** stable-point digests agree across members (§6.1) *)
+
+type arming =
+  | Always
+  | Complete
+      (** only when no copy was lost ([lost = 0]): a member that never
+          received a message cannot be held to agreement on it *)
+
+(** Whose deliveries the causal pass audits. *)
+type membership =
+  | Fixed  (** the founding members, throughout the run *)
+  | Churned of { founders : int }
+      (** members joined or left mid-run: causal order is audited over
+          {!founders_view} only *)
+
+val checker_name : checker -> string
+(** ["fifo"], ["causal"], ["same-set"], ["windows"], ["strict-order"],
+    ["stable"]. *)
+
+val audit_policy : stack_spec -> membership -> (checker * arming) list
+(** One row per composition, in report order:
+
+    {v
+    composition                        always          when lost = 0
+    fifo, bss                          fifo            same-set
+    pc                                 fifo            causal, same-set
+    psync                              causal          same-set
+    osend                              causal, stable  windows
+    osend+merge/+counted/+sequencer    causal, stable  strict-order
+    any, [Churned]                     fifo            causal (founders)
+    v}
+
+    Under churn (the PC group after a join or leave) FIFO holds at every
+    member, and causal order at the founders only: a joiner's causal
+    past starts at its contact's baseline, so pre-join history never
+    arrives.  Departure drops are harmless to survivors and are not
+    counted as lost. *)
+
 (** One run's evidence for the offline ordering oracle
     ([Causalb_check]): the execution trace, the dependency graph the
     delivery order was audited against (member 0's extracted [R(M)] for
-    OSend/Psync, the front-end's intended graph otherwise), the
-    synchronization points, and the verdicts. *)
+    OSend/Psync/PC, the front-end's intended graph otherwise), the
+    synchronization points, the membership view, and the verdicts. *)
 type stack_audit = {
   trace : Causalb_sim.Trace.t;
   graph : Causalb_graph.Depgraph.t;
   sync : Causalb_graph.Label.Set.t;
       (** the sync points of the intent ({!intent_of_ops}) *)
+  membership : membership;
   diagnostics : Causalb_check.Diag.t list;
       (** trace-checker violations; empty = every applicable property held *)
   lint : Causalb_check.Spec_lint.issue list;
@@ -102,9 +170,6 @@ type stack_result = {
           also requires an empty {!stack_audit.diagnostics} and
           {!stack_audit.lint}; always requires clean static passes *)
   sim_time : float;
-  refused : bool;
-      (** the static verifier rejected the configuration before execution
-          (only under [~on_static:`Refuse]); no operation was submitted *)
   audit : stack_audit option;  (** present iff run with [~check:true] *)
 }
 
@@ -124,16 +189,16 @@ val intent_of_ops :
   Causalb_data.Datatypes.Int_register.op list ->
   Causalb_analysis.Workload.t
 (** The workload intent of an op sequence: the §6.1 front-end
-    bookkeeping {!run_stack} performs when it submits, replayed purely —
-    operation [i] from member [i mod replicas], labelled [op<i>] with
-    the per-origin sequence numbers the stack assigns.  Under [~check]
-    {!run_stack} builds it once, before execution: both static lints
-    read it, over one reachability index, and its graph is the audit
-    graph of the compositions whose causal layer extracts none.  It
-    equals, label for label and predicate for predicate, the graph of
-    what {!run_stack} submits — except under [Osend_sequencer], whose
-    submissions return no label (the chain allocates them later), so
-    only the intent names its §6.1 pattern there. *)
+    bookkeeping, computed purely — operation [i] from member
+    [i mod replicas], labelled [op<i>] with the per-origin sequence
+    numbers the stack assigns.  {!run_stack} builds it once, before
+    execution, and submits operation [i] from its label's origin, under
+    its name, with [deps.(i)]; so the intent is what {!run_stack}
+    submits, by construction.  Under [~check] both static lints read it,
+    over one reachability index, and its graph is the audit graph of the
+    compositions whose causal layer extracts none.  Under
+    [Osend_sequencer] the chain allocates the labels later and ignores
+    the predicates, so only the intent names the §6.1 pattern there. *)
 
 (** One configuration's static verdict, computed without executing it:
     both passes of the static consistency verifier
@@ -170,22 +235,30 @@ val static_audit :
     stream — the audited intent is exactly the workload a real run
     submits. *)
 
+val founders_view :
+  Causalb_sim.Trace.t -> founders:int -> Causalb_sim.Trace.t
+(** The trace restricted to nodes [< founders] — the view the causal
+    pass audits under [Churned].  Joiners legitimately miss pre-join
+    history (their causal past starts at the contact's adopt-first
+    baseline), so the "ancestor delivered at this node first" demand
+    only holds for founding members; a founder that later departs keeps
+    a causally closed prefix and stays in the view. *)
+
 val recheck :
   stack_spec -> lost:int -> stack_audit -> Causalb_check.Diag.t list
-(** Run the offline checkers that soundly apply to this composition over
-    an audit's trace: causal safety / FIFO / stable-point digests
-    always, the completeness-dependent agreement checkers only when
-    [lost = 0] (under loss a member legitimately never sees some
-    messages).  All of them read one {!Causalb_check.Trace_check.index}
-    of the trace.  [run_stack] computes its [audit.diagnostics] with
-    exactly this function; the campaign driver re-runs it over mutated
-    traces ([Causalb_check.Mutate]) in its planted-bug self-test. *)
+(** The one oracle entry: run the {!audit_policy} row of the composition
+    and the audit's [membership] over its trace, the [Complete] checkers
+    only when [lost = 0].  They read one
+    {!Causalb_check.Trace_check.index} of the trace (the causal pass
+    under [Churned] one of {!founders_view}).  {!run_stack} and
+    {!run_pc} compute their diagnostics with exactly this function; the
+    campaign driver re-runs it over mutated traces
+    ([Causalb_check.Mutate]) in its planted-bug self-tests. *)
 
 val run_stack :
   ?seed:int ->
   ?latency:Causalb_sim.Latency.t ->
   ?check:bool ->
-  ?on_static:[ `Warn | `Refuse ] ->
   ?nemesis:Causalb_net.Nemesis.t ->
   replicas:int ->
   stack_spec ->
@@ -196,20 +269,16 @@ val run_stack :
     [Osend_merge] and [Osend_sequencer]) and every oracle-audited run.
     Deterministic in all arguments.
 
-    [~check:true] (default false) turns on the ordering oracle: the run
-    is traced, the checkers that soundly apply to the composition are run
-    over the trace (causal safety for the explicit-graph engines, FIFO
-    per sender for FIFO/BSS, window or strict agreement per total layer,
-    stable-point digests for OSend compositions), the intended dependency
-    spec ({!intent_of_ops}, built once before execution) is linted, and
-    the evidence is returned in [audit].
+    Every operation is submitted from the intent ({!intent_of_ops}),
+    built once before execution.  [~check:true] (default false) turns
+    on the ordering oracle: the run is traced, the composition's
+    {!audit_policy} row is run over the trace ({!recheck}), the intended
+    dependency spec is linted, and the evidence is returned in [audit].
 
     The static verifier runs {e before} execution in every mode: the
     guarantee-lattice pass always, the causal-race lint when [~check] is
-    on (it replays the full workload intent).  Under [~on_static:`Warn]
-    (default) static issues are printed to stderr and fail [checks_ok];
-    under [`Refuse] an ill-formed configuration is rejected up front —
-    nothing is submitted, [refused] is set, and [checks_ok] is false.
+    on (it reads the full workload intent).  Static issues are printed
+    to stderr and fail [checks_ok]; the run goes ahead.
 
     [?nemesis] arms a timed fault schedule (partitions, heals,
     loss/dup/jitter phases — {!Causalb_net.Nemesis}) on the stack before
@@ -231,54 +300,30 @@ val run_timestamp :
     exercise: a [Causalb_core.Pcbcast.Group] over FIFO links, a nemesis
     schedule that may join/leave members mid-run ([Nemesis.Join]/
     [Nemesis.Leave]), operations submitted round-robin over whoever is
-    alive at fire time, and the offline oracle over the extracted
-    [R(M)]. *)
+    alive at fire time, and the offline oracle ({!recheck} under
+    [Churned]) over the extracted [R(M)]. *)
 
 type pc_result = {
   pc_delivered : int;  (** causal deliveries summed over members ever *)
   pc_messages : int;
   pc_lost : int;
-      (** partition + injected-loss drops — when non-zero the causal
-          checker is disarmed (PC cannot detect a lost dependency;
-          that is the price of constant-size headers) *)
+      (** partition + injected-loss drops — the [lost] the audit is
+          run with: when non-zero the causal checker is disarmed (PC
+          cannot detect a lost dependency; that is the price of
+          constant-size headers) *)
   pc_departure_drops : int;
       (** copies to/from departed endpoints — harmless to survivors,
           so these do {e not} disarm the causal checker *)
   pc_joined : int list;  (** ids the nemesis added, in join order *)
   pc_left : int list;    (** ids the nemesis removed, in leave order *)
   pc_members : int;      (** members ever: founders + joiners *)
-  pc_diagnostics : Causalb_check.Diag.t list;
-      (** FIFO per origin over everyone, causal order over the founders
-          (joiners legitimately miss pre-join history) *)
-  pc_trace : Causalb_sim.Trace.t;
-  pc_graph : Causalb_graph.Depgraph.t;
-  pc_checks_ok : bool;  (** [pc_diagnostics = []] *)
+  pc_audit : stack_audit;
+      (** the trace, the group's audit graph, [Churned] over the
+          [replicas] founders, and the diagnostics: FIFO per origin over
+          everyone, causal order over the founders *)
+  pc_checks_ok : bool;  (** no diagnostics *)
   pc_sim_time : float;
 }
-
-val founders_view :
-  Causalb_sim.Trace.t -> founders:int -> Causalb_sim.Trace.t
-(** The trace restricted to nodes [< founders] — the view the causal
-    pass audits under churn.  Joiners legitimately miss pre-join
-    history (their causal past starts at the contact's adopt-first
-    baseline), so the "ancestor delivered at this node first" demand
-    only holds for founding members; a founder that later departs keeps
-    a causally closed prefix and stays in the view. *)
-
-val recheck_pc :
-  replicas:int ->
-  lost:int ->
-  graph:Causalb_graph.Depgraph.t ->
-  Causalb_sim.Trace.t ->
-  Causalb_check.Diag.t list
-(** The churn oracle as a pure function: FIFO over the whole trace
-    (adopt-first baselines keep every joiner's per-origin sequence
-    increasing), causal over {!founders_view} — and only when [lost = 0]
-    partition/loss copies vanished (departure drops don't count; a
-    departed member's in-flight copies are harmless to survivors).
-    {!run_pc} applies exactly this to its own trace; [Campaign] replays
-    it over mutated traces, so the planted-bug path cannot drift from
-    the live gating. *)
 
 val run_pc :
   ?seed:int ->

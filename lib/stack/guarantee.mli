@@ -9,8 +9,9 @@
     — each guarantee subsumes the ones below it (a causally ordered
     delivery is in particular per-sender FIFO; a causal {e total} order
     is in particular causal).  Layers declare what they {!require} from
-    the composition below and what they {e provide} above
-    ({!Causalb_stack.Layer.S}), and the static verifier
+    the composition below and what they {e provide} above (each
+    engine's [requires]/[provides] values, listed per pipeline by
+    [Causalb_stack.Stack.layer_guarantees]), and the static verifier
     ([causalb.analysis]) folds a pipeline bottom-up through this
     lattice: a layer whose requirement is not met by the guarantee
     available below it is a composition bug caught before any message is

@@ -109,7 +109,7 @@ let causal_deliver t ~node ~time msg =
 (* --- construction --------------------------------------------------- *)
 
 let compose ?(ordering = Osend) ?(total = Pass) ?(latency = Latency.lan)
-    ?(fifo = true) ?fault ?trace
+    ?(fifo = true) ?trace
     ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) engine ~nodes () =
   (match (total, ordering) with
   | Sequencer _, (Fifo | Bss | Psync | Pc) ->
@@ -153,7 +153,7 @@ let compose ?(ordering = Osend) ?(total = Pass) ?(latency = Latency.lan)
     | Sequencer _ -> Some "total:sequencer"
   in
   let send_time = Label.Tbl.create 256 in
-  let make_net () = Net.create engine ~nodes ~latency ~fifo ?fault ?trace () in
+  let make_net () = Net.create engine ~nodes ~latency ~fifo ?trace () in
   let net_closures net =
     ( (fun () ->
         (Net.messages_sent net, Net.messages_delivered net, Net.in_flight net)),

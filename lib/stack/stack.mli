@@ -19,10 +19,10 @@
 
     Every layer reports the same {!Metrics.t}, so the same workload run
     over different compositions produces directly comparable tables.
-    The stack reuses the engines of [Causalb_core] unchanged (they
-    implement {!Layer.S}); on the same seed, a composed run consumes the
-    exact random stream of the corresponding standalone driver, so
-    delivery counts and forced-wait numbers match the pre-stack code. *)
+    The stack wires the engines of [Causalb_core] directly, unchanged;
+    on the same seed, a composed run consumes the exact random stream of
+    the corresponding standalone driver, so delivery counts and
+    forced-wait numbers match the pre-stack code. *)
 
 module Label := Causalb_graph.Label
 module Message := Causalb_core.Message
@@ -60,17 +60,18 @@ val compose :
   ?total:'a total ->
   ?latency:Causalb_sim.Latency.t ->
   ?fifo:bool ->
-  ?fault:Causalb_net.Fault.t ->
   ?trace:Causalb_sim.Trace.t ->
   ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
   Causalb_sim.Engine.t ->
   nodes:int ->
   unit ->
   'a t
-(** Build the pipeline over a fresh network on [engine].  Defaults:
-    [ordering = Osend], [total = Pass], [latency = Latency.lan],
-    [fifo = true] (per-link FIFO transport).  [on_deliver] fires at each
-    node as the top layer releases a message.
+(** Build the pipeline over a fresh, fault-free network on [engine].
+    Defaults: [ordering = Osend], [total = Pass],
+    [latency = Latency.lan], [fifo = true] (per-link FIFO transport).
+    Faults arrive later, through {!set_fault} and {!install_nemesis}.
+    [on_deliver] fires at each node as the top layer releases a
+    message.
     @raise Invalid_argument for a sequencer over a non-OSend causal
     layer, or a sequencer node out of range. *)
 
@@ -149,8 +150,8 @@ val layer_guarantees :
     [compose] would build from the same arguments — the input of the
     static verifier ([Causalb_analysis.Stack_verify]).  The transport row
     provides [Fifo] under per-link FIFO ([fifo = true]) and [Unordered]
-    otherwise; every other row carries the declaration of the engine
-    implementing it ({!Layer.S}). *)
+    otherwise; every other row carries the [requires]/[provides]
+    declaration of the engine implementing it. *)
 
 val guarantee : 'a t -> Causalb_stackbase.Guarantee.t
 (** The top-of-stack ordering guarantee of this composition — the join of

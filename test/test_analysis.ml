@@ -395,13 +395,9 @@ let test_protocol_schedules () =
     (Race_lint.check ~top:Guarantee.Causal ns <> [])
 
 let test_refuse_mode () =
-  (* a workload whose §6.1 intent is intact runs under `Refuse … *)
+  (* a workload whose §6.1 intent is intact passes both static passes *)
   let w = { Drivers.ops = 20; spacing = 0.5; mix = Drivers.Fixed_window 4 } in
-  let r =
-    Drivers.run_stack ~check:true ~on_static:`Refuse ~replicas:3
-      Drivers.Osend_stack w
-  in
-  check "clean config executes" false r.Drivers.refused;
+  let r = Drivers.run_stack ~check:true ~replicas:3 Drivers.Osend_stack w in
   check "clean config passes" true r.Drivers.checks_ok
 
 (* --- the static/dynamic cross-check ---------------------------------- *)
@@ -608,7 +604,9 @@ let test_foreign_reach () =
   let refused f =
     match f () with _ -> false | exception Invalid_argument _ -> true
   in
-  let w = { Workload.graph = g; sync = Label.Set.empty; objects = []; sites = [] } in
+  let w =
+    { Workload.graph = g; sync = Label.Set.empty; objects = []; sites = []; deps = [||] }
+  in
   Alcotest.(check bool) "own index accepted" false
     (refused (fun () -> Spec_lint.lint ~reach:(Depgraph.reach g) g));
   Alcotest.(check bool) "spec lint, copy's index" true
@@ -802,7 +800,7 @@ let multi_workload (d, objs, sites, top) =
       (fun (i, obj, c) -> { Workload.label = reach_label i; obj; cls = cls c })
       sites
   in
-  ( { Workload.graph = reach_graph d; sync = Label.Set.empty; objects; sites },
+  ( { Workload.graph = reach_graph d; sync = Label.Set.empty; objects; sites; deps = [||] },
     top )
 
 let prop_race_sweep_equals_per_pair =

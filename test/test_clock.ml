@@ -1,8 +1,7 @@
-(* Unit tests for logical clocks: Lamport, vector, matrix. *)
+(* Unit tests for logical clocks: Lamport and vector. *)
 
 module Lamport = Causalb_clock.Lamport
 module Vc = Causalb_clock.Vector_clock
-module Mc = Causalb_clock.Matrix_clock
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -252,42 +251,6 @@ let test_vc_init () =
     (Invalid_argument "Vector_clock.init: size must be positive") (fun () ->
       ignore (Vc.init 0 (fun _ -> 0)))
 
-(* --- Matrix clocks --- *)
-
-let test_mc_create () =
-  let m = Mc.create 3 in
-  check_int "size" 3 (Mc.size m);
-  check "rows zero" true (Vc.equal (Mc.row m 1) (Vc.create 3))
-
-let test_mc_update_row () =
-  let m = Mc.create 2 in
-  let m' = Mc.update_row m 1 (Vc.of_array [| 1; 4 |]) in
-  check "row updated" true (Vc.equal (Mc.row m' 1) (Vc.of_array [| 1; 4 |]));
-  check "original intact" true (Vc.equal (Mc.row m 1) (Vc.create 2))
-
-let test_mc_min_vector () =
-  let m = Mc.create 2 in
-  let m = Mc.update_row m 0 (Vc.of_array [| 3; 1 |]) in
-  let m = Mc.update_row m 1 (Vc.of_array [| 2; 5 |]) in
-  check "min" true (Vc.equal (Mc.min_vector m) (Vc.of_array [| 2; 1 |]))
-
-let test_mc_stability () =
-  let m = Mc.create 3 in
-  let v = Vc.of_array [| 2; 0; 0 |] in
-  let m = Mc.update_row m 0 v in
-  check "not stable yet" false (Mc.stable m ~event_owner:0 ~event_stamp:2);
-  let m = Mc.update_row m 1 v in
-  let m = Mc.update_row m 2 v in
-  check "stable once all know" true (Mc.stable m ~event_owner:0 ~event_stamp:2);
-  check "later event unstable" false (Mc.stable m ~event_owner:0 ~event_stamp:3)
-
-let test_mc_merge () =
-  let a = Mc.update_row (Mc.create 2) 0 (Vc.of_array [| 1; 0 |]) in
-  let b = Mc.update_row (Mc.create 2) 1 (Vc.of_array [| 0; 2 |]) in
-  let m = Mc.merge a b in
-  check "row0" true (Vc.equal (Mc.row m 0) (Vc.of_array [| 1; 0 |]));
-  check "row1" true (Vc.equal (Mc.row m 1) (Vc.of_array [| 0; 2 |]))
-
 let () =
   Alcotest.run "clock"
     [
@@ -327,13 +290,5 @@ let () =
           prop_receive_into_agrees;
           prop_with_component_agrees;
           prop_bump_agrees;
-        ] );
-      ( "matrix",
-        [
-          Alcotest.test_case "create" `Quick test_mc_create;
-          Alcotest.test_case "update_row" `Quick test_mc_update_row;
-          Alcotest.test_case "min_vector" `Quick test_mc_min_vector;
-          Alcotest.test_case "stability" `Quick test_mc_stability;
-          Alcotest.test_case "merge" `Quick test_mc_merge;
         ] );
     ]

@@ -266,6 +266,60 @@ let test_pass_causal_latency_samples () =
       Drivers.Pc_stack;
     ]
 
+(* --- the composition catalogue and the --spec parser --- *)
+
+let spec =
+  Alcotest.testable
+    (fun ppf s -> Format.pp_print_string ppf (Drivers.stack_spec_name s))
+    ( = )
+
+let parses = Alcotest.(check (result (list spec) string))
+
+let test_catalogue_names_parse () =
+  let counted = 7 in
+  let specs = Drivers.stack_specs ~counted in
+  check_int "eight compositions" 8 (List.length specs);
+  List.iter
+    (fun s ->
+      (* the counted merge's name carries its size, which the parser
+         takes from [~counted] *)
+      let name =
+        List.hd (String.split_on_char '(' (Drivers.stack_spec_name s))
+      in
+      parses name (Ok [ s ]) (Drivers.parse_specs ~counted [ name ]);
+      parses
+        (String.uppercase_ascii name)
+        (Ok [ s ])
+        (Drivers.parse_specs ~counted [ String.uppercase_ascii name ]))
+    specs;
+  List.iter
+    (fun (alias, s) ->
+      parses alias (Ok [ s ]) (Drivers.parse_specs ~counted [ alias ]))
+    [
+      ("merge", Drivers.Osend_merge);
+      ("counted", Drivers.Osend_counted counted);
+      ("sequencer", Drivers.Osend_sequencer);
+    ];
+  parses "no --spec selects the catalogue" (Ok specs)
+    (Drivers.parse_specs ~counted []);
+  parses "--spec order kept"
+    (Ok [ Drivers.Pc_stack; Drivers.Osend_counted counted; Drivers.Fifo_only ])
+    (Drivers.parse_specs ~counted [ "pc"; "counted"; "fifo" ])
+
+let test_unknown_spec_rejected () =
+  let unknown name =
+    Error
+      (Printf.sprintf
+         "unknown composition %S (expected \
+          fifo|bss|psync|osend|merge|counted|sequencer|pc)"
+         name)
+  in
+  parses "unknown name" (unknown "raft") (Drivers.parse_specs ~counted:5 [ "raft" ]);
+  parses "sized counted name" (unknown "osend+counted(5)")
+    (Drivers.parse_specs ~counted:5 [ "osend+counted(5)" ]);
+  parses "the first unknown name is reported" (unknown "raft")
+    (Drivers.parse_specs ~counted:5 [ "osend"; "raft"; "paxos" ])
+
 let () =
   Alcotest.run "harness"
     [
@@ -300,5 +354,12 @@ let () =
             test_run_stack_layer_accounting;
           Alcotest.test_case "pass: causal latency per release" `Quick
             test_pass_causal_latency_samples;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "names and aliases parse" `Quick
+            test_catalogue_names_parse;
+          Alcotest.test_case "unknown name rejected" `Quick
+            test_unknown_spec_rejected;
         ] );
     ]
