@@ -8,16 +8,15 @@
    Workload: each node alternates between extending its own causal chain
    (real dependency) and emitting an independent message (no semantic
    dependency).  OSend states exactly the chain edges; BSS infers a
-   superset. *)
+   superset.  Each run composes one [Stack] over the causal layer under
+   test, on a non-FIFO transport, and the table reads that layer's row
+   of [Stack.metrics]. *)
 
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
-module Net = Causalb_net.Net
-module Group = Causalb_core.Group
-module Osend = Causalb_core.Osend
-module Bss = Causalb_core.Bss
+module Stack = Causalb_stack.Stack
+module Metrics = Causalb_stackbase.Metrics
 module Dep = Causalb_graph.Dep
-module Stats = Causalb_util.Stats
 module Table = Causalb_util.Table
 module Printer = Causalb_util.Printer
 
@@ -27,87 +26,26 @@ let ops = 250
 
 let spacing = 0.4
 
-(* Per-node last chain label, for the OSend variant. *)
-let run_osend ~seed ~latency =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency ~fifo:false () in
-  let sent = Hashtbl.create 256 in
-  let lat = Stats.create () in
-  let group =
-    Group.create net
-      ~on_deliver:(fun ~node:_ ~time m ->
-        match Hashtbl.find_opt sent (Causalb_core.Message.payload m) with
-        | Some t0 -> Stats.add lat (time -. t0)
-        | None -> ())
-      ()
-  in
+(* The workload through one causal layer, returning that layer's
+   metrics.  Even ops pass their sender's chain (the last chained label)
+   as the dependency; OSend reads it, while Psync and BSS infer their
+   own ordering and ignore it. *)
+let run_causal ordering ~latency =
+  let engine = Engine.create ~seed:17 () in
+  let stack = Stack.compose ~ordering ~latency ~fifo:false engine ~nodes () in
   let chains = Array.make nodes Dep.null in
   for i = 0 to ops - 1 do
     let src = i mod nodes in
-    let chained = i mod 2 = 0 in
     Engine.schedule_at engine ~time:(float_of_int i *. spacing) (fun () ->
-        Hashtbl.replace sent i (Engine.now engine);
-        if chained then begin
-          let lbl = Group.osend group ~src ~dep:chains.(src) i in
-          chains.(src) <- Dep.after lbl
-        end
-        else ignore (Group.osend group ~src ~dep:Dep.null i))
+        if i mod 2 = 0 then
+          chains.(src) <-
+            Dep.after (Option.get (Stack.submit stack ~src ~dep:chains.(src) i))
+        else ignore (Stack.submit stack ~src i))
   done;
-  Engine.run engine;
-  let waits =
-    List.init nodes (fun n -> Osend.buffered_ever (Group.member group n))
-    |> List.fold_left ( + ) 0
-  in
-  (lat, waits)
-
-let run_psync ~seed ~latency =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency ~fifo:false () in
-  let sent = Hashtbl.create 256 in
-  let lat = Stats.create () in
-  let p =
-    Causalb_core.Psync.create net
-      ~on_deliver:(fun ~node:_ ~time m ->
-        match Hashtbl.find_opt sent (Causalb_core.Message.payload m) with
-        | Some t0 -> Stats.add lat (time -. t0)
-        | None -> ())
-      ()
-  in
-  for i = 0 to ops - 1 do
-    let src = i mod nodes in
-    Engine.schedule_at engine ~time:(float_of_int i *. spacing) (fun () ->
-        Hashtbl.replace sent i (Engine.now engine);
-        ignore (Causalb_core.Psync.send p ~src i))
-  done;
-  Engine.run engine;
-  (lat, Causalb_core.Psync.buffered_ever p)
-
-let run_bss ~seed ~latency =
-  let engine = Engine.create ~seed () in
-  let net = Net.create engine ~nodes ~latency ~fifo:false () in
-  let sent = Hashtbl.create 256 in
-  let lat = Stats.create () in
-  let group =
-    Bss.Group.create net
-      ~on_deliver:(fun ~node:_ ~time e ->
-        match Hashtbl.find_opt sent e.Bss.tag with
-        | Some t0 -> Stats.add lat (time -. t0)
-        | None -> ())
-      ()
-  in
-  for i = 0 to ops - 1 do
-    let src = i mod nodes in
-    Engine.schedule_at engine ~time:(float_of_int i *. spacing) (fun () ->
-        let tag = string_of_int i in
-        Hashtbl.replace sent tag (Engine.now engine);
-        Bss.Group.bcast group ~src ~tag i)
-  done;
-  Engine.run engine;
-  let waits =
-    List.init nodes (fun n -> Bss.buffered_ever (Bss.Group.member group n))
-    |> List.fold_left ( + ) 0
-  in
-  (lat, waits)
+  Stack.run stack;
+  match Stack.metrics stack with
+  | [ _transport; causal ] -> causal
+  | _ -> assert false
 
 let run () =
   let t =
@@ -130,19 +68,20 @@ let run () =
   List.iter
     (fun sigma ->
       let latency = Latency.lognormal ~mu:0.5 ~sigma () in
-      let o_lat, o_waits = run_osend ~seed:17 ~latency in
-      let p_lat, p_waits = run_psync ~seed:17 ~latency in
-      let b_lat, b_waits = run_bss ~seed:17 ~latency in
+      let o = run_causal Stack.Osend ~latency in
+      let p = run_causal Stack.Psync ~latency in
+      let b = run_causal Stack.Bss ~latency in
+      let p95 (m : Metrics.t) = Exp_common.p95 m.latency in
       Table.add_row t
         [
           Printf.sprintf "%.1f" sigma;
-          Exp_common.fmt (Exp_common.p95 o_lat);
-          Exp_common.fmt (Exp_common.p95 p_lat);
-          Exp_common.fmt (Exp_common.p95 b_lat);
-          string_of_int o_waits;
-          string_of_int p_waits;
-          string_of_int b_waits;
-          Printf.sprintf "%.2fx" (Exp_common.p95 b_lat /. Exp_common.p95 o_lat);
+          Exp_common.fmt (p95 o);
+          Exp_common.fmt (p95 p);
+          Exp_common.fmt (p95 b);
+          string_of_int o.forced_waits;
+          string_of_int p.forced_waits;
+          string_of_int b.forced_waits;
+          Printf.sprintf "%.2fx" (p95 b /. p95 o);
         ])
     [ 0.2; 0.6; 1.0; 1.4; 1.8 ];
   Table.print t;

@@ -1,5 +1,5 @@
-(* The experiment registry: one declarative list of everything the bench
-   binary and the [causalb exp] CLI can run.
+(* The experiment registry: one declarative list of everything
+   [causalb exp] can run.
 
    Each experiment is a list of [parts] — independently runnable units of
    work whose printed outputs, concatenated in part order, are the
@@ -74,14 +74,3 @@ let find id =
     all
 
 let banner e = Printf.sprintf "\n######## %s — %s ########\n" e.id e.descr
-
-(* The sequential path: same banner + part order the parallel runner
-   reassembles, so the bytes agree whatever the job count. *)
-let run_sequential e =
-  print_string (banner e);
-  List.iter (fun p -> p.prun ()) e.parts
-
-let deterministic_ids =
-  List.filter_map
-    (fun e -> if e.kind = Deterministic then Some e.id else None)
-    all

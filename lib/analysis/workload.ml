@@ -33,10 +33,8 @@ let obj_of_spec ?name (spec : _ Seq_spec.t) =
    per-origin label numbering the stack's submission path uses.  The
    predicates are also kept by position, for a driver that submits
    operation [i] with [deps.(i)]. *)
-let build ~spec ~obj indexed =
-  let obj_name =
-    match obj with Some n -> n | None -> spec.Seq_spec.name
-  in
+let build ~spec indexed =
+  let obj = obj_of_spec spec in
   let win = Window.create () in
   let graph = Depgraph.create () in
   let sync = ref Label.Set.empty in
@@ -58,25 +56,25 @@ let build ~spec ~obj indexed =
         Depgraph.add graph label ~dep;
         Window.note win ~kind label;
         if kind = Op.Non_commutative then sync := Label.Set.add label !sync;
-        { label; obj = obj_name; cls = spec.Seq_spec.class_of op })
+        { label; obj = obj.name; cls = spec.Seq_spec.class_of op })
       indexed
   in
   {
     graph;
     sync = !sync;
-    objects = [ obj_of_spec ~name:obj_name spec ];
+    objects = [ obj ];
     sites;
     deps;
   }
 
-let of_ops ~spec ?obj ?(src = fun _ -> 0) ops =
-  build ~spec ~obj (List.mapi (fun i op -> (src i, op)) ops)
+let of_ops ~spec ?(src = fun _ -> 0) ops =
+  build ~spec (List.mapi (fun i op -> (src i, op)) ops)
 
-let of_submissions ~spec ?obj subs =
+let of_submissions ~spec subs =
   let in_order =
     List.stable_sort (fun (ta, _, _) (tb, _, _) -> compare ta tb) subs
   in
-  build ~spec ~obj (List.map (fun (_, src, op) -> (src, op)) in_order)
+  build ~spec (List.map (fun (_, src, op) -> (src, op)) in_order)
 
 let of_sites ~graph ?(sync = Label.Set.empty) ~objects sites =
   List.iter

@@ -49,7 +49,6 @@ val obj_of_spec : ?name:string -> ('op, 'state) Seq_spec.t -> obj
 
 val of_ops :
   spec:('op, 'state) Seq_spec.t ->
-  ?obj:string ->
   ?src:(int -> int) ->
   'op list ->
   t
@@ -57,11 +56,11 @@ val of_ops :
     [src i] (default all from member 0); each derived-[Cid] operation
     occurs after the last sync, each [Ncid] operation after the whole
     open window.  Labels are [op<i>] with the per-origin sequence
-    numbers the stack's front-end would assign. *)
+    numbers the stack's front-end would assign.  Every site names the
+    spec's one object, under the spec's name. *)
 
 val of_submissions :
   spec:('op, 'state) Seq_spec.t ->
-  ?obj:string ->
   (float * int * 'op) list ->
   t
 (** {!of_ops} over a timed submission schedule [(time, src, op)] as used

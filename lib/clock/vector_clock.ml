@@ -127,8 +127,6 @@ let of_array a =
   if Array.length a = 0 then invalid_arg "Vector_clock.of_array: empty";
   Array.copy a
 
-let to_array v = Array.copy v
-
 let pp ppf v =
   Format.fprintf ppf "[%s]"
     (String.concat ";" (Array.to_list (Array.map string_of_int v)))

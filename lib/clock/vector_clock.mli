@@ -90,8 +90,6 @@ val dominates_all : t -> t list -> bool
 
 val of_array : int array -> t
 
-val to_array : t -> int array
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

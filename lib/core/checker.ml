@@ -74,7 +74,3 @@ let windows_agree member_windows =
       loop a b
     in
     List.for_all (agree first) rest
-
-let pp_violation ppf (a, b) =
-  Format.fprintf ppf "%a delivered after its descendant %a" Label.pp a
-    Label.pp b

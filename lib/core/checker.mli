@@ -36,6 +36,3 @@ val windows_agree : Causalb_graph.Label.Set.t list list -> bool
 (** Given each member's list of closed-window sets (see
     {!Stable_points.window_sets}), checks members agree cycle by cycle on
     the common prefix of closed cycles. *)
-
-val pp_violation :
-  Format.formatter -> Causalb_graph.Label.t * Causalb_graph.Label.t -> unit

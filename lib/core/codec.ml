@@ -22,10 +22,6 @@ let put_int = Wire.int
 
 let get_int = Wire.r_int
 
-let put_unit (_ : Wire.writer) () = ()
-
-let get_unit (_ : Wire.reader) = ()
-
 (* --- vector clocks --- *)
 
 let put_clock w v =

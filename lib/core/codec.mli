@@ -28,10 +28,6 @@ val put_int : int enc
 
 val get_int : int dec
 
-val put_unit : unit enc
-
-val get_unit : unit dec
-
 (** {1 Protocol values} *)
 
 val put_clock : Causalb_clock.Vector_clock.t enc

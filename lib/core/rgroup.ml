@@ -31,7 +31,6 @@ type 'a t = {
   engine : Engine.t;
   stations : 'a station array;
   seqs : int array;
-  nack_timeout : float;
   max_retries : int;
   mutable nacks : int;
   mutable repairs : int;
@@ -59,6 +58,10 @@ let unrecoverable t =
    when the payload has been garbage-collected. *)
 let has_seen st label = Label.Tbl.mem st.delivered_set label
 
+(* The wait before requesting a missing message, in ms; doubled on each
+   retry. *)
+let nack_timeout = 10.0
+
 (* Arm (or re-arm) a chase for a missing label at this station. *)
 let rec chase t st label =
   if not (has_seen st label) then begin
@@ -74,7 +77,7 @@ let rec chase t st label =
       t.nacks <- t.nacks + 1;
       Net.broadcast t.net ~src:st.id ~self:false
         (Nack { wanting = label; requester = st.id });
-      let backoff = t.nack_timeout *. (2.0 ** float_of_int retries) in
+      let backoff = nack_timeout *. (2.0 ** float_of_int retries) in
       Engine.schedule t.engine ~delay:backoff (fun () -> chase t st label)
     end
   end
@@ -84,7 +87,7 @@ let start_chase t st label =
   if (not (has_seen st label)) && not (Hashtbl.mem st.chasing label) then begin
     Hashtbl.replace st.chasing label 0;
     (* first probe waits one timeout: the message may simply be in flight *)
-    Engine.schedule t.engine ~delay:t.nack_timeout (fun () -> chase t st label)
+    Engine.schedule t.engine ~delay:nack_timeout (fun () -> chase t st label)
   end
 
 (* Gap detection from per-origin sequence numbers: labels below the
@@ -188,7 +191,7 @@ let handle t node packet =
       counts;
     if t.gc then collect_garbage t st
 
-let create net ?(nack_timeout = 10.0) ?(max_retries = 8)
+let create net ?(max_retries = 8)
     ?(on_deliver = fun ~node:_ ~time:_ _ -> ()) () =
   let n = Net.nodes net in
   let engine = Net.engine net in
@@ -215,7 +218,6 @@ let create net ?(nack_timeout = 10.0) ?(max_retries = 8)
       engine;
       stations;
       seqs = Array.make n 0;
-      nack_timeout;
       max_retries;
       nacks = 0;
       repairs = 0;

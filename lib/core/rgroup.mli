@@ -29,13 +29,12 @@ type 'a t
 
 val create :
   'a packet Causalb_net.Net.t ->
-  ?nack_timeout:float ->
   ?max_retries:int ->
   ?on_deliver:(node:int -> time:float -> 'a Message.t -> unit) ->
   unit ->
   'a t
-(** [nack_timeout] (default 10 ms) is the wait before requesting a missing
-    message, doubled on each retry; [max_retries] defaults to 8. *)
+(** A member waits 10 ms before requesting a missing message, doubling
+    the wait on each retry; [max_retries] defaults to 8. *)
 
 val size : 'a t -> int
 

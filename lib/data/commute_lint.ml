@@ -29,8 +29,10 @@ let pp_report ppf r =
       Printf.sprintf "%d VIOLATIONS, e.g. (%s,%s) at %s: %s vs %s"
         (List.length r.violations) v.class_a v.class_b v.state v.op_a v.op_b)
 
-let check (spec : _ Seq_spec.t) ~gen_op ?(states = 40) ?(walk = 12)
-    ?(samples = 8) ~seed () =
+let check (spec : _ Seq_spec.t) ~gen_op ~seed () =
+  (* random walks, their maximum length, and the operation pairs sampled
+     per declared-commuting class pair at each reached state *)
+  let states = 40 and walk = 12 and samples = 8 in
   let rng = Rng.create seed in
   (* bucket a generated op pool by class so each declared-commuting pair
      can be sampled directly *)

@@ -38,18 +38,14 @@ val pp_report : Format.formatter -> report -> unit
 val check :
   ('op, 'state) Seq_spec.t ->
   gen_op:(Causalb_util.Rng.t -> 'op) ->
-  ?states:int ->
-  ?walk:int ->
-  ?samples:int ->
   seed:int ->
   unit ->
   report
-(** [check spec ~gen_op ~seed ()] explores [states] random walks of
-    length up to [walk] (uniform per walk) and, at each reached state,
-    tests [samples] operation pairs for every declared-commuting class
-    pair.  [gen_op] must cover every class for full coverage; classes it
-    never produces are counted in [pairs_skipped].  Deterministic in
-    [seed]. *)
+(** [check spec ~gen_op ~seed ()] explores 40 random walks of length up
+    to 12 (uniform per walk) and, at each reached state, tests 8
+    operation pairs for every declared-commuting class pair.  [gen_op]
+    must cover every class for full coverage; classes it never produces
+    are counted in [pairs_skipped].  Deterministic in [seed]. *)
 
 val suite : seed:int -> report list
 (** The lint over every spec shipped in this library: the seven

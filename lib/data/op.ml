@@ -6,8 +6,6 @@ let to_string = function
 
 let pp ppf k = Format.pp_print_string ppf (to_string k)
 
-let is_commutative = function Commutative -> true | Non_commutative -> false
-
 let class_of = function
   | Commutative -> Causalb_core.Stable_points.Concurrent
   | Non_commutative -> Causalb_core.Stable_points.Sync

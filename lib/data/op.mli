@@ -19,7 +19,5 @@ val to_string : kind -> string
 
 val pp : Format.formatter -> kind -> unit
 
-val is_commutative : kind -> bool
-
 val class_of : kind -> Causalb_core.Stable_points.class_
 (** [Commutative ↦ Concurrent], [Non_commutative ↦ Sync]. *)

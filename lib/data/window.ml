@@ -35,6 +35,4 @@ let last_sync t = t.last_sync
 
 let size t = List.length t.window
 
-let open_labels t = List.rev t.window
-
 let syncs t = t.syncs

@@ -48,9 +48,6 @@ val last_sync : t -> Causalb_graph.Label.t option
 val size : t -> int
 (** Number of labels in the currently open window. *)
 
-val open_labels : t -> Causalb_graph.Label.t list
-(** The open window, in submission order. *)
-
 val syncs : t -> int
 (** Non-commutative labels noted since creation (cycles opened);
     {!reset} does not clear the count. *)

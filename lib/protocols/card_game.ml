@@ -1,6 +1,6 @@
 module Engine = Causalb_sim.Engine
 module Latency = Causalb_sim.Latency
-module Net = Causalb_net.Net
+module Stack = Causalb_stack.Stack
 module Group = Causalb_core.Group
 module Osend = Causalb_core.Osend
 module Checker = Causalb_core.Checker
@@ -24,7 +24,7 @@ type member_view = {
 
 type t = {
   engine : Engine.t;
-  group : play Group.t;
+  stack : play Stack.t;
   players : int;
   mode : mode;
   think : Latency.t;
@@ -59,11 +59,11 @@ let deal_card t =
 
 let static_schedule ~players ~rounds =
   if players <= 0 then invalid_arg "Card_game.static_schedule: players <= 0";
-  (* Group.osend assigns per-origin sequence numbers; player [p] sends
-     exactly one card per round, so the runtime label of card (r,p) is
-     (origin=p, seq=r) — the schedule reproduces it exactly, display name
-     included.  The card itself is drawn at play time and irrelevant to
-     the class structure, so a placeholder stands in. *)
+  (* The stack's OSend group assigns per-origin sequence numbers; player
+     [p] sends exactly one card per round, so the runtime label of card
+     (r,p) is (origin=p, seq=r) — the schedule reproduces it exactly,
+     display name included.  The card itself is drawn at play time and
+     irrelevant to the class structure, so a placeholder stands in. *)
   let label ~round ~player =
     Label.make
       ~name:(Printf.sprintf "card.%d.%d" round player)
@@ -86,7 +86,7 @@ let play_card t ~player ~round ~dep =
     Hashtbl.replace t.round_start round (Engine.now t.engine);
   let card = deal_card t in
   let name = Printf.sprintf "card.%d.%d" round player in
-  ignore (Group.osend t.group ~src:player ~name ~dep { round; player; card })
+  ignore (Stack.submit t.stack ~src:player ~name ~dep { round; player; card })
 
 (* A player acts when its dependency card shows up in its own window
    (its delivery stream): think, then play. *)
@@ -146,7 +146,6 @@ let on_deliver t ~node ~time:_ msg =
 let create engine ~players ~mode ?(latency = Latency.lan)
     ?(think = Latency.exponential ~mean:2.0 ()) () =
   if players <= 0 then invalid_arg "Card_game.create: players <= 0";
-  let net = Net.create engine ~nodes:players ~latency () in
   let views =
     Array.init players (fun mid ->
         {
@@ -157,18 +156,18 @@ let create engine ~players ~mode ?(latency = Latency.lan)
         })
   in
   let t_ref = ref None in
-  let group =
-    Group.create net
+  let stack =
+    Stack.compose ~ordering:Stack.Osend ~latency
       ~on_deliver:(fun ~node ~time msg ->
         match !t_ref with
         | Some t -> on_deliver t ~node ~time msg
         | None -> assert false)
-      ()
+      engine ~nodes:players ()
   in
   let t =
     {
       engine;
-      group;
+      stack;
       players;
       mode;
       think;
@@ -195,9 +194,10 @@ let rounds_completed t = t.completed
 let round_durations t = t.round_durations
 
 let check_causal_order t =
+  let group = Option.get (Stack.osend_group t.stack) in
   Array.for_all
     (fun view ->
-      let member = Group.member t.group view.mid in
+      let member = Group.member group view.mid in
       Checker.causal_safety (Osend.graph member) (Osend.delivered_order member))
     t.views
 
@@ -208,4 +208,4 @@ let check_tables_agree t =
     let finished v = v.table.Card_table.finished in
     List.for_all (fun v -> finished v = finished first) rest
 
-let messages_sent t = Net.messages_sent (Group.net t.group)
+let messages_sent t = Stack.messages_sent t.stack

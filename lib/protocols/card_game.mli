@@ -20,7 +20,8 @@
     point.  Each member maintains a {!Causalb_data.Datatypes.Card_table}
     replica; since plays commute, per-round tables agree at every member
     even though delivery orders differ — checked by
-    {!check_tables_agree}. *)
+    {!check_tables_agree}.  The plays travel through a
+    {!Causalb_stack.Stack} composed over OSend. *)
 
 type mode =
   | Strict_turns
@@ -56,7 +57,7 @@ val static_schedule :
     rows in play order: player [p]'s card occurs after player [p-1]'s in
     the same round, and a new round's opener occurs after {e every} card
     of the finished round.  Labels match the runtime ones exactly
-    ([Group.osend] gives player [p]'s round-[r] card identity
+    (the stack's OSend group gives player [p]'s round-[r] card identity
     [(origin=p, seq=r)]); the card value is a placeholder — only the
     class structure matters to the lint.  [causalb-lint] replays this
     schedule purely: plays commute structurally (the table is kept

@@ -7,9 +7,9 @@ module Label = Causalb_graph.Label
 module Stats = Causalb_util.Stats
 module Rng = Causalb_util.Rng
 
-type msg =
+type 'p msg =
   | Lock of { member : int; cycle : int }
-  | Tfr of { position : int; cycle : int }
+  | Tfr of { position : int; cycle : int; carry : 'p }
 
 type grant = {
   cycle : int;
@@ -28,13 +28,15 @@ type view = {
   mutable orders : (int * int list) list;        (* cycle -> holder sequence *)
 }
 
-type t = {
+type 'p t = {
   engine : Engine.t;
-  stack : msg Stack.t;
+  stack : 'p msg Stack.t;
   members : int;
   hold : Latency.t;
   hold_rng : Rng.t;
   requesters : cycle:int -> int list;
+  release : member:int -> 'p;
+  on_transfer : node:int -> 'p -> unit;
   views : view array;
   mutable total_cycles : int;
   mutable grants_rev : grant list;
@@ -45,10 +47,6 @@ type t = {
   cycle_durations : Stats.t;
   wait_times : Stats.t;
 }
-
-let pp_msg ppf = function
-  | Lock { member; cycle } -> Format.fprintf ppf "LOCK(%d,%d)" member cycle
-  | Tfr { position; cycle } -> Format.fprintf ppf "TFR(%d,%d)" position cycle
 
 let checked_requesters t ~cycle =
   let rs = List.sort_uniq Int.compare (t.requesters ~cycle) in
@@ -82,10 +80,14 @@ let broadcast_lock t member ~cycle ~dep =
   ignore
     (Stack.submit t.stack ~src:member ~name ~dep (Lock { member; cycle }))
 
+(* The holder has finished: it releases its value, which rides on the
+   transfer, so release and propagation are one broadcast. *)
 let broadcast_tfr t member ~position ~cycle ~dep =
   let name = Printf.sprintf "TFR.%d.%d" position cycle in
+  let carry = t.release ~member in
   ignore
-    (Stack.submit t.stack ~src:member ~name ~dep (Tfr { position; cycle }))
+    (Stack.submit t.stack ~src:member ~name ~dep
+       (Tfr { position; cycle; carry }))
 
 (* The member at [position] in the holder sequence acquires now, holds for
    a sampled duration, then broadcasts its transfer. *)
@@ -139,8 +141,9 @@ let cycle_done t view ~cycle =
     end
   end
 
-let on_tfr t view ~label ~position ~cycle =
+let on_tfr t view ~label ~position ~cycle ~carry =
   table_add view.tfrs cycle (position, label);
+  t.on_transfer ~node:view.vid carry;
   let order =
     (* Causal order guarantees the TFR arrives after all LOCKs of its
        cycle, so the arbitration order is already computed locally. *)
@@ -158,10 +161,11 @@ let on_deliver t ~node ~time:_ msg =
   let label = Message.label msg in
   match Message.payload msg with
   | Lock { member; cycle } -> on_lock t view ~label ~member ~cycle
-  | Tfr { position; cycle } -> on_tfr t view ~label ~position ~cycle
+  | Tfr { position; cycle; carry } ->
+    on_tfr t view ~label ~position ~cycle ~carry
 
-let create engine ~members ?(latency = Latency.lan)
-    ?(hold = Latency.constant 1.0)
+let create_carrying engine ~members ~release ~on_transfer
+    ?(latency = Latency.lan) ?(hold = Latency.constant 1.0)
     ?(requesters = fun ~cycle:_ -> []) ?trace () =
   if members <= 0 then invalid_arg "Lock_service.create: members <= 0";
   let requesters =
@@ -194,6 +198,8 @@ let create engine ~members ?(latency = Latency.lan)
       hold;
       hold_rng = Engine.fork_rng engine;
       requesters;
+      release;
+      on_transfer;
       views;
       total_cycles = 0;
       grants_rev = [];
@@ -207,6 +213,12 @@ let create engine ~members ?(latency = Latency.lan)
   in
   t_ref := Some t;
   t
+
+let create engine ~members ?latency ?hold ?requesters ?trace () =
+  create_carrying engine ~members
+    ~release:(fun ~member:_ -> ())
+    ~on_transfer:(fun ~node:_ () -> ())
+    ?latency ?hold ?requesters ?trace ()
 
 let start t ~cycles =
   if cycles <= 0 then invalid_arg "Lock_service.start: cycles <= 0";

@@ -16,14 +16,21 @@
     [Occurs_After] the previous transfer; the last [TFR] of a cycle
     unblocks the next cycle's [LOCK]s.
 
+    The paper's holder "broadcasts a TFR message" once it has finished
+    with the page, so a transfer carries a value: {!create_carrying}
+    takes the holder's released value and hands it to every member as
+    the transfer delivers ({!Page_service} puts the page there).  The
+    plain lock, {!create}, carries [()].
+
     Verified properties: mutual exclusion of usage intervals, identical
     arbitration order at every member, and lock liveness (every request
     eventually granted). *)
 
-type msg =
+type 'p msg =
   | Lock of { member : int; cycle : int }
-  | Tfr of { position : int; cycle : int }
-      (** transfer by the holder at [position] in the cycle's sequence *)
+  | Tfr of { position : int; cycle : int; carry : 'p }
+      (** transfer by the holder at [position] in the cycle's sequence,
+          carrying the value it released *)
 
 type grant = {
   cycle : int;
@@ -32,7 +39,26 @@ type grant = {
   release_time : float;
 }
 
-type t
+type 'p t
+
+val create_carrying :
+  Causalb_sim.Engine.t ->
+  members:int ->
+  release:(member:int -> 'p) ->
+  on_transfer:(node:int -> 'p -> unit) ->
+  ?latency:Causalb_sim.Latency.t ->
+  ?hold:Causalb_sim.Latency.t ->
+  ?requesters:(cycle:int -> int list) ->
+  ?trace:Causalb_sim.Trace.t ->
+  unit ->
+  'p t
+(** The §6.2 protocol with a value on every transfer.  The holder calls
+    [release ~member] for the value as it broadcasts its [TFR]; each
+    member runs [on_transfer ~node] on that value as the [TFR] delivers
+    there, before it acts on the transfer.  [hold] (default constant
+    1 ms) samples resource-usage durations.  [requesters ~cycle]
+    (default: every member) must be non-empty for every cycle that runs.
+    @raise Invalid_argument if [members <= 0]. *)
 
 val create :
   Causalb_sim.Engine.t ->
@@ -42,41 +68,37 @@ val create :
   ?requesters:(cycle:int -> int list) ->
   ?trace:Causalb_sim.Trace.t ->
   unit ->
-  t
-(** [hold] (default constant 1 ms) samples resource-usage durations.
-    [requesters ~cycle] (default: every member) must be non-empty for
-    every cycle that runs.  @raise Invalid_argument if [members <= 0]. *)
+  unit t
+(** The plain lock: {!create_carrying} with an empty transfer. *)
 
-val start : t -> cycles:int -> unit
+val start : 'p t -> cycles:int -> unit
 (** Inject cycle 0's requests; subsequent cycles self-trigger until
     [cycles] have completed.  Call {!Causalb_sim.Engine.run} afterwards. *)
 
-val grants : t -> grant list
+val grants : 'p t -> grant list
 (** All granted usages, in grant order. *)
 
-val cycles_completed : t -> int
+val cycles_completed : 'p t -> int
 
-val arbitration_orders : t -> int -> (int * int list) list
+val arbitration_orders : 'p t -> int -> (int * int list) list
 (** Per member: [(cycle, holder sequence)] as computed locally. *)
 
-val check_mutual_exclusion : t -> bool
+val check_mutual_exclusion : 'p t -> bool
 (** No two usage intervals overlap. *)
 
-val check_agreement : t -> bool
+val check_agreement : 'p t -> bool
 (** Every member computed the same holder sequence for every cycle. *)
 
-val check_liveness : t -> expected_cycles:int -> bool
+val check_liveness : 'p t -> expected_cycles:int -> bool
 (** Every requester of every completed cycle was granted exactly once. *)
 
-val cycle_durations : t -> Causalb_util.Stats.t
+val cycle_durations : 'p t -> Causalb_util.Stats.t
 (** Wall-clock (virtual) duration of each completed cycle. *)
 
-val wait_times : t -> Causalb_util.Stats.t
+val wait_times : 'p t -> Causalb_util.Stats.t
 (** Per grant: request broadcast to grant. *)
 
-val messages_sent : t -> int
+val messages_sent : 'p t -> int
 
-val layer_metrics : t -> Causalb_stackbase.Metrics.t list
+val layer_metrics : 'p t -> Causalb_stackbase.Metrics.t list
 (** Uniform per-layer metrics of the underlying ordering stack. *)
-
-val pp_msg : Format.formatter -> msg -> unit

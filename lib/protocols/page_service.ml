@@ -1,38 +1,13 @@
-module Engine = Causalb_sim.Engine
-module Latency = Causalb_sim.Latency
-module Net = Causalb_net.Net
-module Group = Causalb_core.Group
-module Message = Causalb_core.Message
-module Dep = Causalb_graph.Dep
-module Label = Causalb_graph.Label
-module Rng = Causalb_util.Rng
 module Seq_spec = Causalb_data.Seq_spec
 
 type page = { version : int; data : string; writer : int }
 
-type msg =
-  | Lock of { member : int; cycle : int }
-  | Tfr of { position : int; cycle : int; page : page }
-
-type view = {
-  vid : int;
-  mutable page : page;
-  mutable applied_rev : page list;
-  locks : (int, (int * Label.t) list) Hashtbl.t;
-  tfrs : (int, (int * Label.t) list) Hashtbl.t;
-  mutable orders : (int * int list) list;
-}
-
+(* The §6.2 protocol itself is [Lock_service]'s, with the page on every
+   transfer; this module keeps only the members' page copies. *)
 type t = {
-  engine : Engine.t;
-  group : msg Group.t;
-  members : int;
-  mutate : member:int -> page:page -> string;
-  hold : Latency.t;
-  hold_rng : Rng.t;
-  requesters : cycle:int -> int list;
-  views : view array;
-  mutable total_cycles : int;
+  lock : page Lock_service.t;
+  copies : page array;
+  applied_rev : page list array;
 }
 
 let initial_page = { version = 0; data = ""; writer = -1 }
@@ -55,149 +30,38 @@ let page_spec =
     ~pp_op:(fun ppf p -> Format.fprintf ppf "v%d by %d" p.version p.writer)
     ()
 
-let checked_requesters t ~cycle =
-  let rs = List.sort_uniq Int.compare (t.requesters ~cycle) in
-  if rs = [] then
-    invalid_arg (Printf.sprintf "Page_service: no requesters for cycle %d" cycle);
-  rs
-
-let holder_sequence requesters ~cycle =
-  let arr = Array.of_list requesters in
-  let n = Array.length arr in
-  List.init n (fun i -> arr.((i + cycle) mod n))
-
-let table_add tbl key entry =
-  let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-  Hashtbl.replace tbl key (entry :: prev)
-
-let broadcast_lock t member ~cycle ~dep =
-  ignore
-    (Group.osend t.group ~src:member
-       ~name:(Printf.sprintf "LOCK.%d.%d" member cycle)
-       ~dep
-       (Lock { member; cycle }))
-
-(* The holder works on its local copy, then ships the new page with its
-   transfer: release and write propagation are the same broadcast. *)
-let acquire t view ~position ~cycle ~dep =
-  let hold_for = Latency.sample t.hold_rng t.hold in
-  Engine.schedule t.engine ~delay:hold_for (fun () ->
-      let base = view.page in
-      let page =
-        {
-          version = base.version + 1;
-          data = t.mutate ~member:view.vid ~page:base;
-          writer = view.vid;
-        }
-      in
-      ignore
-        (Group.osend t.group ~src:view.vid
-           ~name:(Printf.sprintf "TFR.%d.%d" position cycle)
-           ~dep
-           (Tfr { position; cycle; page })))
-
-let on_lock t view ~label ~member ~cycle =
-  table_add view.locks cycle (member, label);
-  let requesters = checked_requesters t ~cycle in
-  let seen = Hashtbl.find view.locks cycle in
-  if List.length seen = List.length requesters then begin
-    let order = holder_sequence requesters ~cycle in
-    view.orders <- (cycle, order) :: view.orders;
-    match order with
-    | first :: _ when first = view.vid ->
-      acquire t view ~position:0 ~cycle
-        ~dep:(Dep.after_all (List.map snd seen))
-    | _ -> ()
-  end
-
-let on_tfr t view ~label ~position ~cycle ~page =
-  table_add view.tfrs cycle (position, label);
-  (* install the holder's write through the spec *)
-  view.page <- page_spec.Seq_spec.apply view.page page;
-  view.applied_rev <- page :: view.applied_rev;
-  let order =
-    match List.assoc_opt cycle view.orders with
-    | Some o -> o
-    | None -> assert false
-  in
-  let last = List.length order - 1 in
-  if position < last && List.nth order (position + 1) = view.vid then
-    acquire t view ~position:(position + 1) ~cycle ~dep:(Dep.after label);
-  if position = last then begin
-    let next = cycle + 1 in
-    if next < t.total_cycles then begin
-      let next_requesters = checked_requesters t ~cycle:next in
-      if List.mem view.vid next_requesters then begin
-        let tfr_labels = List.map snd (Hashtbl.find view.tfrs cycle) in
-        broadcast_lock t view.vid ~cycle:next
-          ~dep:(Dep.after_all tfr_labels)
-      end
-    end
-  end
-
-let on_deliver t ~node ~time:_ msg =
-  let view = t.views.(node) in
-  let label = Message.label msg in
-  match Message.payload msg with
-  | Lock { member; cycle } -> on_lock t view ~label ~member ~cycle
-  | Tfr { position; cycle; page } -> on_tfr t view ~label ~position ~cycle ~page
-
-let create engine ~members ~mutate ?(latency = Latency.lan)
-    ?(hold = Latency.constant 1.0)
-    ?(requesters = fun ~cycle:_ -> []) () =
+let create engine ~members ~mutate ?latency ?hold ?requesters () =
   if members <= 0 then invalid_arg "Page_service.create: members <= 0";
-  let requesters =
-    let default = List.init members Fun.id in
-    fun ~cycle ->
-      match requesters ~cycle with [] -> default | rs -> rs
-  in
-  let net = Net.create engine ~nodes:members ~latency () in
-  let views =
-    Array.init members (fun vid ->
-        {
-          vid;
-          page = initial_page;
-          applied_rev = [];
-          locks = Hashtbl.create 16;
-          tfrs = Hashtbl.create 16;
-          orders = [];
-        })
-  in
-  let t_ref = ref None in
-  let group =
-    Group.create net
-      ~on_deliver:(fun ~node ~time msg ->
-        match !t_ref with
-        | Some t -> on_deliver t ~node ~time msg
-        | None -> assert false)
-      ()
-  in
-  let t =
+  let copies = Array.make members initial_page in
+  let applied_rev = Array.make members [] in
+  (* The holder works on its local copy and ships the new page with its
+     transfer: release and write propagation are the same broadcast. *)
+  let release ~member =
+    let base = copies.(member) in
     {
-      engine;
-      group;
-      members;
-      mutate;
-      hold;
-      hold_rng = Engine.fork_rng engine;
-      requesters;
-      views;
-      total_cycles = 0;
+      version = base.version + 1;
+      data = mutate ~member ~page:base;
+      writer = member;
     }
   in
-  t_ref := Some t;
-  t
+  (* install the holder's write through the spec *)
+  let on_transfer ~node page =
+    copies.(node) <- page_spec.Seq_spec.apply copies.(node) page;
+    applied_rev.(node) <- page :: applied_rev.(node)
+  in
+  let lock =
+    Lock_service.create_carrying engine ~members ~release ~on_transfer
+      ?latency ?hold ?requesters ()
+  in
+  { lock; copies; applied_rev }
 
 let start t ~cycles =
   if cycles <= 0 then invalid_arg "Page_service.start: cycles <= 0";
-  t.total_cycles <- cycles;
-  List.iter
-    (fun r -> broadcast_lock t r ~cycle:0 ~dep:Dep.null)
-    (checked_requesters t ~cycle:0)
+  Lock_service.start t.lock ~cycles
 
-let page_at t node = t.views.(node).page
+let page_at t node = t.copies.(node)
 
-let applied t node = List.rev t.views.(node).applied_rev
+let applied t node = List.rev t.applied_rev.(node)
 
 let versions_applied t node = List.map (fun p -> p.version) (applied t node)
 
@@ -207,19 +71,17 @@ let check_no_lost_updates t ~expected_writes =
   versions_applied t 0 = List.init expected_writes (fun i -> i + 1)
 
 let check_copies_converge t =
-  let pages = Array.to_list (Array.map (fun v -> v.page) t.views) in
-  match pages with
+  match Array.to_list t.copies with
   | [] -> true
   | first :: rest -> List.for_all (( = ) first) rest
 
 let check_versions_monotone t =
-  Array.for_all
-    (fun view ->
-      let rec mono = function
-        | a :: (b :: _ as rest) -> a < b && mono rest
-        | [ _ ] | [] -> true
-      in
-      mono (versions_applied t view.vid))
-    t.views
+  let rec mono = function
+    | a :: (b :: _ as rest) -> a < b && mono rest
+    | [ _ ] | [] -> true
+  in
+  List.for_all
+    (fun node -> mono (versions_applied t node))
+    (List.init (Array.length t.copies) Fun.id)
 
-let messages_sent t = Net.messages_sent (Group.net t.group)
+let messages_sent t = Lock_service.messages_sent t.lock

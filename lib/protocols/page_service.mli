@@ -18,6 +18,9 @@
        member, so page versions form a single total order with no lost
        updates.}}
 
+    The protocol run is {!Lock_service}'s, built by
+    {!Lock_service.create_carrying} with the page as the transfer's
+    value; this module keeps each member's page copy and checks them.
     Writers are application callbacks: [mutate ~member ~page] returns the
     member's new page contents. *)
 

@@ -27,9 +27,7 @@ let create ?(name = "layer") () =
 
 let on_receive t = t.received <- t.received + 1
 
-let on_deliver ?dt t =
-  t.delivered <- t.delivered + 1;
-  match dt with Some dt -> Stats.add t.latency dt | None -> ()
+let on_deliver t = t.delivered <- t.delivered + 1
 
 let on_buffer t =
   t.forced_waits <- t.forced_waits + 1;
@@ -55,21 +53,17 @@ let bytes_per_delivery t = per_delivery t t.wire_bytes
 
 let control_bytes_per_delivery t = per_delivery t t.control_bytes
 
-let payload_bytes_per_delivery t = per_delivery t t.payload_bytes
-
-let snapshot ~name ?(received = 0) ?(delivered = 0) ?(forced_waits = 0)
-    ?(buffered = 0) ?(wire_bytes = 0) ?(control_bytes = 0)
-    ?(payload_bytes = 0) ?latency () =
+let snapshot ~name ?(received = 0) ?(delivered = 0) ?(buffered = 0) () =
   {
     name;
     received;
     delivered;
-    forced_waits;
+    forced_waits = 0;
     buffered;
-    wire_bytes;
-    control_bytes;
-    payload_bytes;
-    latency = (match latency with Some s -> s | None -> Stats.create ());
+    wire_bytes = 0;
+    control_bytes = 0;
+    payload_bytes = 0;
+    latency = Stats.create ();
   }
 
 let combine ?latency ~name parts =

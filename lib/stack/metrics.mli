@@ -44,8 +44,8 @@ val create : ?name:string -> unit -> t
 
 val on_receive : t -> unit
 
-val on_deliver : ?dt:float -> t -> unit
-(** Count a release; [dt], when known, is added to {!field-latency}. *)
+val on_deliver : t -> unit
+(** Count a release. *)
 
 val on_buffer : t -> unit
 (** Count a forced wait and raise the buffered gauge. *)
@@ -73,21 +73,8 @@ val control_bytes_per_delivery : t -> float
     experiment M1 reports per member count.  NaN before the first
     delivery. *)
 
-val payload_bytes_per_delivery : t -> float
-(** [payload_bytes / delivered]; NaN before the first delivery. *)
-
 val snapshot :
-  name:string ->
-  ?received:int ->
-  ?delivered:int ->
-  ?forced_waits:int ->
-  ?buffered:int ->
-  ?wire_bytes:int ->
-  ?control_bytes:int ->
-  ?payload_bytes:int ->
-  ?latency:Stats.t ->
-  unit ->
-  t
+  name:string -> ?received:int -> ?delivered:int -> ?buffered:int -> unit -> t
 (** A free-standing view built from externally maintained counters (used
     for the transport layer, whose counters live in [Net]). *)
 

@@ -1,8 +1,6 @@
-(* Minimal JSON: enough for the worker pool's result stream and the
-   bench artifacts.  Emits canonically (objects keep insertion order, no
-   insignificant whitespace unless pretty-printed), parses the full value
-   grammar.  No external dependency — the pool forks workers that talk
-   JSON lines over pipes, so encode/decode must live in the repo. *)
+(* Minimal JSON output: enough for the campaign's verdict lines and the
+   checkers' diagnostics.  Emits canonically (objects keep insertion
+   order, no insignificant whitespace). *)
 
 type t =
   | Null
@@ -35,235 +33,32 @@ let add_num buf x =
     Buffer.add_string buf (Printf.sprintf "%.0f" x)
   else Buffer.add_string buf (Printf.sprintf "%.17g" x)
 
-let rec emit ?(indent = None) ~level buf v =
-  let nl pad =
-    match indent with
-    | None -> ()
-    | Some step ->
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (step * pad) ' ')
-  in
+let rec emit buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Num x -> add_num buf x
   | Str s -> escape_to buf s
-  | List [] -> Buffer.add_string buf "[]"
   | List items ->
     Buffer.add_char buf '[';
     List.iteri
       (fun i item ->
         if i > 0 then Buffer.add_char buf ',';
-        nl (level + 1);
-        emit ~indent ~level:(level + 1) buf item)
+        emit buf item)
       items;
-    nl level;
     Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
   | Obj fields ->
     Buffer.add_char buf '{';
     List.iteri
       (fun i (k, item) ->
         if i > 0 then Buffer.add_char buf ',';
-        nl (level + 1);
         escape_to buf k;
-        Buffer.add_string buf (if indent = None then ":" else ": ");
-        emit ~indent ~level:(level + 1) buf item)
+        Buffer.add_char buf ':';
+        emit buf item)
       fields;
-    nl level;
     Buffer.add_char buf '}'
 
 let to_string v =
   let buf = Buffer.create 256 in
-  emit ~level:0 buf v;
+  emit buf v;
   Buffer.contents buf
-
-let to_string_pretty v =
-  let buf = Buffer.create 1024 in
-  emit ~indent:(Some 2) ~level:0 buf v;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-exception Parse_error of string
-
-type cursor = { src : string; mutable pos : int }
-
-let fail c msg =
-  raise (Parse_error (Printf.sprintf "%s at offset %d" msg c.pos))
-
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
-let advance c = c.pos <- c.pos + 1
-
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance c;
-    skip_ws c
-  | _ -> ()
-
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
-
-let literal c word value =
-  let n = String.length word in
-  if c.pos + n <= String.length c.src && String.sub c.src c.pos n = word then begin
-    c.pos <- c.pos + n;
-    value
-  end
-  else fail c (Printf.sprintf "expected %s" word)
-
-let parse_hex4 c =
-  if c.pos + 4 > String.length c.src then fail c "truncated \\u escape";
-  let v = int_of_string ("0x" ^ String.sub c.src c.pos 4) in
-  c.pos <- c.pos + 4;
-  v
-
-let parse_string c =
-  expect c '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' ->
-      advance c;
-      Buffer.contents buf
-    | Some '\\' ->
-      advance c;
-      (match peek c with
-      | Some '"' -> Buffer.add_char buf '"'; advance c
-      | Some '\\' -> Buffer.add_char buf '\\'; advance c
-      | Some '/' -> Buffer.add_char buf '/'; advance c
-      | Some 'n' -> Buffer.add_char buf '\n'; advance c
-      | Some 'r' -> Buffer.add_char buf '\r'; advance c
-      | Some 't' -> Buffer.add_char buf '\t'; advance c
-      | Some 'b' -> Buffer.add_char buf '\b'; advance c
-      | Some 'f' -> Buffer.add_char buf '\012'; advance c
-      | Some 'u' ->
-        advance c;
-        let code = parse_hex4 c in
-        (* We only emit \u00xx for control bytes; decode the low range
-           directly and pass anything else through as UTF-8. *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-      | _ -> fail c "bad escape");
-      go ()
-    | Some ch ->
-      Buffer.add_char buf ch;
-      advance c;
-      go ()
-  in
-  go ()
-
-let parse_number c =
-  let start = c.pos in
-  let is_num_char ch =
-    (ch >= '0' && ch <= '9')
-    || ch = '-' || ch = '+' || ch = '.' || ch = 'e' || ch = 'E'
-  in
-  while (match peek c with Some ch -> is_num_char ch | None -> false) do
-    advance c
-  done;
-  if c.pos = start then fail c "expected number";
-  match float_of_string_opt (String.sub c.src start (c.pos - start)) with
-  | Some x -> x
-  | None -> fail c "malformed number"
-
-let rec parse_value c =
-  skip_ws c;
-  match peek c with
-  | Some '"' -> Str (parse_string c)
-  | Some '{' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some '}' then begin
-      advance c;
-      Obj []
-    end
-    else begin
-      let rec fields acc =
-        skip_ws c;
-        let key = parse_string c in
-        skip_ws c;
-        expect c ':';
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          fields ((key, v) :: acc)
-        | Some '}' ->
-          advance c;
-          List.rev ((key, v) :: acc)
-        | _ -> fail c "expected ',' or '}'"
-      in
-      Obj (fields [])
-    end
-  | Some '[' ->
-    advance c;
-    skip_ws c;
-    if peek c = Some ']' then begin
-      advance c;
-      List []
-    end
-    else begin
-      let rec items acc =
-        let v = parse_value c in
-        skip_ws c;
-        match peek c with
-        | Some ',' ->
-          advance c;
-          items (v :: acc)
-        | Some ']' ->
-          advance c;
-          List.rev (v :: acc)
-        | _ -> fail c "expected ',' or ']'"
-      in
-      List (items [])
-    end
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some _ -> Num (parse_number c)
-  | None -> fail c "unexpected end of input"
-
-let of_string s =
-  let c = { src = s; pos = 0 } in
-  let v = parse_value c in
-  skip_ws c;
-  if c.pos <> String.length s then fail c "trailing garbage";
-  v
-
-(* --- accessors (raise [Parse_error] on shape mismatch) --- *)
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let get_string = function
-  | Str s -> s
-  | _ -> raise (Parse_error "expected string")
-
-let get_float = function
-  | Num x -> x
-  | _ -> raise (Parse_error "expected number")
-
-let get_int v = int_of_float (get_float v)
-
-let get_bool = function
-  | Bool b -> b
-  | _ -> raise (Parse_error "expected bool")
-
-let get_list = function
-  | List l -> l
-  | _ -> raise (Parse_error "expected array")

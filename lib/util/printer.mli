@@ -7,10 +7,10 @@
     at a buffer for the duration of a task: this sink is the pool's only
     output capture.
 
-    With no sink installed (the default, and always the case for direct
-    CLI runs and [bench/main.exe]), output goes straight to stdout — so
-    the bytes a part produces are identical whether they were captured
-    or not.
+    With no sink installed (the default, and always the case outside a
+    pool task, as for [causalb hunt]'s report), output goes straight to
+    stdout — so the bytes a part produces are identical whether they
+    were captured or not.
 
     The sink is domain-local on OCaml 5 ([Domain.DLS]) and a plain ref on
     4.14, via the printer_sink copy rule — same observable behaviour

@@ -58,8 +58,6 @@ let mean t = if t.n = 0 then nan else t.acc.mean_acc
 
 let variance t = if t.n < 2 then 0.0 else t.acc.m2 /. float_of_int (t.n - 1)
 
-let stddev t = sqrt (variance t)
-
 let min_value t = t.acc.lo
 
 let max_value t = t.acc.hi

@@ -105,8 +105,6 @@ let str w s =
   Bytes.blit_string s 0 w.scratch w.len (String.length s);
   w.len <- w.len + String.length s
 
-let bool_ w b = u8 w (if b then 1 else 0)
-
 let written w =
   check_open w "written";
   w.len
@@ -161,12 +159,6 @@ let r_str r =
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
-
-let r_bool r =
-  match r_u8 r with
-  | 0 -> false
-  | 1 -> true
-  | b -> corrupt "bad bool byte %d at offset %d" b (r.pos - 1)
 
 let expect_end r =
   if remaining r > 0 then

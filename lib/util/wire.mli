@@ -67,8 +67,6 @@ val int : writer -> int -> unit
 val str : writer -> string -> unit
 (** Length-prefixed bytes. *)
 
-val bool_ : writer -> bool -> unit
-
 val written : writer -> int
 (** Bytes appended so far.  Taking the mark before and after a field
     group measures its encoded span — how the framed delivery path
@@ -92,8 +90,6 @@ val r_uint : reader -> int
 val r_int : reader -> int
 
 val r_str : reader -> string
-
-val r_bool : reader -> bool
 
 val remaining : reader -> int
 

@@ -144,6 +144,35 @@ let test_page_all_members_see_every_version () =
       (List.length (Page.versions_applied t node))
   done
 
+(* The page service runs the lock protocol with the page on every
+   transfer: on one seed and one parameter set, with a partial requester
+   set in some cycles, the page's writers are the lock's holders in grant
+   order, and both send the same number of copies. *)
+let test_page_runs_lock_protocol () =
+  let members = 5 and cycles = 4 and seed = 31 in
+  let requesters ~cycle =
+    match cycle mod 3 with 1 -> [ 0; 2; 3 ] | 2 -> [ 4; 1 ] | _ -> []
+  in
+  let latency = Latency.lognormal ~mu:0.3 ~sigma:1.1 () in
+  let e = Engine.create ~seed () in
+  let lock = Lock.create e ~members ~latency ~requesters () in
+  Lock.start lock ~cycles;
+  Engine.run e;
+  let e = Engine.create ~seed () in
+  let page =
+    Page.create e ~members
+      ~mutate:(fun ~member ~page:_ -> string_of_int member)
+      ~latency ~requesters ()
+  in
+  Page.start page ~cycles;
+  Engine.run e;
+  Alcotest.(check (list int))
+    "writers = holders"
+    (List.map (fun g -> g.Lock.holder) (Lock.grants lock))
+    (List.map snd (Page.writes page));
+  check_int "grants" 15 (List.length (Lock.grants lock));
+  check_int "messages" (Lock.messages_sent lock) (Page.messages_sent page)
+
 (* --- Name service --- *)
 
 let drive_ns ?(servers = 3) ~mode ~updates ~queries ?(seed = 42) () =
@@ -384,6 +413,8 @@ let () =
             test_page_subset_requesters;
           Alcotest.test_case "all see every version" `Quick
             test_page_all_members_see_every_version;
+          Alcotest.test_case "runs the lock protocol" `Quick
+            test_page_runs_lock_protocol;
         ] );
       ( "name-service",
         [
