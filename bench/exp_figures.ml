@@ -123,9 +123,14 @@ let f4 () =
       ~fifo:false ()
   in
   let raw_orders = Array.make 4 [] in
+  let total_orders = Array.make 4 [] in
   let merges =
-    Array.init 4 (fun _ ->
-        Asend.Merge.create ~is_sync:(fun m -> Message.payload m = "sync") ())
+    Array.init 4 (fun node ->
+        Asend.Merge.create
+          ~is_sync:(fun m -> Message.payload m = "sync")
+          ~deliver:(fun m ->
+            total_orders.(node) <- Message.label m :: total_orders.(node))
+          ())
   in
   let group =
     Group.create net
@@ -146,21 +151,16 @@ let f4 () =
     Table.create ~title:"causal (raw) order vs ASend (total) order"
       ~columns:[ "member"; "raw causal order"; "ASend order" ]
   in
+  let render o = String.concat " " (List.map Label.to_string (List.rev o)) in
   Array.iteri
-    (fun node merge ->
+    (fun node raw ->
       Table.add_row t
-        [
-          string_of_int node;
-          String.concat " "
-            (List.map Label.to_string (List.rev raw_orders.(node)));
-          String.concat " "
-            (List.map Label.to_string (Asend.Merge.total_order merge));
-        ])
-    merges;
+        [ string_of_int node; render raw; render total_orders.(node) ])
+    raw_orders;
   Table.print t;
-  let totals = Array.to_list (Array.map Asend.Merge.total_order merges) in
+  let totals = Array.to_list (Array.map List.rev total_orders) in
   assert (Checker.identical_orders totals);
-  let raws = Array.to_list (Array.map (fun o -> List.rev o) raw_orders) in
+  let raws = Array.to_list (Array.map List.rev raw_orders) in
   Printer.printf "raw orders identical: %b (expected: usually false)\n"
     (Checker.identical_orders raws);
   Printer.line "ASend orders identical at all members: OK"

@@ -65,10 +65,10 @@ let run ~per_item ~sigma =
         | Some t0 ->
           let d = time -. t0 in
           Stats.add all_lat d;
-          (match Message.payload msg with
-          | Dt.Multi_register.Set _ | Dt.Multi_register.Read_all ->
-            Stats.add sync_lat d
-          | Dt.Multi_register.Inc _ | Dt.Multi_register.Dec _ -> ())
+          if
+            machine.Sm.kind (Message.payload msg)
+            = Causalb_data.Op.Non_commutative
+          then Stats.add sync_lat d
         | None -> ())
       ()
   in

@@ -110,12 +110,7 @@ let duplicate_delivery ~graph trace =
 let corrupt_mark trace =
   let idx = ref None and i = ref 0 in
   Trace.iter trace (fun r ->
-      if
-        !idx = None
-        && r.Trace.kind = Trace.Mark
-        && String.length r.Trace.tag >= 7
-        && String.sub r.Trace.tag 0 7 = "stable:"
-      then idx := Some (!i, r);
+      if !idx = None && Trace.is_stable_mark r then idx := Some (!i, r);
       incr i);
   match !idx with
   | None -> None

@@ -11,11 +11,6 @@ let nodes trace =
       if r.Trace.node >= 0 then Hashtbl.replace seen r.Trace.node ());
   List.sort compare (Hashtbl.fold (fun n () acc -> n :: acc) seen [])
 
-let is_stable_mark r =
-  r.Trace.kind = Trace.Mark
-  && String.length r.Trace.tag >= 7
-  && String.sub r.Trace.tag 0 7 = "stable:"
-
 let chain_of graph a b =
   match Depgraph.shortest_path graph a b with
   | Some path -> path
@@ -93,7 +88,7 @@ let index ~graph trace =
           let b = bucket node in
           b.rl <- r :: b.rl
         | Trace.Mark ->
-          if is_stable_mark r then begin
+          if Trace.is_stable_mark r then begin
             let b = bucket node in
             b.ml <- r :: b.ml
           end);

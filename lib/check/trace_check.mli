@@ -64,8 +64,8 @@ val total_order :
     sequences must be identical, element by element. *)
 
 val stable_points : Causalb_sim.Trace.t -> Diag.t list
-(** Stable-point agreement: [Mark] records whose tag is ["stable:<k>"]
-    carry a replica digest in their [info]; for every cycle closed at two
+(** Stable-point agreement: the {!Causalb_sim.Trace.stable_mark} records
+    carry each member's digest of a cycle; for every cycle closed at two
     or more members, the digests must be equal.  Each cycle is compared
     against the lowest node that recorded its tag, so a cycle the lowest
     marking node never closed is still cross-checked among the others.

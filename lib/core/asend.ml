@@ -20,7 +20,6 @@ module Merge = struct
     deliver : 'a Message.t -> unit;
     mutable buffer : 'a Message.t list;
     mutable size : int;
-    mutable order_rev : Label.t list;
     mutable batches : int;
     metrics : Metrics.t;
   }
@@ -33,13 +32,11 @@ module Merge = struct
       deliver;
       buffer = [];
       size = 0;
-      order_rev = [];
       batches = 0;
       metrics = Metrics.create ~name:"total:merge" ();
     }
 
   let release t msg =
-    t.order_rev <- Message.label msg :: t.order_rev;
     Metrics.on_deliver t.metrics;
     t.deliver msg
 
@@ -64,8 +61,6 @@ module Merge = struct
       t.size <- t.size + 1
     end
 
-  let total_order t = List.rev t.order_rev
-
   let buffered t = t.size
 
   let batches t = t.batches
@@ -85,7 +80,6 @@ module Counted = struct
     deliver : 'a Message.t -> unit;
     mutable buffer : 'a Message.t list;
     mutable size : int;
-    mutable order_rev : Label.t list;
     mutable batches : int;
     metrics : Metrics.t;
   }
@@ -100,13 +94,11 @@ module Counted = struct
       deliver;
       buffer = [];
       size = 0;
-      order_rev = [];
       batches = 0;
       metrics = Metrics.create ~name:"total:counted" ();
     }
 
   let release t msg =
-    t.order_rev <- Message.label msg :: t.order_rev;
     Metrics.on_deliver t.metrics;
     t.deliver msg
 
@@ -129,8 +121,6 @@ module Counted = struct
       t.buffer <- msg :: t.buffer;
       t.size <- t.size + 1
     end
-
-  let total_order t = List.rev t.order_rev
 
   let buffered t = t.size
 

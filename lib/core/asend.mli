@@ -41,9 +41,6 @@ module Merge : sig
 
   val on_causal_deliver : 'a t -> 'a Message.t -> unit
 
-  val total_order : 'a t -> Causalb_graph.Label.t list
-  (** Labels in the (totally ordered) release sequence so far. *)
-
   val buffered : 'a t -> int
   (** Spontaneous messages awaiting their closing sync. *)
 
@@ -75,8 +72,6 @@ module Counted : sig
   (** @raise Invalid_argument if [batch_size <= 0]. *)
 
   val on_causal_deliver : 'a t -> 'a Message.t -> unit
-
-  val total_order : 'a t -> Causalb_graph.Label.t list
 
   val buffered : 'a t -> int
 

@@ -28,7 +28,6 @@ type 'a member = {
          reaches value; counters move by one, so each bucket fires
          exactly once *)
   mutable arrivals : int;
-  mutable tags_rev : string list;
   metrics : Metrics.t;
 }
 
@@ -41,7 +40,6 @@ let member ~id ~group_size ?(deliver = fun _ -> ()) () =
     own_sends = 0;
     waiting = Hashtbl.create 64;
     arrivals = 0;
-    tags_rev = [];
     metrics = Metrics.create ~name:"causal:bss" ();
   }
 
@@ -68,7 +66,6 @@ let wake t key woken =
 let do_deliver t woken e =
   let v = Vc.get t.delivered e.sender + 1 in
   Vc.bump t.delivered e.sender;
-  t.tags_rev <- e.tag :: t.tags_rev;
   Metrics.on_deliver t.metrics;
   t.deliver e;
   wake t (e.sender, v) woken
@@ -135,8 +132,6 @@ let receive t e =
     ()
   else park t e
 
-let delivered_tags t = List.rev t.tags_rev
-
 let delivered_count t = t.metrics.Metrics.delivered
 
 let pending_count t = t.metrics.Metrics.buffered
@@ -179,8 +174,6 @@ module Group = struct
     Net.broadcast (Sgroup.net t) ~src e
 
   let member = Sgroup.member
-
-  let delivered_tags t i = delivered_tags (Sgroup.member t i)
 end
 
 (* Lattice declaration for the static stack verifier. *)

@@ -38,8 +38,6 @@ val receive : 'a member -> 'a envelope -> unit
     decoded from the wire can have any size.  The member is left
     unchanged. *)
 
-val delivered_tags : 'a member -> string list
-
 val delivered_count : 'a member -> int
 
 val pending_count : 'a member -> int
@@ -83,6 +81,4 @@ module Group : sig
       including a local copy. *)
 
   val member : 'a t -> int -> 'a member
-
-  val delivered_tags : 'a t -> int -> string list
 end

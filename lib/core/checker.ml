@@ -60,17 +60,3 @@ let violations g order =
               else None)
             (Dep.ancestors d))
     order
-
-let windows_agree member_windows =
-  match member_windows with
-  | [] -> true
-  | first :: rest ->
-    let agree a b =
-      let rec loop a b =
-        match (a, b) with
-        | [], _ | _, [] -> true
-        | x :: xs, y :: ys -> Label.Set.equal x y && loop xs ys
-      in
-      loop a b
-    in
-    List.for_all (agree first) rest

@@ -8,9 +8,10 @@
       of the application's dependency graph (§3);
     - set agreement: all members deliver the same message set;
     - total-order agreement: all members deliver the identical sequence
-      (the [ASend] guarantee, §5.2);
-    - window agreement: all members partition the execution into the same
-      cycle windows (the stable-point guarantee, §4). *)
+      (the [ASend] guarantee, §5.2).
+
+    Window agreement (the stable-point guarantee, §4) is checked over
+    replicas by [Causalb_data.Consistency.window_sets_agree]. *)
 
 val causal_safety :
   Causalb_graph.Depgraph.t -> Causalb_graph.Label.t list -> bool
@@ -31,8 +32,3 @@ val violations :
   (Causalb_graph.Label.t * Causalb_graph.Label.t) list
 (** Pairs [(ancestor, descendant)] delivered in the wrong relative order —
     the diagnostic form of {!causal_safety}. *)
-
-val windows_agree : Causalb_graph.Label.Set.t list list -> bool
-(** Given each member's list of closed-window sets (see
-    {!Stable_points.window_sets}), checks members agree cycle by cycle on
-    the common prefix of closed cycles. *)

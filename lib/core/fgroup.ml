@@ -81,8 +81,6 @@ module Bss = struct
     Net.bcast (Sgroup.net t.sg) ~src ~size:(Wire.length frame)
       (Codec.framed ~payload_bytes:span frame)
 
-  let delivered_tags t i = B.delivered_tags (Sgroup.member t.sg i)
-
   let metrics t i = B.metrics (Sgroup.member t.sg i)
 
   let wire_bytes t =
@@ -157,8 +155,6 @@ module Pc = struct
     let size = Wire.length frame in
     P.publish m e ~emit:(fun ~dst -> Net.send net ~src ~dst ~size fr);
     label
-
-  let delivered_tags t i = P.delivered_tags (Sgroup.member t.sg i)
 
   let metrics t i = P.metrics (Sgroup.member t.sg i)
 

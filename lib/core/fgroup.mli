@@ -43,8 +43,6 @@ module Bss : sig
 
   val member : 'a t -> int -> 'a B.member
 
-  val delivered_tags : 'a t -> int -> string list
-
   val metrics : 'a t -> int -> Causalb_stackbase.Metrics.t
 
   val wire_bytes : 'a t -> int
@@ -86,8 +84,6 @@ module Pc : sig
   val bcast : 'a t -> src:int -> ?tag:string -> 'a -> Causalb_graph.Label.t
   (** Stamp ({!P.next_envelope}), encode once ({!Codec.encode_pc}),
       flood the shared frame and deliver locally ({!P.publish}). *)
-
-  val delivered_tags : 'a t -> int -> string list
 
   val metrics : 'a t -> int -> Causalb_stackbase.Metrics.t
 

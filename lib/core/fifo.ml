@@ -16,7 +16,6 @@ type 'a member = {
       (* (origin, seq) -> copies parked until next_seq.(origin) reaches
          seq; the contiguous-sequence bucket replaces the pool rescan *)
   mutable arrivals : int;
-  mutable tags_rev : string list;
   metrics : Metrics.t;
 }
 
@@ -28,7 +27,6 @@ let member ~id ~group_size ?(deliver = fun _ -> ()) () =
     next_seq = Array.make group_size 0;
     waiting = Hashtbl.create 64;
     arrivals = 0;
-    tags_rev = [];
     metrics = Metrics.create ~name:"causal:fifo" ();
   }
 
@@ -52,7 +50,6 @@ let do_deliver t woken e =
     t.next_seq.(e.sender) <- e.seq + 1;
     wake t (e.sender, e.seq + 1) woken
   end;
-  t.tags_rev <- e.tag :: t.tags_rev;
   Metrics.on_deliver t.metrics;
   t.deliver e
 
@@ -101,8 +98,6 @@ let receive t e =
   end
   else park t e
 
-let delivered_tags t = List.rev t.tags_rev
-
 let delivered_count t = t.metrics.Metrics.delivered
 
 let pending_count t = t.metrics.Metrics.buffered
@@ -137,8 +132,6 @@ module Group = struct
     Net.broadcast (Sgroup.net t.sg) ~src { sender = src; seq; tag; payload }
 
   let member t i = Sgroup.member t.sg i
-
-  let delivered_tags t i = delivered_tags (member t i)
 end
 
 (* Lattice declaration for the static stack verifier. *)

@@ -15,8 +15,6 @@ val member : id:int -> group_size:int -> ?deliver:('a envelope -> unit) ->
 
 val receive : 'a member -> 'a envelope -> unit
 
-val delivered_tags : 'a member -> string list
-
 val delivered_count : 'a member -> int
 
 val pending_count : 'a member -> int
@@ -48,6 +46,4 @@ module Group : sig
   val bcast : 'a t -> src:int -> ?tag:string -> 'a -> unit
 
   val member : 'a t -> int -> 'a member
-
-  val delivered_tags : 'a t -> int -> string list
 end

@@ -93,7 +93,6 @@ type 'a member = {
   send : dst:int -> 'a wire -> unit;
   mutable own_seq : int;
   mutable arrivals : int;
-  mutable tags_rev : string list;
   (* Audit-only causality context, never on the wire: deps of the next
      send are the member's previous send plus everything delivered since.
      The group accumulates these into the extracted R(M) the offline
@@ -119,7 +118,6 @@ let member ~id ~send ?(deliver = fun _ -> ()) ?(on_causal = fun _ -> ())
     send;
     own_seq = 0;
     arrivals = 0;
-    tags_rev = [];
     last_own = None;
     ctx_rev = [];
     graph = (match graph with Some g -> g | None -> Depgraph.create ());
@@ -213,9 +211,7 @@ and do_deliver t woken e =
   Metrics.on_deliver t.metrics;
   t.on_causal label;
   match e.body with
-  | App _ ->
-    t.tags_rev <- e.tag :: t.tags_rev;
-    t.deliver e
+  | App _ -> t.deliver e
   | Ctrl (Unlock { target }) -> if target = t.id then unlock t ~opener:e.origin
   | Ctrl (Joined { node }) -> if node <> t.id then t.on_joined node
 
@@ -311,8 +307,6 @@ let bcast_member t ?tag p = bcast_body t ?tag (App p)
 let next_envelope t ?tag p = next_envelope_body t ?tag (App p)
 
 let member_id t = t.id
-
-let delivered_tags t = List.rev t.tags_rev
 
 let delivered_count t = t.metrics.Metrics.delivered
 
@@ -461,8 +455,6 @@ module Group = struct
           end)
         (Sgroup.members t.sg)
     end
-
-  let delivered_tags t i = delivered_tags (member t i)
 
   let metrics_of t =
     List.filter_map

@@ -103,8 +103,6 @@ val publish : 'a member -> 'a envelope -> emit:(dst:int -> unit) -> unit
 
 val member_id : 'a member -> int
 
-val delivered_tags : 'a member -> string list
-
 val delivered_count : 'a member -> int
 
 val pending_count : 'a member -> int
@@ -178,8 +176,6 @@ module Group : sig
       ({!Causalb_net.Net.remove_node}) and survivors prune it from
       their overlays at once.  Copies in flight to it become departure
       drops.  Idempotent. *)
-
-  val delivered_tags : 'a t -> int -> string list
 
   val metrics_of : 'a t -> Metrics.t list
   (** Per-member metrics of the still-alive members. *)

@@ -1,60 +1,36 @@
-module Label = Causalb_graph.Label
-
-type class_ = Sync | Concurrent
-
-type point = {
+type 'a point = {
   cycle : int;
-  window : Label.t list;
-  closed_by : Label.t;
+  window : 'a Message.t list;
+  closed_by : 'a Message.t;
 }
 
 type 'a t = {
-  classify : 'a Message.t -> class_;
-  on_stable : point -> unit;
-  mutable window_rev : Label.t list;
-  mutable points_rev : point list;
-  mutable deferred_rev : (point -> unit) list;
+  is_sync : 'a Message.t -> bool;
+  on_stable : 'a point -> unit;
+  mutable window_rev : 'a Message.t list;
+  mutable deferred_rev : ('a point -> unit) list;
   mutable cycles : int;
 }
 
-let create ~classify ?(on_stable = fun _ -> ()) () =
-  {
-    classify;
-    on_stable;
-    window_rev = [];
-    points_rev = [];
-    deferred_rev = [];
-    cycles = 0;
-  }
+let create ~is_sync ~on_stable =
+  { is_sync; on_stable; window_rev = []; deferred_rev = []; cycles = 0 }
 
 let on_deliver t msg =
-  match t.classify msg with
-  | Concurrent -> t.window_rev <- Message.label msg :: t.window_rev
-  | Sync ->
+  if t.is_sync msg then begin
     let point =
-      {
-        cycle = t.cycles;
-        window = List.rev t.window_rev;
-        closed_by = Message.label msg;
-      }
+      { cycle = t.cycles; window = List.rev t.window_rev; closed_by = msg }
     in
     t.window_rev <- [];
     t.cycles <- t.cycles + 1;
-    t.points_rev <- point :: t.points_rev;
     t.on_stable point;
     let actions = List.rev t.deferred_rev in
     t.deferred_rev <- [];
     List.iter (fun act -> act point) actions
+  end
+  else t.window_rev <- msg :: t.window_rev
 
 let defer t act = t.deferred_rev <- act :: t.deferred_rev
 
 let cycles_closed t = t.cycles
 
-let points t = List.rev t.points_rev
-
-let open_window t = List.rev t.window_rev
-
 let deferred_count t = List.length t.deferred_rev
-
-let window_sets t =
-  List.map (fun p -> Label.Set.of_list p.window) (points t)

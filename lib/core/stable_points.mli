@@ -11,43 +11,37 @@
     The tracker also hosts deferred actions (the paper's deferred reads,
     §5.1): an action registered mid-window runs at the next stable point,
     when the member's state is guaranteed to agree with every other
-    member's. *)
+    member's.
 
-type class_ =
-  | Sync        (** non-commutative: closes the current window *)
-  | Concurrent  (** commutative: joins the current window *)
+    A tracker keeps only the open cycle: its interior messages and the
+    actions deferred to its close.  Both are handed over and forgotten
+    when the cycle closes; what a consumer wants to remember of a closed
+    cycle, it keeps itself. *)
 
-type point = {
-  cycle : int;                            (** 0-based cycle number *)
-  window : Causalb_graph.Label.t list;    (** interior set, delivery order *)
-  closed_by : Causalb_graph.Label.t;      (** the sync message *)
+(** One closed cycle, as handed to [on_stable] and to deferred actions. *)
+type 'a point = {
+  cycle : int;                 (** 0-based cycle number *)
+  window : 'a Message.t list;  (** interior set, delivery order *)
+  closed_by : 'a Message.t;    (** the sync message *)
 }
 
 type 'a t
 
 val create :
-  classify:('a Message.t -> class_) ->
-  ?on_stable:(point -> unit) ->
-  unit ->
-  'a t
+  is_sync:('a Message.t -> bool) -> on_stable:('a point -> unit) -> 'a t
+(** [is_sync m] classifies [m] as the non-commutative (Ncid) message that
+    closes the open cycle; every other message joins its window.
+    [on_stable] fires at each close, before the deferred actions run. *)
 
 val on_deliver : 'a t -> 'a Message.t -> unit
 (** Feed each causally delivered message, in delivery order. *)
 
-val defer : 'a t -> (point -> unit) -> unit
-(** Run the action at the next stable point (after [on_stable]). *)
+val defer : 'a t -> ('a point -> unit) -> unit
+(** Run the action at the next stable point (after [on_stable]), in
+    registration order.  An action registered while the actions of a
+    close run waits for the following close. *)
 
 val cycles_closed : 'a t -> int
 
-val points : 'a t -> point list
-(** All stable points so far, oldest first. *)
-
-val open_window : 'a t -> Causalb_graph.Label.t list
-(** Interior messages of the currently open cycle. *)
-
 val deferred_count : 'a t -> int
-
-val window_sets : 'a t -> Causalb_graph.Label.Set.t list
-(** The interior of each closed cycle as a set — the unit at which members
-    must agree (order within a window may differ across members; the set
-    may not). *)
+(** Actions waiting for the next stable point. *)

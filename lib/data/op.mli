@@ -18,6 +18,3 @@ type kind =
 val to_string : kind -> string
 
 val pp : Format.formatter -> kind -> unit
-
-val class_of : kind -> Causalb_core.Stable_points.class_
-(** [Commutative ↦ Concurrent], [Non_commutative ↦ Sync]. *)

@@ -1,4 +1,5 @@
 module Message = Causalb_core.Message
+module Stable_points = Causalb_core.Stable_points
 module Label = Causalb_graph.Label
 
 type ('op, 'state) cycle = {
@@ -12,33 +13,54 @@ type ('op, 'state) cycle = {
 type ('op, 'state) t = {
   id : int;
   machine : ('op, 'state) State_machine.t;
-  on_stable : ('op, 'state) cycle -> unit;
+  tracker : 'op Stable_points.t;
   mutable state : 'state;
   mutable stable : 'state;
-  mutable window_start : 'state;
-  mutable window_ops_rev : (Label.t * 'op) list;
   mutable cycles_rev : ('op, 'state) cycle list;
   mutable applied_rev : Label.t list;
   mutable applied_n : int;
-  mutable reads_rev : ('state -> unit) list;
 }
 
+let entry m = (Message.label m, Message.payload m)
+
+(* The tracker closes the cycle; the replica records it.  The cycle
+   starts from the last stable state and ends at the state the closing
+   operation produced. *)
+let close t on_stable (p : 'op Stable_points.point) =
+  let cycle =
+    {
+      index = p.Stable_points.cycle;
+      start_state = t.stable;
+      window = List.map entry p.Stable_points.window;
+      closed_by = entry p.Stable_points.closed_by;
+      end_state = t.state;
+    }
+  in
+  t.cycles_rev <- cycle :: t.cycles_rev;
+  t.stable <- t.state;
+  on_stable cycle
+
 let create ~id ~machine ?(on_stable = fun _ -> ()) () =
+  let closer = ref ignore in
+  let tracker =
+    Stable_points.create
+      ~is_sync:(fun m ->
+        machine.State_machine.kind (Message.payload m) = Op.Non_commutative)
+      ~on_stable:(fun p -> !closer p)
+  in
   let t =
     {
       id;
       machine;
-      on_stable;
+      tracker;
       state = machine.State_machine.init;
       stable = machine.State_machine.init;
-      window_start = machine.State_machine.init;
-      window_ops_rev = [];
       cycles_rev = [];
       applied_rev = [];
       applied_n = 0;
-      reads_rev = [];
     }
   in
+  closer := close t on_stable;
   t
 
 let id t = t.id
@@ -47,40 +69,17 @@ let state t = t.state
 
 let stable_state t = t.stable
 
-let close_cycle t ~closed_by_label ~closed_by_op =
-  let cycle =
-    {
-      index = List.length t.cycles_rev;
-      start_state = t.window_start;
-      window = List.rev t.window_ops_rev;
-      closed_by = (closed_by_label, closed_by_op);
-      end_state = t.state;
-    }
-  in
-  t.cycles_rev <- cycle :: t.cycles_rev;
-  t.stable <- t.state;
-  t.window_start <- t.state;
-  t.window_ops_rev <- [];
-  t.on_stable cycle;
-  let reads = List.rev t.reads_rev in
-  t.reads_rev <- [];
-  List.iter (fun k -> k t.state) reads
-
 let on_deliver t msg =
-  let op = Message.payload msg in
-  let label = Message.label msg in
-  t.state <- t.machine.State_machine.apply t.state op;
-  t.applied_rev <- label :: t.applied_rev;
+  t.state <- t.machine.State_machine.apply t.state (Message.payload msg);
+  t.applied_rev <- Message.label msg :: t.applied_rev;
   t.applied_n <- t.applied_n + 1;
-  match t.machine.State_machine.kind op with
-  | Op.Commutative -> t.window_ops_rev <- (label, op) :: t.window_ops_rev
-  | Op.Non_commutative -> close_cycle t ~closed_by_label:label ~closed_by_op:op
+  Stable_points.on_deliver t.tracker msg
 
-let read_deferred t k = t.reads_rev <- k :: t.reads_rev
+let read_deferred t k = Stable_points.defer t.tracker (fun _ -> k t.state)
 
 let cycles t = List.rev t.cycles_rev
 
-let cycles_closed t = List.length t.cycles_rev
+let cycles_closed t = Stable_points.cycles_closed t.tracker
 
 let applied t = List.rev t.applied_rev
 
@@ -88,4 +87,4 @@ let applied_count t = t.applied_n
 
 let snapshots t = List.map (fun c -> c.end_state) (cycles t)
 
-let pending_reads t = List.length t.reads_rev
+let pending_reads t = Stable_points.deferred_count t.tracker

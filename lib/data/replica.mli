@@ -4,9 +4,11 @@
 
     Feed {!on_deliver} with each operation message released by the causal
     layer, in delivery order.  The replica applies the transition
-    function, tracks the §6.1 processing cycles, snapshots its state at
-    every stable point (the states that must agree across replicas) and
-    records per-cycle histories for the consistency checker.
+    function and hands the message to its
+    {!Causalb_core.Stable_points} tracker, classified by the machine's
+    [kind] (an [Op.Non_commutative] operation closes the cycle).  At
+    each close it snapshots its state (the states that must agree across
+    replicas) and records the cycle for the consistency checker.
 
     Reads come in the two flavours the paper discusses:
     {ul

@@ -71,11 +71,8 @@ let create engine ~replicas:n ~machine ?latency ?fifo ?fault ?trace () =
               Label.to_string (fst cycle.Replica.closed_by),
               machine.State_machine.digest cycle.Replica.end_state )
         in
-        Causalb_sim.Trace.record tr ~time:now ~node:id
-          ~kind:Causalb_sim.Trace.Mark
-          ~tag:(Printf.sprintf "stable:%d" cycle.Replica.index)
-          ~info:(Printf.sprintf "digest=%08x" (digest land 0xffffffff))
-          ()
+        Causalb_sim.Trace.stable_mark tr ~time:now ~node:id
+          ~cycle:cycle.Replica.index ~digest
     in
     Replica.create ~id ~machine ~on_stable ()
   in

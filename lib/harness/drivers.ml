@@ -14,6 +14,8 @@ module Asend = Causalb_core.Asend
 module Message = Causalb_core.Message
 module Label = Causalb_graph.Label
 module Dt = Causalb_data.Datatypes
+module Op = Causalb_data.Op
+module State_machine = Causalb_data.State_machine
 module Service = Causalb_data.Service
 module Objects = Causalb_data.Objects
 module Replica = Causalb_data.Replica
@@ -197,10 +199,11 @@ type stack_result = {
   audit : stack_audit option;  (* present under [~check:true] *)
 }
 
-let op_is_sync op =
-  match op with
-  | Dt.Int_register.Read | Dt.Int_register.Set _ -> true
-  | Dt.Int_register.Inc _ | Dt.Int_register.Dec _ -> false
+(* The §6.1 classification, read off the register's spec: its Ncid
+   operations close a cycle and a merge bracket. *)
+let is_sync m =
+  Dt.Int_register.machine.State_machine.kind (Message.payload m)
+  = Op.Non_commutative
 
 let stack_params spec =
   match spec with
@@ -208,8 +211,7 @@ let stack_params spec =
   | Bss_stack -> (Stack.Bss, Stack.Pass)
   | Psync_stack -> (Stack.Psync, Stack.Pass)
   | Osend_stack -> (Stack.Osend, Stack.Pass)
-  | Osend_merge ->
-    (Stack.Osend, Stack.Merge (fun m -> op_is_sync (Message.payload m)))
+  | Osend_merge -> (Stack.Osend, Stack.Merge is_sync)
   | Osend_counted n -> (Stack.Osend, Stack.Counted n)
   | Osend_sequencer -> (Stack.Osend, Stack.Sequencer { node = 0 })
   | Pc_stack -> (Stack.Pc, Stack.Pass)
@@ -340,11 +342,6 @@ let recheck spec ~lost (a : stack_audit) =
       if arming = Always || lost = 0 then run checker else [])
     (audit_policy spec a.membership)
 
-(* [Printf.sprintf "%08x" d] for [0 <= d < 2^32], without the format
-   interpreter: audited runs render one per stable point per member. *)
-let hex8 d =
-  String.init 8 (fun i -> "0123456789abcdef".[(d lsr (28 - (4 * i))) land 15])
-
 let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     ?nemesis ~replicas spec w : stack_result =
   let engine = Engine.create ~seed () in
@@ -376,30 +373,29 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     else
       Some
         (Array.init replicas (fun node ->
-             let on_stable (p : Sp.point) =
+             let on_stable (p : _ Sp.point) =
                let now = Engine.now engine in
-               List.iter (since_submit stability now) p.Sp.window;
-               since_submit stability now p.Sp.closed_by;
+               let closed_by = Message.label p.Sp.closed_by in
+               List.iter
+                 (fun m -> since_submit stability now (Message.label m))
+                 p.Sp.window;
+               since_submit stability now closed_by;
                match trace with
                | None -> ()
                | Some tr ->
                  let window =
-                   List.sort compare (List.map Label.to_string p.Sp.window)
+                   List.sort compare
+                     (List.map
+                        (fun m -> Label.to_string (Message.label m))
+                        p.Sp.window)
                  in
                  let digest =
-                   Hashtbl.hash (window, Label.to_string p.Sp.closed_by)
+                   Hashtbl.hash (window, Label.to_string closed_by)
                  in
-                 Causalb_sim.Trace.record tr ~time:now ~node
-                   ~kind:Causalb_sim.Trace.Mark
-                   ~tag:("stable:" ^ string_of_int p.Sp.cycle)
-                   ~info:("digest=" ^ hex8 (digest land 0xffffffff))
-                   ()
+                 Trace.stable_mark tr ~time:now ~node ~cycle:p.Sp.cycle
+                   ~digest
              in
-             Sp.create
-               ~classify:(fun m ->
-                 if op_is_sync (Message.payload m) then Sp.Sync
-                 else Sp.Concurrent)
-               ~on_stable ()))
+             Sp.create ~is_sync ~on_stable))
   in
   let on_deliver ~node ~time msg =
     (match trackers with
@@ -476,13 +472,11 @@ let run_stack ?(seed = 42) ?(latency = default_latency) ?(check = false)
     else Causalb_core.Checker.same_set orders
   in
   let layers = Stack.metrics stack in
+  (* the rows run bottom-up: transport, causal, then any total layer *)
   let buffered =
-    List.fold_left
-      (fun acc (m : Metrics.t) ->
-        if String.length m.Metrics.name >= 6 && String.sub m.Metrics.name 0 6 = "causal"
-        then acc + m.Metrics.forced_waits
-        else acc)
-      0 layers
+    match layers with
+    | _transport :: causal :: _ -> causal.Metrics.forced_waits
+    | _ -> 0
   in
   (* The offline oracle: the policy's row, against the graph member 0
      extracted from the messages themselves where the causal layer builds

@@ -84,6 +84,23 @@ let find_delivery t ~node ~tag =
     (fun (time, tg) -> if String.equal tg tag then Some time else None)
     (deliveries_at t node)
 
+(* The §6.1 stable-point milestone, written and recognised here only.
+   [hex8] is [Printf.sprintf "%08x" d] for [0 <= d < 2^32], without the
+   format interpreter: audited runs write one mark per cycle per member. *)
+let stable_prefix = "stable:"
+
+let hex8 d =
+  String.init 8 (fun i -> "0123456789abcdef".[(d lsr (28 - (4 * i))) land 15])
+
+let stable_mark t ~time ~node ~cycle ~digest =
+  record t ~time ~node ~kind:Mark
+    ~tag:(stable_prefix ^ string_of_int cycle)
+    ~info:("digest=" ^ hex8 (digest land 0xffffffff))
+    ()
+
+let is_stable_mark r =
+  r.kind = Mark && String.starts_with ~prefix:stable_prefix r.tag
+
 let kind_to_string = function
   | Send -> "send"
   | Receive -> "recv"

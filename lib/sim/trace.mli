@@ -71,6 +71,17 @@ val find_delivery : t -> node:int -> tag:string -> float option
 (** Virtual time at which the node first delivered/released the tagged
     message. *)
 
+val stable_mark :
+  t -> time:float -> node:int -> cycle:int -> digest:int -> unit
+(** Record that [node] closed §6.1 cycle [cycle] (0-based): a [Mark]
+    tagged ["stable:<cycle>"] whose [info] is ["digest=<8 hex>"], the low
+    32 bits of [digest].  Members that closed the same cycle on the same
+    window and state write the same digest; [Causalb_check.Trace_check]
+    compares them. *)
+
+val is_stable_mark : record -> bool
+(** The record is a {!stable_mark}. *)
+
 val kind_to_string : kind -> string
 
 val pp_record : Format.formatter -> record -> unit

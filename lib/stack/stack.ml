@@ -46,7 +46,6 @@ type 'a impl =
 type 'a t = {
   engine : Engine.t;
   nodes : int;
-  transport_fifo : bool;
   impl : 'a impl;
   totals : 'a total_member array;
   total_name : string option; (* merge/counted row name; None when absent *)
@@ -245,7 +244,6 @@ let compose ?(ordering = Osend) ?(total = Pass) ?(latency = Latency.lan)
     {
       engine;
       nodes;
-      transport_fifo = fifo;
       impl;
       totals;
       total_name;
@@ -443,25 +441,6 @@ let layer_guarantees ~ordering ~total ~fifo =
       ]
   in
   transport :: causal :: tail
-
-let guarantee t =
-  let causal =
-    match t.impl with
-    | I_fifo _ -> Fifo.provides
-    | I_bss _ -> Bss.provides
-    | I_psync _ -> Psync.provides
-    | I_osend _ -> Osend.provides
-    | I_pc _ -> Pcbcast.provides
-  in
-  let transport =
-    if t.transport_fifo then Guarantee.Fifo else Guarantee.Unordered
-  in
-  let total =
-    match t.total_name with
-    | None -> Guarantee.bot
-    | Some _ -> Guarantee.Causal_total
-  in
-  Guarantee.join transport (Guarantee.join causal total)
 
 let describe t =
   let causal = ordering_name (match t.impl with

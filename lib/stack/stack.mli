@@ -153,11 +153,6 @@ val layer_guarantees :
     otherwise; every other row carries the [requires]/[provides]
     declaration of the engine implementing it. *)
 
-val guarantee : 'a t -> Causalb_stackbase.Guarantee.t
-(** The top-of-stack ordering guarantee of this composition — the join of
-    every layer's [provides], {e assuming} each layer's requirement is
-    met (which [Causalb_analysis.Stack_verify.verify] checks). *)
-
 val describe : 'a t -> string
 (** ["transport -> causal:osend -> total:merge -> app"]. *)
 

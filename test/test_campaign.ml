@@ -130,21 +130,31 @@ let traced_net seed =
   Nemesis.install_net net nemesis_schedule;
   (engine, net, trace)
 
+(* Each node's delivered tags, collected from the group's [on_deliver]. *)
+let tag_logs () =
+  let record, tags = Delivery_log.create () in
+  ( (fun ~node ~time:_ e -> record ~node e.Bss.tag),
+    fun () -> List.init nodes tags )
+
 let bss_framed seed =
   let engine, net, trace = traced_net seed in
-  let g = Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
+  let on_deliver, orders = tag_logs () in
+  let g =
+    Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str ~on_deliver ()
+  in
   schedule_ops engine (fun i ->
       Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
         (Printf.sprintf "p%d" i));
-  (render trace, List.init nodes (Fgroup.Bss.delivered_tags g))
+  (render trace, orders ())
 
 let bss_plain seed =
   let engine, net, _ = traced_net seed in
-  let g = Bss.Group.create net () in
+  let on_deliver, orders = tag_logs () in
+  let g = Bss.Group.create net ~on_deliver () in
   schedule_ops engine (fun i ->
       Bss.Group.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
         (Printf.sprintf "p%d" i));
-  List.init nodes (Bss.Group.delivered_tags g)
+  orders ()
 
 let test_framed_replay_identical () =
   List.iter

@@ -17,6 +17,9 @@ module Fifo = Causalb_core.Fifo
 module Asend = Causalb_core.Asend
 module Stable_points = Causalb_core.Stable_points
 module Checker = Causalb_core.Checker
+module Dt = Causalb_data.Datatypes
+module Replica = Causalb_data.Replica
+module Consistency = Causalb_data.Consistency
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -260,23 +263,26 @@ let test_group_duplicates_are_harmless () =
 let make_bss ?(nodes = 3) ?(latency = Latency.lan) ?(fifo = false) ?seed () =
   let e = Engine.create ?seed () in
   let net = Net.create e ~nodes ~latency ~fifo () in
-  let g = Bss.Group.create net () in
-  (e, g)
+  let record, tags = Delivery_log.create () in
+  let g =
+    Bss.Group.create net
+      ~on_deliver:(fun ~node ~time:_ env -> record ~node env.Bss.tag)
+      ()
+  in
+  (e, g, tags)
 
 let test_bss_basic_delivery () =
-  let e, g = make_bss () in
+  let e, g, tags = make_bss () in
   Bss.Group.bcast g ~src:0 ~tag:"m1" ();
   Engine.run e;
   for node = 0 to 2 do
-    Alcotest.(check (list string))
-      "delivered" [ "m1" ]
-      (Bss.Group.delivered_tags g node)
+    Alcotest.(check (list string)) "delivered" [ "m1" ] (tags node)
   done
 
 let test_bss_causal_order_inferred () =
   (* p0 broadcasts a; p1 delivers a then broadcasts b.  Everyone must
      deliver a before b even on a reordering network. *)
-  let e, g =
+  let e, g, tags =
     make_bss ~latency:(Latency.lognormal ~mu:1.0 ~sigma:1.5 ()) ~seed:2 ()
   in
   Bss.Group.bcast g ~src:0 ~tag:"a" ();
@@ -284,13 +290,11 @@ let test_bss_causal_order_inferred () =
   Bss.Group.bcast g ~src:1 ~tag:"b" ();
   Engine.run e;
   for node = 0 to 2 do
-    Alcotest.(check (list string))
-      "a before b" [ "a"; "b" ]
-      (Bss.Group.delivered_tags g node)
+    Alcotest.(check (list string)) "a before b" [ "a"; "b" ] (tags node)
   done
 
 let test_bss_fifo_per_sender () =
-  let e, g =
+  let e, g, tags =
     make_bss ~latency:(Latency.lognormal ~mu:1.0 ~sigma:2.0 ()) ~seed:4 ()
   in
   for i = 0 to 19 do
@@ -301,11 +305,11 @@ let test_bss_fifo_per_sender () =
     Alcotest.(check (list string))
       "sender order kept"
       (List.init 20 string_of_int)
-      (Bss.Group.delivered_tags g node)
+      (tags node)
   done
 
 let test_bss_buffered_counter () =
-  let e, g =
+  let e, g, _ =
     make_bss ~latency:(Latency.lognormal ~mu:1.0 ~sigma:2.0 ()) ~seed:6 ()
   in
   for i = 0 to 29 do
@@ -325,14 +329,12 @@ let test_bss_buffered_counter () =
   done
 
 let test_bss_same_set_everywhere () =
-  let e, g = make_bss ~nodes:5 ~seed:8 () in
+  let e, g, tags = make_bss ~nodes:5 ~seed:8 () in
   for i = 0 to 49 do
     Bss.Group.bcast g ~src:(i mod 5) ~tag:(string_of_int i) ()
   done;
   Engine.run e;
-  let sets =
-    List.init 5 (fun n -> List.sort compare (Bss.Group.delivered_tags g n))
-  in
+  let sets = List.init 5 (fun n -> List.sort compare (tags n)) in
   check "identical sets" true (List.for_all (fun s -> s = List.hd sets) sets)
 
 (* A stamp whose size is not the group size, or a sender outside the
@@ -368,7 +370,12 @@ let test_fifo_per_sender_order () =
       ~latency:(Latency.lognormal ~mu:1.0 ~sigma:2.0 ())
       ~fifo:false ()
   in
-  let g = Fifo.Group.create net () in
+  let record, tags = Delivery_log.create () in
+  let g =
+    Fifo.Group.create net
+      ~on_deliver:(fun ~node ~time:_ env -> record ~node env.Fifo.tag)
+      ()
+  in
   for i = 0 to 19 do
     Fifo.Group.bcast g ~src:0 ~tag:(string_of_int i) ()
   done;
@@ -377,7 +384,7 @@ let test_fifo_per_sender_order () =
     Alcotest.(check (list string))
       "per-sender order"
       (List.init 20 string_of_int)
-      (Fifo.Group.delivered_tags g node)
+      (tags node)
   done
 
 let test_fifo_no_cross_sender_constraint () =
@@ -387,28 +394,43 @@ let test_fifo_no_cross_sender_constraint () =
       ~latency:(Latency.lognormal ~mu:0.5 ~sigma:1.5 ())
       ~fifo:false ()
   in
-  let g = Fifo.Group.create net () in
+  let record, tags = Delivery_log.create () in
+  let g =
+    Fifo.Group.create net
+      ~on_deliver:(fun ~node ~time:_ env -> record ~node env.Fifo.tag)
+      ()
+  in
   for i = 0 to 19 do
     Fifo.Group.bcast g ~src:(i mod 4) ~tag:(string_of_int i) ()
   done;
   Engine.run e;
-  let orders = List.init 4 (Fifo.Group.delivered_tags g) in
+  let orders = List.init 4 tags in
   check "some disagreement" true
     (List.exists (fun o -> o <> List.hd orders) orders)
 
 (* Two parked copies of one message wake in the same generation; the
    second must leave the buffer without a second delivery. *)
 let test_fifo_parked_copies_once () =
-  let m = Fifo.member ~id:0 ~group_size:1 () in
+  let record, tags = Delivery_log.create () in
+  let m =
+    Fifo.member ~id:0 ~group_size:1
+      ~deliver:(fun env -> record ~node:0 env.Fifo.tag)
+      ()
+  in
   let env seq = { Fifo.sender = 0; seq; tag = string_of_int seq; payload = () } in
   Fifo.receive m (env 1);
   Fifo.receive m (env 1);
   Fifo.receive m (env 0);
-  Alcotest.(check (list string)) "each once" [ "0"; "1" ] (Fifo.delivered_tags m);
+  Alcotest.(check (list string)) "each once" [ "0"; "1" ] (tags 0);
   check_int "nothing left buffered" 0 (Fifo.pending_count m)
 
 let test_bss_parked_copies_once () =
-  let m = Bss.member ~id:1 ~group_size:2 () in
+  let record, tags = Delivery_log.create () in
+  let m =
+    Bss.member ~id:1 ~group_size:2
+      ~deliver:(fun env -> record ~node:0 env.Bss.tag)
+      ()
+  in
   let env k =
     {
       Bss.sender = 0;
@@ -422,7 +444,7 @@ let test_bss_parked_copies_once () =
   Bss.receive m (env 1);
   Bss.receive m (env 3);
   Alcotest.(check (list string))
-    "each once, count not overshot" [ "1"; "2"; "3" ] (Bss.delivered_tags m);
+    "each once, count not overshot" [ "1"; "2"; "3" ] (tags 0);
   check_int "nothing left buffered" 0 (Bss.pending_count m)
 
 (* --- ASend layers --- *)
@@ -430,9 +452,13 @@ let test_bss_parked_copies_once () =
 let test_asend_merge_identical_batches () =
   (* Spontaneous messages closed by a sync that AND-depends on them: every
      member releases the identical total order. *)
+  let record, released = Delivery_log.create () in
   let merges =
-    List.init 3 (fun _ ->
-        Asend.Merge.create ~is_sync:(fun m -> Message.payload m = "sync") ())
+    List.init 3 (fun node ->
+        Asend.Merge.create
+          ~is_sync:(fun m -> Message.payload m = "sync")
+          ~deliver:(fun m -> record ~node (Message.label m))
+          ())
   in
   let e = Engine.create ~seed:21 () in
   let net =
@@ -451,16 +477,21 @@ let test_asend_merge_identical_batches () =
   in
   ignore (Group.osend g ~src:0 ~name:"sync" ~dep:(Dep.after_all spont) "sync");
   Engine.run e;
-  let orders = List.map Asend.Merge.total_order merges in
+  let orders = List.init 3 released in
   check_int "seven released" 7 (List.length (List.hd orders));
   check "identical total order" true (Checker.identical_orders orders);
   List.iter (fun m -> check_int "one batch" 1 (Asend.Merge.batches m)) merges
 
 let test_asend_merge_buffers_without_sync () =
-  let m = Asend.Merge.create ~is_sync:(fun _ -> false) () in
+  let released = ref 0 in
+  let m =
+    Asend.Merge.create ~is_sync:(fun _ -> false)
+      ~deliver:(fun _ -> incr released)
+      ()
+  in
   Asend.Merge.on_causal_deliver m (msg ~origin:0 ~seq:0 ~dep:Dep.null "x");
   check_int "buffered" 1 (Asend.Merge.buffered m);
-  check_int "nothing released" 0 (List.length (Asend.Merge.total_order m))
+  check_int "nothing released" 0 !released
 
 let test_asend_counted_batches () =
   let released = ref [] in
@@ -480,12 +511,15 @@ let test_asend_counted_batches () =
   check_int "one batch" 1 (Asend.Counted.batches c)
 
 let test_asend_counted_multiple_batches () =
-  let c = Asend.Counted.create ~batch_size:2 () in
+  let released = ref 0 in
+  let c =
+    Asend.Counted.create ~batch_size:2 ~deliver:(fun _ -> incr released) ()
+  in
   for i = 0 to 5 do
     Asend.Counted.on_causal_deliver c (msg ~origin:0 ~seq:i ~dep:Dep.null i)
   done;
   check_int "three batches" 3 (Asend.Counted.batches c);
-  check_int "all released" 6 (List.length (Asend.Counted.total_order c))
+  check_int "all released" 6 !released
 
 let test_asend_sequencer_total_order () =
   let e = Engine.create ~seed:31 () in
@@ -808,31 +842,37 @@ let test_psync_inherits_potential_causality_waits () =
 
 (* --- Stable points --- *)
 
-let classify m =
-  if String.length (Message.payload m) > 0 && (Message.payload m).[0] = 's'
-  then Stable_points.Sync
-  else Stable_points.Concurrent
+let is_sync m =
+  String.length (Message.payload m) > 0 && (Message.payload m).[0] = 's'
 
-let test_stable_points_windows () =
+(* A tracker whose closed points are collected, oldest first. *)
+let collecting () =
   let points = ref [] in
   let t =
-    Stable_points.create ~classify
-      ~on_stable:(fun p -> points := p :: !points)
-      ()
+    Stable_points.create ~is_sync ~on_stable:(fun p -> points := p :: !points)
   in
+  (t, fun () -> List.rev !points)
+
+let test_stable_points_windows () =
+  let t, points = collecting () in
   Stable_points.on_deliver t (msg ~origin:0 ~seq:0 ~dep:Dep.null "c1");
   Stable_points.on_deliver t (msg ~origin:1 ~seq:0 ~dep:Dep.null "c2");
   Stable_points.on_deliver t (msg ~origin:2 ~seq:0 ~dep:Dep.null "s1");
   Stable_points.on_deliver t (msg ~origin:0 ~seq:1 ~dep:Dep.null "s2");
   check_int "two cycles" 2 (Stable_points.cycles_closed t);
-  let p1 = List.nth (Stable_points.points t) 0 in
+  check_int "callback count" 2 (List.length (points ()));
+  let p1 = List.nth (points ()) 0 in
   check_int "window size" 2 (List.length p1.Stable_points.window);
-  let p2 = List.nth (Stable_points.points t) 1 in
+  check_int "cycle 0" 0 p1.Stable_points.cycle;
+  Alcotest.(check string)
+    "closed by s1" "s1"
+    (Message.payload p1.Stable_points.closed_by);
+  let p2 = List.nth (points ()) 1 in
   check_int "empty window" 0 (List.length p2.Stable_points.window);
-  check_int "callback count" 2 (List.length !points)
+  check_int "cycle 1" 1 p2.Stable_points.cycle
 
 let test_stable_points_deferred () =
-  let t = Stable_points.create ~classify () in
+  let t = Stable_points.create ~is_sync ~on_stable:ignore in
   let got = ref None in
   Stable_points.on_deliver t (msg ~origin:0 ~seq:0 ~dep:Dep.null "c1");
   Stable_points.defer t (fun p -> got := Some p.Stable_points.cycle);
@@ -843,12 +883,19 @@ let test_stable_points_deferred () =
   check "fired at cycle 0" true (!got = Some 0);
   check_int "drained" 0 (Stable_points.deferred_count t)
 
+(* The open window is handed over at its close and forgotten: the next
+   cycle starts empty. *)
 let test_stable_points_open_window () =
-  let t = Stable_points.create ~classify () in
+  let t, points = collecting () in
   Stable_points.on_deliver t (msg ~origin:0 ~seq:0 ~dep:Dep.null "c1");
-  check_int "open" 1 (List.length (Stable_points.open_window t));
+  check_int "open, nothing closed" 0 (List.length (points ()));
   Stable_points.on_deliver t (msg ~origin:0 ~seq:1 ~dep:Dep.null "s");
-  check_int "closed" 0 (List.length (Stable_points.open_window t))
+  Stable_points.on_deliver t (msg ~origin:0 ~seq:2 ~dep:Dep.null "s2");
+  match points () with
+  | [ p1; p2 ] ->
+    check_int "handed over" 1 (List.length p1.Stable_points.window);
+    check_int "restarted empty" 0 (List.length p2.Stable_points.window)
+  | _ -> Alcotest.fail "expected two closed cycles"
 
 (* --- odds and ends --- *)
 
@@ -912,12 +959,17 @@ let test_group_sent_count () =
   check_int "no ancestors named" 0 (Group.ancestors_named g)
 
 let test_stable_points_window_sets () =
-  let t = Stable_points.create ~classify () in
+  let t, points = collecting () in
   Stable_points.on_deliver t (msg ~origin:0 ~seq:0 ~dep:Dep.null "c1");
   Stable_points.on_deliver t (msg ~origin:1 ~seq:0 ~dep:Dep.null "s");
   Stable_points.on_deliver t (msg ~origin:0 ~seq:1 ~dep:Dep.null "c2");
   Stable_points.on_deliver t (msg ~origin:1 ~seq:1 ~dep:Dep.null "s2");
-  let sets = Stable_points.window_sets t in
+  let sets =
+    List.map
+      (fun p ->
+        Label.Set.of_list (List.map Message.label p.Stable_points.window))
+      (points ())
+  in
   check_int "two closed windows" 2 (List.length sets);
   check "first window = {c1}" true
     (Label.Set.equal (List.hd sets) (Label.Set.singleton (l 0 0)))
@@ -949,10 +1001,23 @@ let test_checker_violations () =
     | [ (x, y) ] -> Label.equal x a && Label.equal y b
     | _ -> false)
 
+(* Window agreement (§4) is checked over replicas: members agree cycle by
+   cycle on the interior sets of the common prefix of closed cycles. *)
 let test_checker_windows_agree () =
-  let s1 = Label.Set.of_list [ l 0 0 ] and s2 = Label.Set.of_list [ l 1 0 ] in
-  check "prefix ok" true (Checker.windows_agree [ [ s1; s2 ]; [ s1 ] ]);
-  check "mismatch" false (Checker.windows_agree [ [ s1 ]; [ s2 ] ])
+  let inc = Dt.Int_register.Inc 1 and read = Dt.Int_register.Read in
+  let replica id ops =
+    let r = Replica.create ~id ~machine:Dt.Int_register.machine () in
+    List.iter
+      (fun (origin, seq, op) ->
+        Replica.on_deliver r (msg ~origin ~seq ~dep:Dep.null op))
+      ops;
+    r
+  in
+  let r0 = replica 0 [ (0, 0, inc); (2, 0, read); (1, 0, inc); (2, 1, read) ] in
+  let r1 = replica 1 [ (0, 0, inc); (2, 0, read) ] in
+  let r2 = replica 2 [ (1, 0, inc); (2, 0, read) ] in
+  check "prefix ok" true (Consistency.window_sets_agree [ r0; r1 ]);
+  check "mismatch" false (Consistency.window_sets_agree [ r1; r2 ])
 
 let () =
   Alcotest.run "core"

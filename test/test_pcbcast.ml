@@ -23,6 +23,15 @@ module Codec = Causalb_core.Codec
 module Fgroup = Causalb_core.Fgroup
 module D = Causalb_harness.Drivers
 
+(* Each node's delivered tags, collected from a group's [on_deliver]. *)
+let pc_tag_log () =
+  let record, tags = Delivery_log.create () in
+  ((fun ~node ~time:_ e -> record ~node e.Pcb.tag), tags)
+
+let bss_tag_log () =
+  let record, tags = Delivery_log.create () in
+  ((fun ~node ~time:_ e -> record ~node e.Causalb_core.Bss.tag), tags)
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
@@ -132,15 +141,18 @@ let test_sparse_overlay_reaches_everyone () =
   let n = 24 in
   let e = Engine.create ~seed:7 () in
   let net = Net.create e ~nodes:n ~latency:Latency.lan ~fifo:true () in
-  let g = Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int () in
+  let on_deliver, tags = pc_tag_log () in
+  let g =
+    Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int
+      ~on_deliver ()
+  in
   for i = 0 to 5 do
     Engine.schedule_at e ~time:(float_of_int i) (fun () ->
         ignore (Fgroup.Pc.bcast g ~src:(i mod n) ~tag:(Printf.sprintf "op%d" i) i))
   done;
   Engine.run e;
   for i = 0 to n - 1 do
-    check_int "member saw all broadcasts" 6
-      (List.length (Fgroup.Pc.delivered_tags g i))
+    check_int "member saw all broadcasts" 6 (List.length (tags i))
   done
 
 (* The framed group drops duplicates before [receive]; on the same seed
@@ -148,10 +160,11 @@ let test_sparse_overlay_reaches_everyone () =
    with the same per-member counts. *)
 let test_framed_equals_plain () =
   let n = 24 and ops = 40 in
-  let run make bcast tags metrics =
+  let run make bcast metrics =
     let e = Engine.create ~seed:11 () in
     let net = Net.create e ~nodes:n ~latency:Latency.lan ~fifo:true () in
-    let g = make net in
+    let on_deliver, tags = pc_tag_log () in
+    let g = make net ~on_deliver in
     for i = 0 to ops - 1 do
       Engine.schedule_at e ~time:(0.3 *. float_of_int i) (fun () ->
           bcast g ~src:((7 * i) mod n) ~tag:(Printf.sprintf "op%d" i) i)
@@ -159,23 +172,23 @@ let test_framed_equals_plain () =
     Engine.run e;
     List.init n (fun i ->
         let m = metrics g i in
-        ( tags g i,
+        ( tags i,
           Causalb_stackbase.Metrics.
             (m.received, m.delivered, m.forced_waits) ))
   in
   let plain =
     run
-      (fun net -> Pcb.Group.create ~degree:4 net ())
+      (fun net ~on_deliver -> Pcb.Group.create ~degree:4 net ~on_deliver ())
       (fun g ~src ~tag i -> ignore (Pcb.Group.bcast g ~src ~tag i))
-      Pcb.Group.delivered_tags
       (fun g i -> Pcb.metrics (Pcb.Group.member g i))
   in
   let framed =
     run
-      (fun net ->
-        Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int ())
+      (fun net ~on_deliver ->
+        Fgroup.Pc.create ~degree:4 net ~enc:Codec.put_int ~dec:Codec.get_int
+          ~on_deliver ())
       (fun g ~src ~tag i -> ignore (Fgroup.Pc.bcast g ~src ~tag i))
-      Fgroup.Pc.delivered_tags Fgroup.Pc.metrics
+      Fgroup.Pc.metrics
   in
   check "every member delivered every op" true
     (List.for_all (fun (tags, _) -> List.length tags = ops) plain);
@@ -188,7 +201,8 @@ let test_framed_equals_plain () =
 let test_join_sees_post_join_traffic () =
   let e = Engine.create ~seed:5 () in
   let net = Net.create e ~nodes:3 ~fifo:true () in
-  let g = Pcb.Group.create net () in
+  let on_deliver, tags = pc_tag_log () in
+  let g = Pcb.Group.create net ~on_deliver () in
   Engine.schedule_at e ~time:1.0 (fun () ->
       ignore (Pcb.Group.bcast g ~src:0 ~tag:"pre" 0));
   Engine.schedule_at e ~time:5.0 (fun () ->
@@ -197,22 +211,20 @@ let test_join_sees_post_join_traffic () =
       ignore (Pcb.Group.bcast g ~src:1 ~tag:"post" 1));
   Engine.run e;
   check_int "group grew" 4 (Pcb.Group.size g);
-  let joiner = Pcb.Group.member g 3 in
-  check "joiner saw post-join traffic" true
-    (List.mem "post" (Pcb.delivered_tags joiner));
+  check "joiner saw post-join traffic" true (List.mem "post" (tags 3));
   check "joiner missed pre-join history" true
-    (not (List.mem "pre" (Pcb.delivered_tags joiner)));
+    (not (List.mem "pre" (tags 3)));
   List.iter
     (fun i ->
       check "founders saw both" true
-        (List.mem "pre" (Pcb.Group.delivered_tags g i)
-        && List.mem "post" (Pcb.Group.delivered_tags g i)))
+        (List.mem "pre" (tags i) && List.mem "post" (tags i)))
     [ 0; 1; 2 ]
 
 let test_leave_prunes_without_disturbing_survivors () =
   let e = Engine.create ~seed:6 () in
   let net = Net.create e ~nodes:4 ~fifo:true () in
-  let g = Pcb.Group.create net () in
+  let on_deliver, tags = pc_tag_log () in
+  let g = Pcb.Group.create net ~on_deliver () in
   Engine.schedule_at e ~time:1.0 (fun () ->
       ignore (Pcb.Group.bcast g ~src:2 ~tag:"early" 0));
   Engine.schedule_at e ~time:5.0 (fun () -> Pcb.Group.leave g 2);
@@ -223,10 +235,10 @@ let test_leave_prunes_without_disturbing_survivors () =
   List.iter
     (fun i ->
       check "survivors saw the late broadcast" true
-        (List.mem "late" (Pcb.Group.delivered_tags g i)))
+        (List.mem "late" (tags i)))
     [ 0; 1; 3 ];
   check "departed member saw nothing new" true
-    (not (List.mem "late" (Pcb.Group.delivered_tags g 2)))
+    (not (List.mem "late" (tags 2)))
 
 let test_churn_schedule_oracle_clean () =
   let nemesis =
@@ -258,24 +270,32 @@ let test_pc_vs_bss_same_delivered_sets () =
       let bss =
         let e = Engine.create ~seed () in
         let net = Net.create e ~nodes ~latency:Latency.lan ~fifo:true () in
-        let g = Fgroup.Bss.create net ~enc:Codec.put_int ~dec:Codec.get_int () in
+        let on_deliver, tags = bss_tag_log () in
+        let g =
+          Fgroup.Bss.create net ~enc:Codec.put_int ~dec:Codec.get_int
+            ~on_deliver ()
+        in
         for i = 0 to ops - 1 do
           Engine.schedule_at e ~time:(0.5 *. float_of_int i) (fun () ->
               Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(tag i) i)
         done;
         Engine.run e;
-        delivered_sets (Fgroup.Bss.delivered_tags g) ~nodes
+        delivered_sets tags ~nodes
       in
       let pc =
         let e = Engine.create ~seed () in
         let net = Net.create e ~nodes ~latency:Latency.lan ~fifo:true () in
-        let g = Fgroup.Pc.create net ~enc:Codec.put_int ~dec:Codec.get_int () in
+        let on_deliver, tags = pc_tag_log () in
+        let g =
+          Fgroup.Pc.create net ~enc:Codec.put_int ~dec:Codec.get_int
+            ~on_deliver ()
+        in
         for i = 0 to ops - 1 do
           Engine.schedule_at e ~time:(0.5 *. float_of_int i) (fun () ->
               ignore (Fgroup.Pc.bcast g ~src:(i mod nodes) ~tag:(tag i) i))
         done;
         Engine.run e;
-        delivered_sets (Fgroup.Pc.delivered_tags g) ~nodes
+        delivered_sets tags ~nodes
       in
       let all = List.sort compare (List.init ops tag) in
       check "bss delivered everything everywhere" true

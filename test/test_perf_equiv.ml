@@ -40,6 +40,12 @@ let check_int = Alcotest.(check int)
 
 let label_of_index i = Label.make ~origin:(i mod 5) ~seq:(i / 5) ()
 
+(* The engine side's delivery sequence, collected from its deliver
+   callback: [f] picks what to compare of each delivery. *)
+let delivery_log f =
+  let record, read = Delivery_log.create () in
+  ((fun x -> record ~node:0 (f x)), fun () -> read 0)
+
 (* --- OSend: random predicate DAGs, partial arrival, duplicates --- *)
 
 (* For each message: a predicate over earlier indices (Null / After /
@@ -154,7 +160,8 @@ let prop_bss_equiv =
   test "bss: indexed = seed list-scan" bss_workload_gen
     (fun (nodes, arrivals) ->
       let reference = Rbss.member ~id:0 ~group_size:nodes () in
-      let indexed = Bss.member ~id:0 ~group_size:nodes () in
+      let deliver, tags = delivery_log (fun e -> e.Bss.tag) in
+      let indexed = Bss.member ~id:0 ~group_size:nodes ~deliver () in
       List.iter
         (fun (s, seq, comps) ->
           let e =
@@ -168,7 +175,7 @@ let prop_bss_equiv =
           Rbss.receive reference e;
           Bss.receive indexed e)
         arrivals;
-      Rbss.delivered_tags reference = Bss.delivered_tags indexed
+      Rbss.delivered_tags reference = tags ()
       && Rbss.delivered_count reference = Bss.delivered_count indexed
       && Rbss.pending_count reference = Bss.pending_count indexed
       && Rbss.buffered_ever reference = Bss.buffered_ever indexed)
@@ -196,7 +203,8 @@ let prop_fifo_equiv =
   test "fifo: indexed = seed list-scan" fifo_workload_gen
     (fun (nodes, arrivals) ->
       let reference = Rfifo.member ~id:0 ~group_size:nodes () in
-      let indexed = Fifo.member ~id:0 ~group_size:nodes () in
+      let deliver, tags = delivery_log (fun e -> e.Fifo.tag) in
+      let indexed = Fifo.member ~id:0 ~group_size:nodes ~deliver () in
       List.iter
         (fun (s, seq) ->
           let e =
@@ -210,7 +218,7 @@ let prop_fifo_equiv =
           Rfifo.receive reference e;
           Fifo.receive indexed e)
         arrivals;
-      Rfifo.delivered_tags reference = Fifo.delivered_tags indexed
+      Rfifo.delivered_tags reference = tags ()
       && Rfifo.delivered_count reference = Fifo.delivered_count indexed
       && Rfifo.pending_count reference = Fifo.pending_count indexed
       && Rfifo.buffered_ever reference = Fifo.buffered_ever indexed)
@@ -239,13 +247,16 @@ let prop_merge_equiv =
       let reference =
         Rasend.Merge.create ~is_sync ~compare:tie_compare ()
       in
-      let indexed = Asend.Merge.create ~is_sync ~compare:tie_compare () in
+      let deliver, order = delivery_log Message.label in
+      let indexed =
+        Asend.Merge.create ~is_sync ~compare:tie_compare ~deliver ()
+      in
       for i = 0 to n - 1 do
         let m = msg_of_int i in
         Rasend.Merge.on_causal_deliver reference m;
         Asend.Merge.on_causal_deliver indexed m
       done;
-      Rasend.Merge.total_order reference = Asend.Merge.total_order indexed
+      Rasend.Merge.total_order reference = order ()
       && Rasend.Merge.buffered reference = Asend.Merge.buffered indexed
       && Rasend.Merge.batches reference = Asend.Merge.batches indexed
       && (Rasend.Merge.metrics reference).Metrics.buffered
@@ -258,13 +269,16 @@ let counted_gen =
 let prop_counted_equiv =
   test "counted: heap = stable sort" counted_gen (fun (batch, n) ->
       let reference = Rasend.Counted.create ~batch_size:batch ~compare:tie_compare () in
-      let indexed = Asend.Counted.create ~batch_size:batch ~compare:tie_compare () in
+      let deliver, order = delivery_log Message.label in
+      let indexed =
+        Asend.Counted.create ~batch_size:batch ~compare:tie_compare ~deliver ()
+      in
       for i = 0 to n - 1 do
         let m = msg_of_int i in
         Rasend.Counted.on_causal_deliver reference m;
         Asend.Counted.on_causal_deliver indexed m
       done;
-      Rasend.Counted.total_order reference = Asend.Counted.total_order indexed
+      Rasend.Counted.total_order reference = order ()
       && Rasend.Counted.buffered reference = Asend.Counted.buffered indexed
       && Rasend.Counted.batches reference = Asend.Counted.batches indexed
       && (Rasend.Counted.metrics reference).Metrics.buffered

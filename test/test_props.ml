@@ -357,6 +357,12 @@ let prop_commute_at_symmetric =
 
 module Asend = Causalb_core.Asend
 
+(* A total-order layer's release sequence, collected from its [deliver]
+   callback. *)
+let release_log () =
+  let record, read = Delivery_log.create () in
+  ((fun m -> record ~node:0 (Message.label m)), fun () -> read 0)
+
 let prop_timestamp_identical_orders =
   test "timestamp orderer: identical sequences for any workload" ~count:40
     QCheck2.Gen.(
@@ -382,10 +388,12 @@ let prop_merge_identical_orders =
   test "merge orderer: identical batch order for any bracket" ~count:40
     QCheck2.Gen.(pair (int_range 0 9_999) (int_range 1 20))
     (fun (seed, spont) ->
+      let record, released = Delivery_log.create () in
       let merges =
-        List.init 3 (fun _ ->
+        List.init 3 (fun node ->
             Asend.Merge.create
               ~is_sync:(fun m -> Causalb_core.Message.payload m = -1)
+              ~deliver:(fun m -> record ~node (Message.label m))
               ())
       in
       let e = Engine.create ~seed () in
@@ -405,7 +413,7 @@ let prop_merge_identical_orders =
       in
       ignore (Group.osend g ~src:0 ~dep:(Dep.after_all labels) (-1));
       Engine.run e;
-      let orders = List.map Asend.Merge.total_order merges in
+      let orders = List.init 3 released in
       List.length (List.hd orders) = spont + 1
       && Checker.identical_orders orders)
 
@@ -444,26 +452,28 @@ let prop_merge_counted_agree_under_permutations =
       let merge_orders =
         List.map
           (fun perm ->
+            let deliver, order = release_log () in
             let m =
               Asend.Merge.create
                 ~is_sync:(fun m -> Causalb_core.Message.payload m = -1)
-                ()
+                ~deliver ()
             in
             List.iter
               (fun i -> Asend.Merge.on_causal_deliver m (List.nth spont i))
               perm;
             Asend.Merge.on_causal_deliver m sync;
-            Asend.Merge.total_order m)
+            order ())
           merge_perms
       in
       let counted_orders =
         List.map
           (fun perm ->
-            let c = Asend.Counted.create ~batch_size:(n + 1) () in
+            let deliver, order = release_log () in
+            let c = Asend.Counted.create ~batch_size:(n + 1) ~deliver () in
             List.iter
               (fun i -> Asend.Counted.on_causal_deliver c (List.nth all i))
               perm;
-            Asend.Counted.total_order c)
+            order ())
           counted_perms
       in
       let orders = merge_orders @ counted_orders in
@@ -639,6 +649,101 @@ let prop_dservice_churn_consistency =
       Dservice.run svc;
       List.for_all snd (Dservice.check svc))
 
+(* --- the replica on its stable-point tracker --- *)
+
+module Op = Causalb_data.Op
+module Replica = Causalb_data.Replica
+
+let reg_op_gen =
+  let open QCheck2.Gen in
+  frequency
+    [
+      (3, map (fun n -> Dt.Int_register.Inc n) (int_range 1 5));
+      (2, map (fun n -> Dt.Int_register.Dec n) (int_range 1 5));
+      (1, map (fun n -> Dt.Int_register.Set n) (int_range 0 9));
+      (2, return Dt.Int_register.Read);
+    ]
+
+type replica_event = Stable of int | Read of int * int
+
+(* Ops from the register spec, each optionally preceded by a deferred
+   read, fed to a replica in order.  A direct fold over the applied
+   sequence predicts what the replica on its tracker must report: one
+   cycle per Ncid op, holding the Cid ops since the previous Ncid op in
+   applied order, ending in the fold of [apply] over the ops up to the
+   closing one; and each deferred read fired after its cycle's
+   [on_stable], in registration order, with that end state. *)
+let prop_replica_matches_direct_fold =
+  test "replica: cycles and deferred reads = a direct fold" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 40) (pair reg_op_gen bool))
+    (fun script ->
+      let m = Dt.Int_register.machine in
+      let ncid op = m.Sm.kind op = Op.Non_commutative in
+      let entries = List.mapi (fun i (op, _) -> (label_of_index i, op)) script in
+      let steps = List.combine entries (List.map snd script) in
+      let ops = List.map snd entries in
+      (* the direct fold *)
+      let cycles_rev = ref [] and events_rev = ref [] in
+      let start = ref m.Sm.init and window = ref [] and pending = ref [] in
+      List.iteri
+        (fun i (((_, op) as entry), defer) ->
+          if defer then pending := !pending @ [ i ];
+          if not (ncid op) then window := !window @ [ entry ]
+          else begin
+            let k = List.length !cycles_rev in
+            let end_state = Sm.run m (List.filteri (fun j _ -> j <= i) ops) in
+            cycles_rev := (k, !start, !window, entry, end_state) :: !cycles_rev;
+            events_rev :=
+              List.rev_append
+                (List.map (fun id -> Read (id, end_state)) !pending)
+                (Stable k :: !events_rev);
+            start := end_state;
+            window := [];
+            pending := []
+          end)
+        steps;
+      (* the replica *)
+      let replica_events_rev = ref [] in
+      let note e = replica_events_rev := e :: !replica_events_rev in
+      let r =
+        Replica.create ~id:0 ~machine:m
+          ~on_stable:(fun c -> note (Stable c.Replica.index))
+          ()
+      in
+      List.iteri
+        (fun i ((label, op), defer) ->
+          if defer then Replica.read_deferred r (fun s -> note (Read (i, s)));
+          Replica.on_deliver r
+            (Message.make ~label ~sender:(Label.origin label) ~dep:Dep.null op))
+        steps;
+      let cycles =
+        List.map
+          (fun c ->
+            Replica.(c.index, c.start_state, c.window, c.closed_by, c.end_state))
+          (Replica.cycles r)
+      in
+      (* two consecutive Ncid ops: the second closes an empty window *)
+      let position l =
+        let rec find i = function
+          | [] -> -1
+          | (l', _) :: rest -> if Label.equal l l' then i else find (i + 1) rest
+        in
+        find 0 entries
+      in
+      let rec empty_between_syncs previous = function
+        | [] -> true
+        | (_, _, w, (l, _), _) :: rest ->
+          let p = position l in
+          (p <> previous + 1 || w = []) && empty_between_syncs p rest
+      in
+      cycles = List.rev !cycles_rev
+      && empty_between_syncs (-1) cycles
+      && !replica_events_rev = !events_rev
+      && Replica.state r = Sm.run m ops
+      && Replica.cycles_closed r = List.length cycles
+      && Replica.pending_reads r = List.length !pending
+      && Replica.applied r = List.map fst entries)
+
 let () =
   Alcotest.run "props"
     [
@@ -692,4 +797,5 @@ let () =
           prop_commutative_ops_transition_preserving;
           prop_commute_at_symmetric;
         ] );
+      ("replica", [ prop_replica_matches_direct_fold ]);
     ]

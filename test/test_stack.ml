@@ -192,14 +192,17 @@ let test_stack_matches_standalone_merge () =
           Asend.Merge.on_causal_deliver !merges.(node) msg)
         ()
     in
+    let released = Array.make nodes [] in
     merges :=
-      Array.init nodes (fun _ ->
+      Array.init nodes (fun node ->
           Asend.Merge.create
             ~is_sync:(fun m -> Message.payload m mod 4 = 3)
+            ~deliver:(fun m ->
+              released.(node) <- Message.label m :: released.(node))
             ());
     drive engine (fun i ~sync:_ ~dep ->
         Some (Group.osend group ~src:(i mod nodes) ~dep i));
-    Array.to_list (Array.map Asend.Merge.total_order !merges)
+    Array.to_list (Array.map List.rev released)
   in
   let so = run_stack () in
   let go = run_standalone () in

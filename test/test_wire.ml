@@ -312,7 +312,12 @@ let prop_codec_hop_vs_oracle =
     bss_codec_oracle_gen
     (fun (nodes, raw) ->
       let reference = Rbss.member ~id:0 ~group_size:nodes () in
-      let hopped = Bss.member ~id:0 ~group_size:nodes () in
+      let record, tags = Delivery_log.create () in
+      let hopped =
+        Bss.member ~id:0 ~group_size:nodes
+          ~deliver:(fun e -> record ~node:0 e.Bss.tag)
+          ()
+      in
       let enc = Codec.put_envelope Codec.put_str in
       let dec = Codec.get_envelope Codec.get_str in
       List.iteri
@@ -330,7 +335,7 @@ let prop_codec_hop_vs_oracle =
           Rbss.receive reference e;
           Bss.receive hopped (Codec.decode dec (Codec.encode pool enc e)))
         raw;
-      Rbss.delivered_tags reference = Bss.delivered_tags hopped
+      Rbss.delivered_tags reference = tags 0
       && Rbss.pending_count reference = Bss.pending_count hopped
       && Rbss.buffered_ever reference = Bss.buffered_ever hopped)
 
@@ -351,23 +356,33 @@ let schedule_ops engine f =
   done;
   Engine.run engine
 
+(* Each node's delivered tags, collected from the group's [on_deliver]. *)
+let tag_logs () =
+  let record, tags = Delivery_log.create () in
+  ( (fun ~node ~time:_ e -> record ~node e.Bss.tag),
+    fun () -> List.init nodes tags )
+
 let bss_plain seed =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Bss.Group.create net () in
+  let on_deliver, orders = tag_logs () in
+  let g = Bss.Group.create net ~on_deliver () in
   schedule_ops engine (fun i ->
       Bss.Group.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
         (Printf.sprintf "p%d" i));
-  (List.init nodes (Bss.Group.delivered_tags g), Net.bytes_sent net)
+  (orders (), Net.bytes_sent net)
 
 let bss_framed seed =
   let engine = Engine.create ~seed () in
   let net = Net.create engine ~nodes ~latency:(lat ()) () in
-  let g = Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str () in
+  let on_deliver, orders = tag_logs () in
+  let g =
+    Fgroup.Bss.create net ~enc:Codec.put_str ~dec:Codec.get_str ~on_deliver ()
+  in
   schedule_ops engine (fun i ->
       Fgroup.Bss.bcast g ~src:(i mod nodes) ~tag:(Printf.sprintf "t%d" i)
         (Printf.sprintf "p%d" i));
-  (List.init nodes (Fgroup.Bss.delivered_tags g), Net.bytes_sent net, g)
+  (orders (), Net.bytes_sent net, g)
 
 let test_bss_framed_equiv () =
   List.iter
