@@ -31,7 +31,7 @@ let f1 () =
   hr "F1 (Fig. 1): data access by message broadcast";
   let engine = Engine.create ~seed:101 () in
   let svc =
-    Service.create engine ~replicas:3 ~machine:Dt.Kv_store.machine
+    Service.create engine ~replicas:3 ~spec:Dt.Kv_store.spec
       ~latency:jittery ()
   in
   ignore (Service.submit svc ~src:0 (Dt.Kv_store.Upd ("VAL", "42")));

@@ -47,17 +47,17 @@ let run () =
         [ "object"; "derived Cid"; "cycles"; "marks"; "msgs"; "checks"; "oracle" ]
   in
   let counter =
-    Drivers.run_object ~seed:42 ~replicas ~machine:Objects.Counter.machine
+    Drivers.run_object ~seed:42 ~replicas ~spec:Objects.Counter.spec
       (Drivers.counter_pipeline ~replicas ~rounds ~window ())
   in
   Table.add_row t (row "counter pipeline" (cid_of Objects.Counter.spec) counter);
   let cart =
-    Drivers.run_object ~seed:43 ~replicas ~machine:Objects.Or_set.machine
+    Drivers.run_object ~seed:43 ~replicas ~spec:Objects.Or_set.spec
       (Drivers.cart_workload ~replicas ~rounds ~window ())
   in
   Table.add_row t (row "or-set cart" (cid_of Objects.Or_set.spec) cart);
   let edit =
-    Drivers.run_object ~seed:44 ~replicas ~machine:Objects.Rga.machine
+    Drivers.run_object ~seed:44 ~replicas ~spec:Objects.Rga.spec
       (Drivers.editing_workload ~replicas ~rounds ~window ())
   in
   Table.add_row t (row "rga collab edit" (cid_of Objects.Rga.spec) edit);

@@ -13,7 +13,7 @@ module Group = Causalb_core.Group
 module Osend = Causalb_core.Osend
 module Message = Causalb_core.Message
 module Label = Causalb_graph.Label
-module Sm = Causalb_data.State_machine
+module Seq_spec = Causalb_data.Seq_spec
 module Dt = Causalb_data.Datatypes
 module Frontend = Causalb_data.Frontend
 module Item_frontend = Causalb_data.Item_frontend
@@ -28,7 +28,7 @@ let ops = 400
 
 let items = 8
 
-let machine = Dt.Multi_register.machine ~items
+let spec = Dt.Multi_register.spec ~items
 
 let scope = function
   | Dt.Multi_register.Inc (i, _) | Dt.Multi_register.Dec (i, _)
@@ -66,7 +66,7 @@ let run ~per_item ~sigma =
           let d = time -. t0 in
           Stats.add all_lat d;
           if
-            machine.Sm.kind (Message.payload msg)
+            Seq_spec.kind spec (Message.payload msg)
             = Causalb_data.Op.Non_commutative
           then Stats.add sync_lat d
         | None -> ())
@@ -74,11 +74,11 @@ let run ~per_item ~sigma =
   in
   let submit =
     if per_item then begin
-      let fe = Item_frontend.create group ~kind:machine.Sm.kind ~scope () in
+      let fe = Item_frontend.create group ~kind:(Seq_spec.kind spec) ~scope () in
       fun ~src op -> Item_frontend.submit fe ~src op
     end
     else begin
-      let fe = Frontend.create group ~kind:machine.Sm.kind () in
+      let fe = Frontend.create group ~kind:(Seq_spec.kind spec) () in
       fun ~src op -> Frontend.submit fe ~src op
     end
   in

@@ -64,8 +64,8 @@ let run_cmem () =
 
 let run_stable ~sync_reads () =
   let e = Engine.create ~seed:51 () in
-  let machine = Dt.Multi_register.machine ~items:vars in
-  let svc = Service.create e ~replicas:nodes ~machine ~latency ~fifo:false () in
+  let spec = Dt.Multi_register.spec ~items:vars in
+  let svc = Service.create e ~replicas:nodes ~spec ~latency ~fifo:false () in
   let rng = Engine.fork_rng e in
   let read_lat = Stats.create () in
   List.iter

@@ -14,7 +14,6 @@ module Bss = Causalb_core.Bss
 module Asend = Causalb_core.Asend
 module Vc = Causalb_clock.Vector_clock
 module Heap = Causalb_util.Heap
-module Sm = Causalb_data.State_machine
 module Dt = Causalb_data.Datatypes
 module Replica = Causalb_data.Replica
 open Bechamel
@@ -87,7 +86,7 @@ let bench_graph_build =
 let bench_replica_window =
   Test.make ~name:"t2.replica-window-f20"
     (Staged.stage (fun () ->
-         let r = Replica.create ~id:0 ~machine:Dt.Int_register.machine () in
+         let r = Replica.create ~id:0 ~spec:Dt.Int_register.spec () in
          for i = 0 to 19 do
            Replica.on_deliver r
              (Message.make ~label:(lbl i) ~sender:0 ~dep:Dep.null

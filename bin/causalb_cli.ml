@@ -52,7 +52,7 @@ let print_checks checks =
 let counter seed sigma replicas ops commutative spacing =
   let engine = Engine.create ~seed () in
   let svc =
-    Service.create engine ~replicas ~machine:Dt.Int_register.machine
+    Service.create engine ~replicas ~spec:Dt.Int_register.spec
       ~latency:(latency_of sigma) ~fifo:false ()
   in
   let rng = Engine.fork_rng engine in

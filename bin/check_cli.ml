@@ -126,19 +126,19 @@ let run_objects ~seed ~replicas ~verbose ~json () =
   let cid spec = String.concat "," (Seq_spec.cid_classes spec) in
   let counter =
     audit "counter-pipeline" (cid Objects.Counter.spec)
-      (Drivers.run_object ~seed ~replicas ~machine:Objects.Counter.machine
+      (Drivers.run_object ~seed ~replicas ~spec:Objects.Counter.spec
          (Drivers.counter_pipeline ~replicas ~rounds ~window ()))
   in
   let cart =
     audit "or-set-cart" (cid Objects.Or_set.spec)
       (Drivers.run_object ~seed:(seed + 1) ~replicas
-         ~machine:Objects.Or_set.machine
+         ~spec:Objects.Or_set.spec
          (Drivers.cart_workload ~replicas ~rounds ~window ()))
   in
   let edit =
     audit "rga-collab-edit" (cid Objects.Rga.spec)
       (Drivers.run_object ~seed:(seed + 2) ~replicas
-         ~machine:Objects.Rga.machine
+         ~spec:Objects.Rga.spec
          (Drivers.editing_workload ~replicas ~rounds ~window ()))
   in
   let oks = [ counter; cart; edit ] in

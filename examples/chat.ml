@@ -16,14 +16,14 @@ module Message = Causalb_core.Message
 module Checker = Causalb_core.Checker
 module Dep = Causalb_graph.Dep
 module Dt = Causalb_data.Datatypes
-module Sm = Causalb_data.State_machine
+module Seq_spec = Causalb_data.Seq_spec
 
 let people = [| "ada"; "barbara"; "grace" |]
 
 let () =
   let engine = Engine.create ~seed:17 () in
-  let machine = Dt.Log.machine in
-  let states = Array.make 3 machine.Sm.init in
+  let spec = Dt.Log.spec in
+  let states = Array.make 3 spec.Seq_spec.init in
   let is_sync m =
     match Message.payload m with Dt.Log.Seal -> true | Dt.Log.Append _ -> false
   in
@@ -32,7 +32,7 @@ let () =
       ~latency:(Latency.lognormal ~mu:1.0 ~sigma:1.0 ())
       ~fifo:false
       ~on_deliver:(fun ~node ~time:_ msg ->
-        states.(node) <- machine.Sm.apply states.(node) (Message.payload msg))
+        states.(node) <- spec.Seq_spec.apply states.(node) (Message.payload msg))
       engine ~nodes:3 ()
   in
   let seqs = Array.make 3 0 in
@@ -74,7 +74,7 @@ let () =
   Printf.printf "  %-32s %s\n" "identical release order"
     (if identical then "ok" else "VIOLATED");
   let all_equal =
-    Array.for_all (fun s -> machine.Sm.equal s states.(0)) states
+    Array.for_all (fun s -> spec.Seq_spec.equal s states.(0)) states
   in
   Printf.printf "  %-32s %s\n" "transcripts identical"
     (if all_equal then "ok" else "VIOLATED");

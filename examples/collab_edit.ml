@@ -27,7 +27,7 @@ let () =
 
   let engine = Engine.create ~seed:2026 () in
   let service =
-    Service.create engine ~replicas:3 ~machine:Rga.machine
+    Service.create engine ~replicas:3 ~spec:Rga.spec
       ~latency:(Latency.lognormal ~mu:0.5 ~sigma:1.0 ())
       ~fifo:false ()
   in

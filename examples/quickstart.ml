@@ -19,7 +19,7 @@ module Stats = Causalb_util.Stats
 let () =
   let engine = Engine.create ~seed:2024 () in
   let service =
-    Service.create engine ~replicas:3 ~machine:Dt.Int_register.machine
+    Service.create engine ~replicas:3 ~spec:Dt.Int_register.spec
       ~latency:(Latency.lognormal ~mu:0.5 ~sigma:1.0 ())
       ~fifo:false ()
   in

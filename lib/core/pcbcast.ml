@@ -455,11 +455,6 @@ module Group = struct
           end)
         (Sgroup.members t.sg)
     end
-
-  let metrics_of t =
-    List.filter_map
-      (fun m -> if is_alive t m.id then Some m.metrics else None)
-      (Array.to_list (Sgroup.members t.sg))
 end
 
 (* Lattice declaration for the static stack verifier: PC-broadcast

@@ -176,9 +176,6 @@ module Group : sig
       ({!Causalb_net.Net.remove_node}) and survivors prune it from
       their overlays at once.  Copies in flight to it become departure
       drops.  Idempotent. *)
-
-  val metrics_of : 'a t -> Metrics.t list
-  (** Per-member metrics of the still-alive members. *)
 end
 
 val provides : Causalb_stackbase.Guarantee.t

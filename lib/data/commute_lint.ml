@@ -57,7 +57,6 @@ let check (spec : _ Seq_spec.t) ~gen_op ~seed () =
     List.length
       (List.filter (fun (_, _, ba, bb) -> ba = [||] || bb = [||]) obligations)
   in
-  let apply = spec.Seq_spec.apply and equal = spec.Seq_spec.equal in
   let str pp v = Format.asprintf "%a" pp v in
   let checks = ref 0 and violations = ref [] in
   for _ = 1 to states do
@@ -67,7 +66,7 @@ let check (spec : _ Seq_spec.t) ~gen_op ~seed () =
       let c = Rng.pick_list rng spec.Seq_spec.classes in
       match bucket c with
       | [||] -> ()
-      | ops -> s := apply !s (Rng.pick rng ops)
+      | ops -> s := spec.Seq_spec.apply !s (Rng.pick rng ops)
     done;
     List.iter
       (fun (ca, cb, ba, bb) ->
@@ -75,7 +74,7 @@ let check (spec : _ Seq_spec.t) ~gen_op ~seed () =
           for _ = 1 to samples do
             let a = Rng.pick rng ba and b = Rng.pick rng bb in
             incr checks;
-            if not (equal (apply (apply !s a) b) (apply (apply !s b) a)) then
+            if not (Seq_spec.commute_at spec !s a b) then
               violations :=
                 {
                   class_a = ca;

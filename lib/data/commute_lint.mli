@@ -7,7 +7,7 @@
     those proof obligations: for every {e declared-commuting} class pair
     ({!Seq_spec.class_pairs}) it samples operation pairs at states
     reachable by random walks from [init] and checks
-    {!State_machine.commute_at}.  (Declared {e non}-commuting pairs need
+    {!Seq_spec.commute_at}.  (Declared {e non}-commuting pairs need
     no check — demotion to [Ncid] costs concurrency, never safety.)
 
     Runs inside [causalb-check --self-test]: the suite over the real

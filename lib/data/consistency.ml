@@ -1,98 +1,85 @@
 module Label = Causalb_graph.Label
 
-let snapshots_prefixes ~machine replicas =
-  let all = List.map Replica.snapshots replicas in
-  let shortest =
-    List.fold_left (fun acc l -> min acc (List.length l)) max_int all
+(* The one cross-replica walk: the earliest index at which some pair of
+   the lists, both longer than it, fails [same].  Each pair is walked
+   once over its common prefix, so the cost is linear in cycles. *)
+let first_mismatch same lists =
+  let rec walk i a b =
+    match (a, b) with
+    | x :: xs, y :: ys -> if same x y then walk (i + 1) xs ys else Some i
+    | [], _ | _, [] -> None
   in
-  let shortest = if shortest = max_int then 0 else shortest in
-  let truncate l = List.filteri (fun i _ -> i < shortest) l in
-  (machine, List.map truncate all, shortest)
-
-let first_disagreement ~machine replicas =
-  let _, prefixes, len = snapshots_prefixes ~machine replicas in
-  match prefixes with
-  | [] | [ _ ] -> None
-  | first :: rest ->
-    let eq = machine.State_machine.equal in
-    let rec scan i =
-      if i >= len then None
-      else begin
-        let s0 = List.nth first i in
-        if List.for_all (fun l -> eq s0 (List.nth l i)) rest then scan (i + 1)
-        else Some i
-      end
-    in
-    scan 0
-
-let agreement_at_stable_points ~machine replicas =
-  first_disagreement ~machine replicas = None
-
-let stable_digests_agree ~machine replicas =
-  let digests r =
-    List.map
-      (fun c -> machine.State_machine.digest c.Replica.end_state)
-      (Replica.cycles r)
+  let earlier a b =
+    match (a, b) with
+    | Some i, Some j -> Some (min i j)
+    | None, x | x, None -> x
   in
-  match List.map digests replicas with
-  | [] | [ _ ] -> true
-  | first :: rest ->
-    let rec agree a b =
-      match (a, b) with
-      | [], _ | _, [] -> true
-      | x :: xs, y :: ys -> x = y && agree xs ys
-    in
-    List.for_all (agree first) rest
+  let rec pairs acc = function
+    | [] -> acc
+    | a :: rest ->
+      pairs (List.fold_left (fun acc b -> earlier acc (walk 0 a b)) acc rest) rest
+  in
+  pairs None lists
+
+let per_cycle f replicas =
+  List.map (fun r -> List.map f (Replica.cycles r)) replicas
+
+let first_disagreement = function
+  | [] -> None
+  | r :: _ as replicas ->
+    first_mismatch (Replica.spec r).Seq_spec.equal
+      (per_cycle (fun c -> c.Replica.end_state) replicas)
+
+let agreement_at_stable_points replicas = first_disagreement replicas = None
+
+let stable_digests_agree = function
+  | [] -> true
+  | r :: _ as replicas ->
+    let digest = (Replica.spec r).Seq_spec.digest in
+    first_mismatch Int.equal
+      (per_cycle (fun c -> digest c.Replica.end_state) replicas)
+    = None
 
 let window_sets_agree replicas =
-  let sets r =
-    List.map
-      (fun c -> Label.Set.of_list (List.map fst c.Replica.window))
-      (Replica.cycles r)
-  in
-  match List.map sets replicas with
-  | [] | [ _ ] -> true
-  | first :: rest ->
-    let agree a b =
-      let rec loop a b =
-        match (a, b) with
-        | [], _ | _, [] -> true
-        | x :: xs, y :: ys -> Label.Set.equal x y && loop xs ys
-      in
-      loop a b
-    in
-    List.for_all (agree first) rest
+  first_mismatch Label.Set.equal
+    (per_cycle
+       (fun c -> Label.Set.of_list (List.map fst c.Replica.window))
+       replicas)
+  = None
 
-let windows_transition_preserving ~machine replica =
+let windows_transition_preserving replica =
+  let spec = Replica.spec replica in
   let check_cycle c =
     let ops = List.map snd c.Replica.window in
     let rec pairs = function
       | [] -> true
       | a :: rest ->
-        List.for_all (State_machine.commute_at machine c.Replica.start_state a) rest
+        List.for_all (Seq_spec.commute_at spec c.Replica.start_state a) rest
         && pairs rest
     in
     pairs ops
   in
   List.for_all check_cycle (Replica.cycles replica)
 
-let serial_witness ~machine replica =
-  let eq = machine.State_machine.equal in
+let serial_witness replica =
+  let spec = Replica.spec replica in
   let replay (state, ok, acc) c =
     let ops =
       List.map snd c.Replica.window @ [ snd c.Replica.closed_by ]
     in
-    let state' = List.fold_left machine.State_machine.apply state ops in
-    (state', ok && eq state' c.Replica.end_state, List.rev_append ops acc)
+    let state' = List.fold_left spec.Seq_spec.apply state ops in
+    ( state',
+      ok && spec.Seq_spec.equal state' c.Replica.end_state,
+      List.rev_append ops acc )
   in
   let _, ok, acc =
-    List.fold_left replay (machine.State_machine.init, true, [])
+    List.fold_left replay (spec.Seq_spec.init, true, [])
       (Replica.cycles replica)
   in
   if ok then Some (List.rev acc) else None
 
-let divergence_fraction ~machine ~states =
-  let eq = machine.State_machine.equal in
+let divergence_fraction ~spec ~states =
+  let eq = spec.Seq_spec.equal in
   let diverged sample =
     match sample with
     | [] | [ _ ] -> false

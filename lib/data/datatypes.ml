@@ -3,7 +3,7 @@
    observer classes.  The Cid/Ncid labeling the §6 access protocol needs
    is DERIVED from the relation by Seq_spec.make — no constructor is
    hand-marked, and Commute_lint validates each declared-commuting pair
-   against State_machine.commute_at from reachable states. *)
+   against Seq_spec.commute_at from reachable states. *)
 
 module Int_register = struct
   type op = Inc of int | Dec of int | Set of int | Read
@@ -44,8 +44,6 @@ module Int_register = struct
       ~observe:(fun s op ->
         match op with Read -> Some (string_of_int s) | _ -> None)
       ~pp_state:Format.pp_print_int ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Multi_register = struct
@@ -109,8 +107,6 @@ module Multi_register = struct
       ~observe:(fun s op ->
         match op with Read_all -> Some (render s) | _ -> None)
       ~pp_state ~pp_op ()
-
-  let machine ~items = Seq_spec.to_machine (spec ~items)
 end
 
 module Kv_store = struct
@@ -160,8 +156,6 @@ module Kv_store = struct
         match op with Qry k -> Smap.find_opt k s | _ -> None)
       ~digest:(fun s -> Hashtbl.hash (Smap.bindings s))
       ~pp_state ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 
   let lookup s k = Smap.find_opt k s
 end
@@ -251,8 +245,6 @@ module Document = struct
              (fun sec -> (sec.body, String_set.elements sec.annotations))
              s))
       ~pp_state ~pp_op ()
-
-  let machine ~sections = Seq_spec.to_machine (spec ~sections)
 end
 
 module Log = struct
@@ -303,8 +295,6 @@ module Log = struct
         | Seal -> Some (Printf.sprintf "sealed %d entries" (List.length s.open_))
         | _ -> None)
       ~pp_state ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Bank_account = struct
@@ -358,8 +348,6 @@ module Bank_account = struct
             (Printf.sprintf "balance=%d rejected=%d" s.balance s.rejected)
         | _ -> None)
       ~pp_state ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Card_table = struct
@@ -412,6 +400,4 @@ module Card_table = struct
         | Round_end -> Some (Format.asprintf "%a" pp_round s.table)
         | _ -> None)
       ~pp_state ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end

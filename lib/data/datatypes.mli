@@ -8,11 +8,11 @@
     (§1, §5.2, ref [11]) and the multiplayer card game (§5.1).
 
     Every module declares a {!Seq_spec.t} — transition function plus a
-    class-level commutativity relation — and its [machine] is
-    [Seq_spec.to_machine spec]: the [Cid]/[Ncid] labeling is {e derived}
-    from the relation, not hand-marked per constructor, and
-    {!Commute_lint} checks the relation against
-    {!State_machine.commute_at} from reachable states. *)
+    class-level commutativity relation — and that [spec] is what
+    {!Replica}, {!Service} and the harness drivers run: the [Cid]/[Ncid]
+    labeling is {e derived} from the relation, not hand-marked per
+    constructor, and {!Commute_lint} checks the relation against
+    {!Seq_spec.commute_at} from reachable states. *)
 
 (** Integer data with commutative increment/decrement and non-commutative
     set/read (the paper's running example). *)
@@ -27,8 +27,6 @@ module Int_register : sig
   type state = int
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val pp_op : Format.formatter -> op -> unit
 end
@@ -49,9 +47,6 @@ module Multi_register : sig
 
   val spec : items:int -> (op, state) Seq_spec.t
   (** @raise Invalid_argument if [items <= 0]. *)
-
-  val machine : items:int -> (op, state) State_machine.t
-  (** @raise Invalid_argument if [items <= 0]. *)
 end
 
 (** Name-service registry (§5.2): conflicting updates, commutative
@@ -70,8 +65,6 @@ module Kv_store : sig
   type state = string Map.Make(String).t
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val lookup : state -> string -> string option
 end
@@ -94,8 +87,6 @@ module Document : sig
 
   val spec : sections:int -> (op, state) Seq_spec.t
 
-  val machine : sections:int -> (op, state) State_machine.t
-
   val render : state -> string
 end
 
@@ -115,8 +106,6 @@ module Log : sig
 
   val spec : (op, state) Seq_spec.t
 
-  val machine : (op, state) State_machine.t
-
   val entry : author:int -> seq:int -> string -> entry
 end
 
@@ -135,8 +124,6 @@ module Bank_account : sig
   type state = { balance : int; rejected : int }
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 end
 
 (** Multiplayer card game (§5.1): players' cards within one round are
@@ -152,6 +139,4 @@ module Card_table : sig
   type state = { finished : round list; table : round }
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 end

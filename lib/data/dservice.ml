@@ -15,7 +15,7 @@ type ('op, 'state) node_state = {
 type ('op, 'state) t = {
   engine : Engine.t;
   group : ('op, 'state) Vgroup.t;
-  machine : ('op, 'state) State_machine.t;
+  spec : ('op, 'state) Seq_spec.t;
   nodes : ('op, 'state) node_state array;
   (* shared §6.1 front-end manager; label state dies with each view *)
   mutable manager_vid : int;
@@ -23,13 +23,11 @@ type ('op, 'state) t = {
   mutable parked : (int * 'op) list; (* reversed; submitted mid-change *)
 }
 
-let machine_apply t node ~label op =
-  node.data <- t.machine.State_machine.apply node.data op;
+let spec_apply t node ~label op =
+  node.data <- t.spec.Seq_spec.apply node.data op;
   node.applied <- node.applied + 1;
-  match t.machine.State_machine.kind op with
-  | Op.Non_commutative ->
+  if not (Seq_spec.is_cid t.spec op) then
     node.snapshots <- (label, node.data) :: node.snapshots
-  | Op.Commutative -> ()
 
 (* An operation may go out only when its source sits exactly at the
    manager's epoch: labels the manager tracks all belong to [manager_vid],
@@ -47,7 +45,7 @@ let rec manager_send t ~src op =
   in
   if not at_epoch then t.parked <- (src, op) :: t.parked
   else begin
-    let kind = t.machine.State_machine.kind op in
+    let kind = Seq_spec.kind t.spec op in
     let after = Window.deps_for t.win ~kind ~fallback:[] in
     match Vgroup.send t.group ~src ~after op with
     | Some label -> Window.note t.win ~kind label
@@ -71,11 +69,11 @@ let on_view t ~node:_ (v : Vgroup.view) =
   (* every install may unblock parked submissions from that node *)
   drain_parked t
 
-let create engine ~nodes:n ~initial ~machine ?latency () =
+let create engine ~nodes:n ~initial ~spec ?latency () =
   let net = Net.create engine ~nodes:n ?latency ~fifo:false () in
   let node_states =
     Array.init n (fun _ ->
-        { data = machine.State_machine.init; applied = 0; snapshots = [] })
+        { data = spec.Seq_spec.init; applied = 0; snapshots = [] })
   in
   let t_ref = ref None in
   let group =
@@ -83,7 +81,7 @@ let create engine ~nodes:n ~initial ~machine ?latency () =
       ~on_deliver:(fun ~node ~vid:_ ~time:_ msg ->
         match !t_ref with
         | Some t ->
-          machine_apply t t.nodes.(node) ~label:(Message.label msg)
+          spec_apply t t.nodes.(node) ~label:(Message.label msg)
             (Message.payload msg)
         | None -> assert false)
       ~on_view:(fun ~node v ->
@@ -98,7 +96,7 @@ let create engine ~nodes:n ~initial ~machine ?latency () =
     {
       engine;
       group;
-      machine;
+      spec;
       nodes = node_states;
       manager_vid = 0;
       win = Window.create ();
@@ -129,7 +127,7 @@ let survivors t =
   List.filter (is_member t) (List.init (Array.length t.nodes) Fun.id)
 
 let check t =
-  let eq = t.machine.State_machine.equal in
+  let eq = t.spec.Seq_spec.equal in
   let survivor_states = List.map (state t) (survivors t) in
   let survivors_agree =
     match survivor_states with

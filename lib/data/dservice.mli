@@ -18,7 +18,7 @@ val create :
   Causalb_sim.Engine.t ->
   nodes:int ->
   initial:int list ->
-  machine:('op, 'state) State_machine.t ->
+  spec:('op, 'state) Seq_spec.t ->
   ?latency:Causalb_sim.Latency.t ->
   unit ->
   ('op, 'state) t

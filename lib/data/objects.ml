@@ -20,8 +20,6 @@ module Counter = struct
       ~observe:(fun s op ->
         match op with Value -> Some (string_of_int s) | _ -> None)
       ~pp_state:Format.pp_print_int ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Gset = struct
@@ -56,8 +54,6 @@ module Gset = struct
       ~pp_state:(fun ppf s ->
         Format.fprintf ppf "{%s}" (String.concat "," (elements s)))
       ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Or_set = struct
@@ -119,8 +115,6 @@ module Or_set = struct
       ~pp_state:(fun ppf s ->
         Format.fprintf ppf "{%s}" (String.concat "," (elements s)))
       ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Lww_map = struct
@@ -186,8 +180,6 @@ module Lww_map = struct
           (String.concat ","
              (List.map (fun (k, v) -> k ^ "=" ^ v) (bindings s))))
       ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end
 
 module Rga = struct
@@ -283,6 +275,4 @@ module Rga = struct
         Hashtbl.hash (Id_map.bindings s.nodes, Id_set.elements s.tombs))
       ~pp_state:(fun ppf s -> Format.fprintf ppf "%S" (to_text s))
       ~pp_op ()
-
-  let machine = Seq_spec.to_machine spec
 end

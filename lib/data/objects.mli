@@ -2,7 +2,8 @@
 
     These are the classic convergent datatypes, but nothing here is a
     CRDT implementation in the merge-function sense: each is an ordinary
-    sequential state machine whose commutativity relation the
+    sequential specification ({!Seq_spec.t}, the one object type
+    {!Replica} and {!Service} run) whose commutativity relation the
     {!Seq_spec} layer turns into a [Cid]/[Ncid] labeling, and the §6
     access protocol supplies exactly the delivery order the relation
     requires.  Operations whose classes always commute ride the causal
@@ -22,8 +23,6 @@ module Counter : sig
   type state = int
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 end
 
 (** A grow-only set: adds are idempotent unions and always commute. *)
@@ -37,8 +36,6 @@ module Gset : sig
   type state = String_set.t
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val elements : state -> string list
 end
@@ -58,8 +55,6 @@ module Or_set : sig
   type state
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val mem : state -> string -> bool
 
@@ -85,8 +80,6 @@ module Lww_map : sig
   type state
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val find : state -> string -> string option
 
@@ -117,8 +110,6 @@ module Rga : sig
   type state
 
   val spec : (op, state) Seq_spec.t
-
-  val machine : (op, state) State_machine.t
 
   val to_text : state -> string
   (** The RGA linearisation: depth-first from each anchor, children in

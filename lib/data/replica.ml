@@ -12,7 +12,7 @@ type ('op, 'state) cycle = {
 
 type ('op, 'state) t = {
   id : int;
-  machine : ('op, 'state) State_machine.t;
+  spec : ('op, 'state) Seq_spec.t;
   tracker : 'op Stable_points.t;
   mutable state : 'state;
   mutable stable : 'state;
@@ -40,21 +40,20 @@ let close t on_stable (p : 'op Stable_points.point) =
   t.stable <- t.state;
   on_stable cycle
 
-let create ~id ~machine ?(on_stable = fun _ -> ()) () =
+let create ~id ~spec ?(on_stable = fun _ -> ()) () =
   let closer = ref ignore in
   let tracker =
     Stable_points.create
-      ~is_sync:(fun m ->
-        machine.State_machine.kind (Message.payload m) = Op.Non_commutative)
+      ~is_sync:(fun m -> not (Seq_spec.is_cid spec (Message.payload m)))
       ~on_stable:(fun p -> !closer p)
   in
   let t =
     {
       id;
-      machine;
+      spec;
       tracker;
-      state = machine.State_machine.init;
-      stable = machine.State_machine.init;
+      state = spec.Seq_spec.init;
+      stable = spec.Seq_spec.init;
       cycles_rev = [];
       applied_rev = [];
       applied_n = 0;
@@ -65,12 +64,14 @@ let create ~id ~machine ?(on_stable = fun _ -> ()) () =
 
 let id t = t.id
 
+let spec t = t.spec
+
 let state t = t.state
 
 let stable_state t = t.stable
 
 let on_deliver t msg =
-  t.state <- t.machine.State_machine.apply t.state (Message.payload msg);
+  t.state <- t.spec.Seq_spec.apply t.state (Message.payload msg);
   t.applied_rev <- Message.label msg :: t.applied_rev;
   t.applied_n <- t.applied_n + 1;
   Stable_points.on_deliver t.tracker msg
@@ -84,7 +85,5 @@ let cycles_closed t = Stable_points.cycles_closed t.tracker
 let applied t = List.rev t.applied_rev
 
 let applied_count t = t.applied_n
-
-let snapshots t = List.map (fun c -> c.end_state) (cycles t)
 
 let pending_reads t = Stable_points.deferred_count t.tracker

@@ -1,14 +1,16 @@
-(** A data replica: a state machine driven by causally delivered
-    operations, with stable-point detection and deferred reads
-    (paper §4–6.1).
+(** A data replica: one object's sequential specification driven by
+    causally delivered operations, with stable-point detection and
+    deferred reads (paper §4–6.1).
 
     Feed {!on_deliver} with each operation message released by the causal
-    layer, in delivery order.  The replica applies the transition
+    layer, in delivery order.  The replica applies the spec's transition
     function and hands the message to its
-    {!Causalb_core.Stable_points} tracker, classified by the machine's
-    [kind] (an [Op.Non_commutative] operation closes the cycle).  At
-    each close it snapshots its state (the states that must agree across
-    replicas) and records the cycle for the consistency checker.
+    {!Causalb_core.Stable_points} tracker, classified by the spec's
+    derived labeling (an [Ncid] operation closes the cycle).  At each
+    close it records the cycle, whose [end_state] is the state that must
+    agree across replicas, for the consistency checker.  The replica
+    keeps the whole spec, so everything it declares ([observe] included)
+    is available wherever a replica is.
 
     Reads come in the two flavours the paper discusses:
     {ul
@@ -32,13 +34,16 @@ type ('op, 'state) cycle = {
 
 val create :
   id:int ->
-  machine:('op, 'state) State_machine.t ->
+  spec:('op, 'state) Seq_spec.t ->
   ?on_stable:(('op, 'state) cycle -> unit) ->
   unit ->
   ('op, 'state) t
 (** [on_stable] fires as each cycle closes, before deferred reads run. *)
 
 val id : ('op, 'state) t -> int
+
+val spec : ('op, 'state) t -> ('op, 'state) Seq_spec.t
+(** The object's spec, as given to {!create}. *)
 
 val on_deliver : ('op, 'state) t -> 'op Causalb_core.Message.t -> unit
 
@@ -61,8 +66,5 @@ val applied : ('op, 'state) t -> Causalb_graph.Label.t list
 (** Labels in application order. *)
 
 val applied_count : ('op, 'state) t -> int
-
-val snapshots : ('op, 'state) t -> 'state list
-(** [end_state] of each closed cycle, oldest first. *)
 
 val pending_reads : ('op, 'state) t -> int

@@ -92,13 +92,18 @@ let make ~name ~init ~apply ~equal ~classes ~class_of ~commutes
 
 let cid_classes t = t.cid
 
-let is_cid t op = List.mem (t.class_of op) t.cid
+(* [String.equal], not [List.mem]'s polymorphic compare: this runs on
+   every delivery the §6.1 trackers classify. *)
+let rec mem_class c = function
+  | [] -> false
+  | c' :: rest -> String.equal c c' || mem_class c rest
+
+let is_cid t op = mem_class (t.class_of op) t.cid
 
 let kind t op = if is_cid t op then Op.Commutative else Op.Non_commutative
 
-let to_machine t =
-  State_machine.make ~name:t.name ~init:t.init ~apply:t.apply ~kind:(kind t)
-    ~equal:t.equal ~digest:t.digest ~pp_state:t.pp_state ~pp_op:t.pp_op ()
+let commute_at t s a b =
+  t.equal (t.apply (t.apply s a) b) (t.apply (t.apply s b) a)
 
 let class_pairs t =
   let rec pairs = function

@@ -15,7 +15,7 @@
     class-against-class and must under-approximate true state
     commutativity (the lint of {!Causalb_data.Commute_lint} samples
     reachable states and validates the declaration against
-    {!State_machine.commute_at}).  An {e observer} class is one whose
+    {!commute_at}).  An {e observer} class is one whose
     return value is order-sensitive even when its state transition
     commutes — the paper's convention that a [read] closes a cycle.
 
@@ -26,10 +26,9 @@
     later-declared class).  Everything else is [Ncid].  No constructor
     is ever hand-marked.
 
-    {!to_machine} compiles a spec to the {!State_machine.t} record the
-    rest of the data layer (replica, front-ends, service, consistency
-    checkers, harness drivers) already runs on, so one replica
-    implementation serves every object. *)
+    The spec is the data layer's one object type: the replica, the
+    services, the consistency checkers and the harness drivers all take
+    a [Seq_spec.t], so one replica implementation serves every object. *)
 
 type ('op, 'state) t = {
   name : string;
@@ -41,7 +40,7 @@ type ('op, 'state) t = {
   class_of : 'op -> string;         (** total; must land in [classes] *)
   commutes : string -> string -> bool;
       (** declared class-level commutativity; must be symmetric and a
-          sound under-approximation of {!State_machine.commute_at} *)
+          sound under-approximation of {!commute_at} *)
   observer : string -> bool;
       (** return value order-sensitive — forces [Ncid] even when the
           transition commutes (the paper's [read] convention) *)
@@ -90,9 +89,10 @@ val kind : ('op, 'state) t -> 'op -> Op.kind
 
 val is_cid : ('op, 'state) t -> 'op -> bool
 
-val to_machine : ('op, 'state) t -> ('op, 'state) State_machine.t
-(** Compile to the data layer's machine record; [kind] is the derived
-    labeling, [digest] the spec's canonical digest. *)
+val commute_at : ('op, 'state) t -> 'state -> 'op -> 'op -> bool
+(** [commute_at t s a b] iff applying [a; b] and [b; a] from [s] reach
+    equal states — the paper's concurrency test [F(mb, F(ma, s)) =
+    F(ma, F(mb, s))]. *)
 
 val class_pairs : ('op, 'state) t -> (string * string) list
 (** Every unordered pair (including reflexive) the spec declares

@@ -13,7 +13,6 @@ type ('op, 'state) t = {
   group : 'op Group.t;
   frontend : 'op Frontend.t;
   replicas : ('op, 'state) Replica.t array;
-  machine : ('op, 'state) State_machine.t;
   send_times : float Label.Tbl.t;
   primaries : int Label.Tbl.t;
   delivery_latency : Stats.t;
@@ -21,9 +20,9 @@ type ('op, 'state) t = {
   stability_latency : Stats.t;
 }
 
-let create engine ~replicas:n ~machine ?latency ?fifo ?fault ?trace () =
+let create engine ~replicas:n ~spec ?latency ?fifo ?trace () =
   if n <= 0 then invalid_arg "Service.create: replicas must be positive";
-  let net = Net.create engine ~nodes:n ?latency ?fifo ?fault ?trace () in
+  let net = Net.create engine ~nodes:n ?latency ?fifo ?trace () in
   let send_times = Label.Tbl.create 256 in
   let primaries = Label.Tbl.create 256 in
   let delivery_latency = Stats.create () in
@@ -69,12 +68,12 @@ let create engine ~replicas:n ~machine ?latency ?fifo ?fault ?trace () =
           Hashtbl.hash
             ( window,
               Label.to_string (fst cycle.Replica.closed_by),
-              machine.State_machine.digest cycle.Replica.end_state )
+              spec.Seq_spec.digest cycle.Replica.end_state )
         in
         Causalb_sim.Trace.stable_mark tr ~time:now ~node:id
           ~cycle:cycle.Replica.index ~digest
     in
-    Replica.create ~id ~machine ~on_stable ()
+    Replica.create ~id ~spec ~on_stable ()
   in
   Array.iteri (fun i _ -> replica_cells.(i) <- Some (make_replica i)) replica_cells;
   let replicas =
@@ -82,13 +81,12 @@ let create engine ~replicas:n ~machine ?latency ?fifo ?fault ?trace () =
       (function Some r -> r | None -> assert false)
       replica_cells
   in
-  let frontend = Frontend.create group ~kind:machine.State_machine.kind () in
+  let frontend = Frontend.create group ~kind:(Seq_spec.kind spec) () in
   {
     engine;
     group;
     frontend;
     replicas;
-    machine;
     send_times;
     primaries;
     delivery_latency;
@@ -135,17 +133,11 @@ let check t =
   [
     ("causal-safety", graphs_ok);
     ("same-delivered-set", Checker.same_set orders);
-    ( "stable-point-agreement",
-      Consistency.agreement_at_stable_points ~machine:t.machine reps );
-    ( "stable-digests-agree",
-      Consistency.stable_digests_agree ~machine:t.machine reps );
+    ("stable-point-agreement", Consistency.agreement_at_stable_points reps);
+    ("stable-digests-agree", Consistency.stable_digests_agree reps);
     ("window-sets-agree", Consistency.window_sets_agree reps);
     ( "windows-transition-preserving",
-      List.for_all
-        (Consistency.windows_transition_preserving ~machine:t.machine)
-        reps );
+      List.for_all Consistency.windows_transition_preserving reps );
     ( "one-copy-serializable",
-      List.for_all
-        (fun r -> Consistency.serial_witness ~machine:t.machine r <> None)
-        reps );
+      List.for_all (fun r -> Consistency.serial_witness r <> None) reps );
   ]

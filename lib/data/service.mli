@@ -1,6 +1,7 @@
-(** A complete replicated service: [n] replicas of one state machine over
-    a simulated network, driven through a §6.1 front-end manager, with
-    built-in measurement.
+(** A complete replicated service: [n] replicas of one object, given by
+    its sequential specification, over a simulated network, driven
+    through a §6.1 front-end manager that labels each operation by the
+    spec's derived [Cid]/[Ncid] classes, with built-in measurement.
 
     This is the assembly used by the examples and by experiments T1–T4:
     create a service, submit operations (the front-end adds the causal
@@ -20,10 +21,9 @@ type ('op, 'state) t
 val create :
   Causalb_sim.Engine.t ->
   replicas:int ->
-  machine:('op, 'state) State_machine.t ->
+  spec:('op, 'state) Seq_spec.t ->
   ?latency:Causalb_sim.Latency.t ->
   ?fifo:bool ->
-  ?fault:Causalb_net.Fault.t ->
   ?trace:Causalb_sim.Trace.t ->
   unit ->
   ('op, 'state) t

@@ -83,14 +83,14 @@ let submit group steps =
     ordered;
   List.map (fun s -> (s.name, Smap.find s.name !labels)) steps
 
-let of_ops ~machine ?(prefix = "op") ~src ops =
+let of_ops ~spec ?(prefix = "op") ~src ops =
   let win = Window.create () in
   (* Window over step names instead of labels: the same §6.1 bookkeeping,
      resolved to labels only at submit time. *)
   let name_of i = Printf.sprintf "%s%d" prefix i in
   List.mapi
     (fun i op ->
-      let kind = machine.State_machine.kind op in
+      let kind = Seq_spec.kind spec op in
       let after = Window.deps_for win ~kind ~fallback:[] in
       Window.note win ~kind (Label.make ~name:(name_of i) ~origin:0 ~seq:i ());
       step (name_of i) ~src:(src i)

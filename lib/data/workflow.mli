@@ -35,13 +35,13 @@ val submit :
     undeclared steps, or cyclic ordering. *)
 
 val of_ops :
-  machine:('op, 'state) State_machine.t ->
+  spec:('op, 'state) Seq_spec.t ->
   ?prefix:string ->
   src:(int -> int) ->
   'op list ->
   'op step list
 (** The §6.1 access pattern as a workflow: steps named [prefix]{e i} in
-    list order, where each operation the machine derives as [Cid] occurs
+    list order, where each operation the spec derives as [Cid] occurs
     after the last sync and each [Ncid] operation occurs after the whole
     open window (the [Ncid_{r−1} → ‖{Cid}_r → Ncid_{r+1}] chain), with
     [src i] choosing the submitting member of step [i].  Composable with

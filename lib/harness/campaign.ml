@@ -37,18 +37,6 @@ type verdict = {
 
 (* --- case generation --- *)
 
-let specs =
-  [|
-    D.Fifo_only;
-    D.Bss_stack;
-    D.Psync_stack;
-    D.Osend_stack;
-    D.Osend_merge;
-    D.Osend_counted 4;
-    D.Osend_sequencer;
-    D.Pc_stack;
-  |]
-
 let mix_tag (w : D.workload) =
   match w.mix with
   | D.Random p -> Printf.sprintf "random:%.2f" p
@@ -121,8 +109,15 @@ let gen_case ~base_seed ~buggify ~min_phases ~churn id =
   let name = Printf.sprintf "hunt-%d" id in
   let seed = Pool.seed_for ~base:base_seed name in
   let rng = Rng.create seed in
-  (* churn campaigns run the one composition with dynamic membership *)
-  let spec = if churn then D.Pc_stack else specs.(id mod Array.length specs) in
+  (* churn campaigns run the one composition with dynamic membership;
+     the others cycle through the catalogue, whose counted size is set
+     per case below *)
+  let spec =
+    if churn then D.Pc_stack
+    else
+      let specs = D.stack_specs ~counted:4 in
+      List.nth specs (id mod List.length specs)
+  in
   let replicas = 3 + Rng.int rng 3 in
   let ops = 20 + Rng.int rng 41 in
   let spacing = [| 0.3; 0.5; 0.8 |].(Rng.int rng 3) in
@@ -377,7 +372,7 @@ let run ?(jobs = 1) ?(base_seed = 42) ?(buggify = false) ?(churn = false)
    minimal repro (a) still fails, deterministically, and (b) is strictly
    smaller on BOTH axes — fewer nemesis events and fewer ops. *)
 let self_test ?(base_seed = 42) ?(log = Printer.line) () =
-  let seeds = Array.length specs in
+  let seeds = List.length (D.stack_specs ~counted:4) in
   let cases = generate ~base_seed ~min_phases:1 ~seeds () in
   let verdicts = List.map (run_case ~plant:true) cases in
   let found = List.filter (fun v -> not v.ok) verdicts in

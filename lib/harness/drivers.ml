@@ -15,7 +15,7 @@ module Message = Causalb_core.Message
 module Label = Causalb_graph.Label
 module Dt = Causalb_data.Datatypes
 module Op = Causalb_data.Op
-module State_machine = Causalb_data.State_machine
+module Seq_spec = Causalb_data.Seq_spec
 module Service = Causalb_data.Service
 module Objects = Causalb_data.Objects
 module Replica = Causalb_data.Replica
@@ -202,8 +202,7 @@ type stack_result = {
 (* The §6.1 classification, read off the register's spec: its Ncid
    operations close a cycle and a merge bracket. *)
 let is_sync m =
-  Dt.Int_register.machine.State_machine.kind (Message.payload m)
-  = Op.Non_commutative
+  Seq_spec.kind Dt.Int_register.spec (Message.payload m) = Op.Non_commutative
 
 let stack_params spec =
   match spec with
@@ -696,11 +695,11 @@ type object_result = {
 let object_ok r =
   List.for_all snd r.checks && r.diagnostics = []
 
-let run_object ?(seed = 42) ?(latency = default_latency) ~replicas ~machine
+let run_object ?(seed = 42) ?(latency = default_latency) ~replicas ~spec
     submissions =
   let engine = Engine.create ~seed () in
   let trace = Causalb_sim.Trace.create () in
-  let svc = Service.create engine ~replicas ~machine ~latency ~fifo:false ~trace () in
+  let svc = Service.create engine ~replicas ~spec ~latency ~fifo:false ~trace () in
   List.iter
     (fun (time, src, op) ->
       Engine.schedule_at engine ~time (fun () ->

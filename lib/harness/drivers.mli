@@ -340,13 +340,12 @@ val run_pc :
 
 (** {1 Spec-derived objects over the stable-point service}
 
-    One replicated object — any machine obtained from a
-    {!Causalb_data.Seq_spec} — run over {!Causalb_data.Service} with
-    tracing on, then audited twice: online by [Service.check] (which
-    includes canonical stable-digest agreement) and offline by the
-    ordering oracle over the trace (causal safety against member 0's
-    extracted graph, stable-point digest agreement across members from
-    the [Mark] records). *)
+    One replicated object — any {!Causalb_data.Seq_spec.t} — run over
+    {!Causalb_data.Service} with tracing on, then audited twice: online
+    by [Service.check] (which includes canonical stable-digest
+    agreement) and offline by the ordering oracle over the trace (causal
+    safety against member 0's extracted graph, stable-point digest
+    agreement across members from the [Mark] records). *)
 
 type object_result = {
   checks : (string * bool) list;  (** [Service.check] verdicts *)
@@ -366,10 +365,10 @@ val run_object :
   ?seed:int ->
   ?latency:Causalb_sim.Latency.t ->
   replicas:int ->
-  machine:('op, 'state) Causalb_data.State_machine.t ->
+  spec:('op, 'state) Causalb_data.Seq_spec.t ->
   (float * int * 'op) list ->
   object_result
-(** [run_object ~replicas ~machine submissions] schedules each
+(** [run_object ~replicas ~spec submissions] schedules each
     [(time, src, op)] and runs to quiescence.  Deterministic in all
     arguments. *)
 

@@ -9,6 +9,7 @@ module Dep = Causalb_graph.Dep
 module Label = Causalb_graph.Label
 module Stats = Causalb_util.Stats
 module Rng = Causalb_util.Rng
+module Seq_spec = Causalb_data.Seq_spec
 module Card_table = Causalb_data.Datatypes.Card_table
 
 type mode = Strict_turns | Relaxed of (round:int -> player:int -> int)
@@ -114,8 +115,7 @@ let open_next_round t view ~completed_round =
 
 let round_completed_at t view ~round =
   view.table <-
-    Card_table.machine.Causalb_data.State_machine.apply view.table
-      Card_table.Round_end;
+    Card_table.spec.Seq_spec.apply view.table Card_table.Round_end;
   view.rounds_closed <- view.rounds_closed + 1;
   let seen =
     1 + Option.value ~default:0 (Hashtbl.find_opt t.round_complete_count round)
@@ -134,8 +134,7 @@ let on_deliver t ~node ~time:_ msg =
   let { round; player; card } = Message.payload msg in
   let label = Message.label msg in
   view.table <-
-    Card_table.machine.Causalb_data.State_machine.apply view.table
-      (Card_table.Play (player, card));
+    Card_table.spec.Seq_spec.apply view.table (Card_table.Play (player, card));
   let prev =
     Option.value ~default:[] (Hashtbl.find_opt view.cards_seen round)
   in
@@ -150,7 +149,7 @@ let create engine ~players ~mode ?(latency = Latency.lan)
     Array.init players (fun mid ->
         {
           mid;
-          table = Card_table.machine.Causalb_data.State_machine.init;
+          table = Card_table.spec.Seq_spec.init;
           cards_seen = Hashtbl.create 16;
           rounds_closed = 0;
         })

@@ -17,9 +17,9 @@ type t = {
 
 let create engine ~participants ~sections ?latency () =
   if participants <= 0 then invalid_arg "Conference.create: participants <= 0";
-  let machine = Document.machine ~sections in
   let service =
-    Service.create engine ~replicas:participants ~machine ?latency ()
+    Service.create engine ~replicas:participants
+      ~spec:(Document.spec ~sections) ?latency ()
   in
   {
     engine;

@@ -266,5 +266,3 @@ let cycle_durations t = t.cycle_durations
 let wait_times t = t.wait_times
 
 let messages_sent t = Stack.messages_sent t.stack
-
-let layer_metrics t = Stack.metrics t.stack

@@ -99,6 +99,3 @@ val wait_times : 'p t -> Causalb_util.Stats.t
 (** Per grant: request broadcast to grant. *)
 
 val messages_sent : 'p t -> int
-
-val layer_metrics : 'p t -> Causalb_stackbase.Metrics.t list
-(** Uniform per-layer metrics of the underlying ordering stack. *)

@@ -214,5 +214,3 @@ let final_states_agree t =
       rest
 
 let messages_sent t = Stack.messages_sent t.stack
-
-let layer_metrics t = Stack.metrics t.stack

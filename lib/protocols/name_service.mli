@@ -99,6 +99,3 @@ val final_states_agree : t -> bool
     residual inconsistency the application must tolerate). *)
 
 val messages_sent : t -> int
-
-val layer_metrics : t -> Causalb_stackbase.Metrics.t list
-(** Uniform per-layer metrics of the underlying ordering stack. *)

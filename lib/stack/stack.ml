@@ -316,10 +316,6 @@ let run t = Engine.run t.engine
 
 (* --- inspection ----------------------------------------------------- *)
 
-let engine t = t.engine
-
-let size t = t.nodes
-
 let delivered_order t node = List.rev t.app_rev.(node)
 
 let all_delivered_orders t =
@@ -352,8 +348,6 @@ let graph t =
 let partition t cells = t.do_partition cells
 
 let heal t = t.do_heal ()
-
-let set_fault t fault = t.do_set_fault fault
 
 let lost_copies t = t.do_lost ()
 

@@ -69,7 +69,7 @@ val compose :
 (** Build the pipeline over a fresh, fault-free network on [engine].
     Defaults: [ordering = Osend], [total = Pass],
     [latency = Latency.lan], [fifo = true] (per-link FIFO transport).
-    Faults arrive later, through {!set_fault} and {!install_nemesis}.
+    Faults arrive later, through {!install_nemesis}.
     [on_deliver] fires at each node as the top layer releases a
     message.
     @raise Invalid_argument for a sequencer over a non-OSend causal
@@ -85,10 +85,6 @@ val submit : 'a t -> src:int -> ?name:string -> ?dep:Causalb_graph.Dep.t ->
 
 val run : 'a t -> unit
 (** Drain the engine ([Engine.run]). *)
-
-val engine : 'a t -> Causalb_sim.Engine.t
-
-val size : 'a t -> int
 
 val delivered_order : 'a t -> int -> Label.t list
 (** Labels in the order the application saw them at a node (after any
@@ -122,10 +118,6 @@ val partition : 'a t -> int list list -> unit
 
 val heal : 'a t -> unit
 
-val set_fault : 'a t -> Causalb_net.Fault.t -> unit
-(** Swap the injected-fault profile on the underlying network mid-run —
-    the hook nemesis schedules use for timed loss/dup/jitter phases. *)
-
 val lost_copies : 'a t -> int
 (** Copies the transport dropped before arrival (partition + injected
     loss, see {!Causalb_net.Net.lost_copies}).  [0] iff the run's
@@ -133,7 +125,8 @@ val lost_copies : 'a t -> int
 
 val install_nemesis : 'a t -> Causalb_net.Nemesis.t -> unit
 (** Arm a timed fault schedule on the stack's engine, driving this
-    stack's partition/heal/set_fault. *)
+    stack's partition, heal and fault-profile swaps (timed
+    loss/dup/jitter phases). *)
 
 val metrics : 'a t -> Metrics.t list
 (** One row per layer, bottom-up: transport, causal, and the total-order

@@ -1006,7 +1006,7 @@ let test_checker_violations () =
 let test_checker_windows_agree () =
   let inc = Dt.Int_register.Inc 1 and read = Dt.Int_register.Read in
   let replica id ops =
-    let r = Replica.create ~id ~machine:Dt.Int_register.machine () in
+    let r = Replica.create ~id ~spec:Dt.Int_register.spec () in
     List.iter
       (fun (origin, seq, op) ->
         Replica.on_deliver r (msg ~origin ~seq ~dep:Dep.null op))

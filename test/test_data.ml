@@ -1,4 +1,4 @@
-(* Tests for the shared-data framework: state machines, datatypes,
+(* Tests for the shared-data framework: sequential specs, datatypes,
    replicas, the §6.1 front-end, consistency checkers, and the assembled
    Service. *)
 
@@ -10,7 +10,7 @@ module Message = Causalb_core.Message
 module Group = Causalb_core.Group
 module Net = Causalb_net.Net
 module Op = Causalb_data.Op
-module Sm = Causalb_data.State_machine
+module Seq_spec = Causalb_data.Seq_spec
 module Dt = Causalb_data.Datatypes
 module Replica = Causalb_data.Replica
 module Frontend = Causalb_data.Frontend
@@ -26,60 +26,63 @@ let l origin seq = Label.make ~origin ~seq ()
 let msg ~origin ~seq ~dep payload =
   Message.make ~label:(l origin seq) ~sender:origin ~dep payload
 
-(* --- State machines & datatypes --- *)
+(* --- Specs & datatypes --- *)
+
+(* [apply] folded over a sequence from [init]. *)
+let run (spec : _ Seq_spec.t) ops = List.fold_left spec.apply spec.init ops
 
 let test_int_register_semantics () =
-  let m = Dt.Int_register.machine in
-  let s = Sm.run m [ Dt.Int_register.Inc 5; Dt.Int_register.Dec 2 ] in
+  let m = Dt.Int_register.spec in
+  let s = run m [ Dt.Int_register.Inc 5; Dt.Int_register.Dec 2 ] in
   check_int "5-2" 3 s;
-  check_int "set overwrites" 9 (m.Sm.apply s (Dt.Int_register.Set 9));
-  check_int "read is identity" 3 (m.Sm.apply s Dt.Int_register.Read)
+  check_int "set overwrites" 9 (m.Seq_spec.apply s (Dt.Int_register.Set 9));
+  check_int "read is identity" 3 (m.Seq_spec.apply s Dt.Int_register.Read)
 
 let test_int_register_kinds () =
-  let m = Dt.Int_register.machine in
-  check "inc commutative" true (m.Sm.kind (Dt.Int_register.Inc 1) = Op.Commutative);
-  check "dec commutative" true (m.Sm.kind (Dt.Int_register.Dec 1) = Op.Commutative);
-  check "set sync" true (m.Sm.kind (Dt.Int_register.Set 1) = Op.Non_commutative);
-  check "read sync" true (m.Sm.kind Dt.Int_register.Read = Op.Non_commutative)
+  let m = Dt.Int_register.spec in
+  check "inc commutative" true (Seq_spec.kind m (Dt.Int_register.Inc 1) = Op.Commutative);
+  check "dec commutative" true (Seq_spec.kind m (Dt.Int_register.Dec 1) = Op.Commutative);
+  check "set sync" true (Seq_spec.kind m (Dt.Int_register.Set 1) = Op.Non_commutative);
+  check "read sync" true (Seq_spec.kind m Dt.Int_register.Read = Op.Non_commutative)
 
 let test_commute_at () =
-  let m = Dt.Int_register.machine in
+  let m = Dt.Int_register.spec in
   check "inc/dec commute" true
-    (Sm.commute_at m 0 (Dt.Int_register.Inc 3) (Dt.Int_register.Dec 1));
+    (Seq_spec.commute_at m 0 (Dt.Int_register.Inc 3) (Dt.Int_register.Dec 1));
   check "inc/set do not" false
-    (Sm.commute_at m 0 (Dt.Int_register.Inc 3) (Dt.Int_register.Set 7))
+    (Seq_spec.commute_at m 0 (Dt.Int_register.Inc 3) (Dt.Int_register.Set 7))
 
 let test_multi_register () =
-  let m = Dt.Multi_register.machine ~items:3 in
-  let s = Sm.run m [ Dt.Multi_register.Inc (0, 2); Dt.Multi_register.Inc (2, 5) ] in
+  let m = Dt.Multi_register.spec ~items:3 in
+  let s = run m [ Dt.Multi_register.Inc (0, 2); Dt.Multi_register.Inc (2, 5) ] in
   check "independent items" true (s = [| 2; 0; 5 |]);
   check "disjoint ops commute" true
-    (Sm.commute_at m m.Sm.init
+    (Seq_spec.commute_at m m.Seq_spec.init
        (Dt.Multi_register.Set (0, 1))
        (Dt.Multi_register.Set (1, 2)));
   check "same-item sets do not" false
-    (Sm.commute_at m m.Sm.init
+    (Seq_spec.commute_at m m.Seq_spec.init
        (Dt.Multi_register.Set (0, 1))
        (Dt.Multi_register.Set (0, 2)))
 
 let test_kv_store () =
-  let m = Dt.Kv_store.machine in
+  let m = Dt.Kv_store.spec in
   let s =
-    Sm.run m [ Dt.Kv_store.Upd ("a", "1"); Dt.Kv_store.Upd ("b", "2") ]
+    run m [ Dt.Kv_store.Upd ("a", "1"); Dt.Kv_store.Upd ("b", "2") ]
   in
   check "lookup" true (Dt.Kv_store.lookup s "a" = Some "1");
   check "qry identity" true
-    (m.Sm.equal s (m.Sm.apply s (Dt.Kv_store.Qry "a")));
-  let s' = m.Sm.apply s (Dt.Kv_store.Del "a") in
+    (m.Seq_spec.equal s (m.Seq_spec.apply s (Dt.Kv_store.Qry "a")));
+  let s' = m.Seq_spec.apply s (Dt.Kv_store.Del "a") in
   check "del" true (Dt.Kv_store.lookup s' "a" = None);
-  check "qry commutative" true (m.Sm.kind (Dt.Kv_store.Qry "x") = Op.Commutative);
+  check "qry commutative" true (Seq_spec.kind m (Dt.Kv_store.Qry "x") = Op.Commutative);
   check "upd sync" true
-    (m.Sm.kind (Dt.Kv_store.Upd ("x", "y")) = Op.Non_commutative)
+    (Seq_spec.kind m (Dt.Kv_store.Upd ("x", "y")) = Op.Non_commutative)
 
 let test_document () =
-  let m = Dt.Document.machine ~sections:2 in
+  let m = Dt.Document.spec ~sections:2 in
   let s =
-    Sm.run m
+    run m
       [
         Dt.Document.Annotate (0, "n1");
         Dt.Document.Annotate (0, "n2");
@@ -87,41 +90,41 @@ let test_document () =
       ]
   in
   check "annotations commute" true
-    (Sm.commute_at m m.Sm.init
+    (Seq_spec.commute_at m m.Seq_spec.init
        (Dt.Document.Annotate (0, "a"))
        (Dt.Document.Annotate (0, "b")));
   check "commit does not commute with annotate" false
-    (Sm.commute_at m s
+    (Seq_spec.commute_at m s
        (Dt.Document.Annotate (0, "late"))
        (Dt.Document.Commit (0, "final")));
-  let s' = m.Sm.apply s (Dt.Document.Commit (0, "v1")) in
+  let s' = m.Seq_spec.apply s (Dt.Document.Commit (0, "v1")) in
   check "commit clears notes" true
     (Dt.Document.String_set.is_empty s'.(0).Dt.Document.annotations);
   check "render mentions body" true
     (String.length (Dt.Document.render s') > 0)
 
 let test_log () =
-  let m = Dt.Log.machine in
+  let m = Dt.Log.spec in
   let e1 = Dt.Log.entry ~author:0 ~seq:0 "hi" in
   let e2 = Dt.Log.entry ~author:1 ~seq:0 "yo" in
   check "appends commute" true
-    (Sm.commute_at m m.Sm.init (Dt.Log.Append e1) (Dt.Log.Append e2));
+    (Seq_spec.commute_at m m.Seq_spec.init (Dt.Log.Append e1) (Dt.Log.Append e2));
   check "seal does not commute with append" false
-    (Sm.commute_at m m.Sm.init (Dt.Log.Append e1) Dt.Log.Seal);
+    (Seq_spec.commute_at m m.Seq_spec.init (Dt.Log.Append e1) Dt.Log.Seal);
   let s =
-    Sm.run m [ Dt.Log.Append e2; Dt.Log.Append e1; Dt.Log.Seal ]
+    run m [ Dt.Log.Append e2; Dt.Log.Append e1; Dt.Log.Seal ]
   in
   check "canonical order in sealed segment" true
     (s.Dt.Log.sealed = [ [ e1; e2 ] ]);
   check "open empty after seal" true (s.Dt.Log.open_ = []);
   (* duplicate append is idempotent (set semantics) *)
-  let s' = Sm.run m [ Dt.Log.Append e1; Dt.Log.Append e1 ] in
+  let s' = run m [ Dt.Log.Append e1; Dt.Log.Append e1 ] in
   check_int "dedup" 1 (List.length s'.Dt.Log.open_)
 
 let test_log_service_end_to_end () =
   let e = Engine.create ~seed:39 () in
   let svc =
-    Service.create e ~replicas:3 ~machine:Dt.Log.machine
+    Service.create e ~replicas:3 ~spec:Dt.Log.spec
       ~latency:(Latency.lognormal ~mu:0.5 ~sigma:1.2 ())
       ~fifo:false ()
   in
@@ -146,29 +149,29 @@ let test_log_service_end_to_end () =
   check "logs agree" true (List.for_all (( = ) (List.hd finals)) finals)
 
 let test_bank_account () =
-  let m = Dt.Bank_account.machine in
+  let m = Dt.Bank_account.spec in
   let s =
-    Sm.run m
+    run m
       [ Dt.Bank_account.Deposit 100; Dt.Bank_account.Withdraw 30 ]
   in
   check_int "balance" 70 s.Dt.Bank_account.balance;
   check "deposit/withdraw commute" true
-    (Sm.commute_at m m.Sm.init (Dt.Bank_account.Deposit 5)
+    (Seq_spec.commute_at m m.Seq_spec.init (Dt.Bank_account.Deposit 5)
        (Dt.Bank_account.Withdraw 3));
   (* checked withdrawal is order-sensitive near the boundary *)
   check "checked withdraw does not commute with deposit" false
-    (Sm.commute_at m m.Sm.init (Dt.Bank_account.Deposit 10)
+    (Seq_spec.commute_at m m.Seq_spec.init (Dt.Bank_account.Deposit 10)
        (Dt.Bank_account.Withdraw_checked 10));
-  let s' = m.Sm.apply m.Sm.init (Dt.Bank_account.Withdraw_checked 10) in
+  let s' = m.Seq_spec.apply m.Seq_spec.init (Dt.Bank_account.Withdraw_checked 10) in
   check_int "rejected on insufficient funds" 1 s'.Dt.Bank_account.rejected;
   check_int "balance unchanged" 0 s'.Dt.Bank_account.balance;
   check "audit sync" true
-    (m.Sm.kind Dt.Bank_account.Audit = Op.Non_commutative)
+    (Seq_spec.kind m Dt.Bank_account.Audit = Op.Non_commutative)
 
 let test_bank_account_service_end_to_end () =
   let e = Engine.create ~seed:37 () in
   let svc =
-    Service.create e ~replicas:3 ~machine:Dt.Bank_account.machine
+    Service.create e ~replicas:3 ~spec:Dt.Bank_account.spec
       ~latency:Latency.lan ~fifo:false ()
   in
   for i = 0 to 50 do
@@ -188,13 +191,13 @@ let test_bank_account_service_end_to_end () =
   check "balances agree" true (List.for_all (( = ) (List.hd finals)) finals)
 
 let test_card_table () =
-  let m = Dt.Card_table.machine in
+  let m = Dt.Card_table.spec in
   check "plays commute" true
-    (Sm.commute_at m m.Sm.init
+    (Seq_spec.commute_at m m.Seq_spec.init
        (Dt.Card_table.Play (0, "S2"))
        (Dt.Card_table.Play (1, "H5")));
   let s =
-    Sm.run m
+    run m
       [
         Dt.Card_table.Play (1, "H5");
         Dt.Card_table.Play (0, "S2");
@@ -207,10 +210,10 @@ let test_card_table () =
 
 (* --- Replica --- *)
 
-let int_machine = Dt.Int_register.machine
+let int_spec = Dt.Int_register.spec
 
 let test_replica_applies_and_cycles () =
-  let r = Replica.create ~id:0 ~machine:int_machine () in
+  let r = Replica.create ~id:0 ~spec:int_spec () in
   Replica.on_deliver r (msg ~origin:0 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 2));
   Replica.on_deliver r (msg ~origin:1 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 3));
   check_int "mid-window state" 5 (Replica.state r);
@@ -225,7 +228,7 @@ let test_replica_applies_and_cycles () =
   check_int "end state" 5 c.Replica.end_state
 
 let test_replica_deferred_read () =
-  let r = Replica.create ~id:0 ~machine:int_machine () in
+  let r = Replica.create ~id:0 ~spec:int_spec () in
   let got = ref None in
   Replica.on_deliver r (msg ~origin:0 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 7));
   Replica.read_deferred r (fun s -> got := Some s);
@@ -238,7 +241,7 @@ let test_replica_deferred_read () =
 let test_replica_on_stable_callback () =
   let fired = ref [] in
   let r =
-    Replica.create ~id:0 ~machine:int_machine
+    Replica.create ~id:0 ~spec:int_spec
       ~on_stable:(fun c -> fired := c.Replica.index :: !fired)
       ()
   in
@@ -247,7 +250,7 @@ let test_replica_on_stable_callback () =
   Alcotest.(check (list int)) "cycle indices" [ 0; 1 ] (List.rev !fired)
 
 let test_replica_snapshots () =
-  let r = Replica.create ~id:0 ~machine:int_machine () in
+  let r = Replica.create ~id:0 ~spec:int_spec () in
   List.iteri
     (fun i op -> Replica.on_deliver r (msg ~origin:0 ~seq:i ~dep:Dep.null op))
     [
@@ -256,13 +259,14 @@ let test_replica_snapshots () =
       Dt.Int_register.Inc 2;
       Dt.Int_register.Read;
     ];
-  Alcotest.(check (list int)) "snapshot sequence" [ 1; 3 ] (Replica.snapshots r)
+  Alcotest.(check (list int)) "snapshot sequence" [ 1; 3 ]
+    (List.map (fun c -> c.Replica.end_state) (Replica.cycles r))
 
 (* --- Frontend --- *)
 
 let make_service ?(replicas = 3) ?(latency = Latency.lan) ?fifo ?seed () =
   let e = Engine.create ?seed () in
-  let svc = Service.create e ~replicas ~machine:int_machine ~latency ?fifo () in
+  let svc = Service.create e ~replicas ~spec:int_spec ~latency ?fifo () in
   (e, svc)
 
 let test_frontend_dep_structure () =
@@ -379,7 +383,7 @@ let test_service_divergence_mid_window () =
       samples := List.map Replica.state (Service.replicas svc) :: !samples);
   drive_workload e svc;
   let frac =
-    Consistency.divergence_fraction ~machine:int_machine ~states:!samples
+    Consistency.divergence_fraction ~spec:int_spec ~states:!samples
   in
   check "some transient divergence" true (frac > 0.0);
   (* once the run drains, every replica holds the same value again *)
@@ -390,20 +394,20 @@ let test_service_divergence_mid_window () =
 let test_consistency_detects_divergence () =
   (* Feed two replicas different sync results by hand and check the
      checker notices. *)
-  let r0 = Replica.create ~id:0 ~machine:int_machine () in
-  let r1 = Replica.create ~id:1 ~machine:int_machine () in
+  let r0 = Replica.create ~id:0 ~spec:int_spec () in
+  let r1 = Replica.create ~id:1 ~spec:int_spec () in
   Replica.on_deliver r0 (msg ~origin:0 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 1));
   Replica.on_deliver r1 (msg ~origin:0 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 2));
   Replica.on_deliver r0 (msg ~origin:0 ~seq:1 ~dep:Dep.null Dt.Int_register.Read);
   Replica.on_deliver r1 (msg ~origin:0 ~seq:1 ~dep:Dep.null Dt.Int_register.Read);
   check "disagreement found" true
-    (Consistency.first_disagreement ~machine:int_machine [ r0; r1 ] = Some 0);
+    (Consistency.first_disagreement [ r0; r1 ] = Some 0);
   check "agreement false" false
-    (Consistency.agreement_at_stable_points ~machine:int_machine [ r0; r1 ])
+    (Consistency.agreement_at_stable_points [ r0; r1 ])
 
 let test_consistency_window_sets () =
-  let r0 = Replica.create ~id:0 ~machine:int_machine () in
-  let r1 = Replica.create ~id:1 ~machine:int_machine () in
+  let r0 = Replica.create ~id:0 ~spec:int_spec () in
+  let r1 = Replica.create ~id:1 ~spec:int_spec () in
   let inc = Dt.Int_register.Inc 1 in
   (* same set, different order *)
   Replica.on_deliver r0 (msg ~origin:0 ~seq:0 ~dep:Dep.null inc);
@@ -414,33 +418,38 @@ let test_consistency_window_sets () =
   Replica.on_deliver r1 (msg ~origin:2 ~seq:0 ~dep:Dep.null Dt.Int_register.Read);
   check "window sets agree" true (Consistency.window_sets_agree [ r0; r1 ]);
   check "transition preserving" true
-    (Consistency.windows_transition_preserving ~machine:int_machine r0);
-  check "serial witness exists" true
-    (Consistency.serial_witness ~machine:int_machine r0 <> None)
+    (Consistency.windows_transition_preserving r0);
+  check "serial witness exists" true (Consistency.serial_witness r0 <> None)
 
 let test_consistency_non_commutative_window_flagged () =
   (* A window accidentally containing non-commuting ops is not
-     transition-preserving; the checker must flag it.  We build it by
-     classifying Set as commutative via a custom machine. *)
-  let bad_machine =
-    Sm.make ~name:"bad" ~init:0
-      ~apply:Dt.Int_register.machine.Sm.apply
-      ~kind:(fun op ->
-        match op with Dt.Int_register.Read -> Op.Non_commutative | _ -> Op.Commutative)
-      ~equal:Int.equal ()
+     transition-preserving; the checker must flag it.  We build it with
+     a lying spec that declares [set] commuting, so [Set] derives Cid. *)
+  let lying =
+    Seq_spec.make ~name:"lying-register" ~init:0
+      ~apply:int_spec.Seq_spec.apply ~equal:Int.equal
+      ~classes:[ "inc"; "set"; "read" ]
+      ~class_of:(function
+        | Dt.Int_register.Inc _ | Dt.Int_register.Dec _ -> "inc"
+        | Dt.Int_register.Set _ -> "set"
+        | Dt.Int_register.Read -> "read")
+      ~commutes:(fun a b -> a <> "read" && b <> "read")
+      ~observer:(String.equal "read") ()
   in
-  let r = Replica.create ~id:0 ~machine:bad_machine () in
+  check "set derives Cid" true
+    (Seq_spec.kind lying (Dt.Int_register.Set 9) = Op.Commutative);
+  let r = Replica.create ~id:0 ~spec:lying () in
   Replica.on_deliver r (msg ~origin:0 ~seq:0 ~dep:Dep.null (Dt.Int_register.Inc 1));
   Replica.on_deliver r (msg ~origin:1 ~seq:0 ~dep:Dep.null (Dt.Int_register.Set 9));
   Replica.on_deliver r (msg ~origin:0 ~seq:1 ~dep:Dep.null Dt.Int_register.Read);
   check "flagged" false
-    (Consistency.windows_transition_preserving ~machine:bad_machine r)
+    (Consistency.windows_transition_preserving r)
 
 (* --- Item_frontend: the §5.1 per-item decomposition --- *)
 
 module Item_frontend = Causalb_data.Item_frontend
 
-let mr_machine = Dt.Multi_register.machine ~items:3
+let mr_spec = Dt.Multi_register.spec ~items:3
 
 let mr_scope = function
   | Dt.Multi_register.Inc (i, _) | Dt.Multi_register.Dec (i, _)
@@ -457,7 +466,7 @@ let make_item_fe ?seed () =
   in
   let group = Group.create net () in
   let fe =
-    Item_frontend.create group ~kind:mr_machine.Sm.kind ~scope:mr_scope ()
+    Item_frontend.create group ~kind:(Seq_spec.kind mr_spec) ~scope:mr_scope ()
   in
   (e, group, fe)
 
@@ -494,12 +503,12 @@ let test_item_fe_per_item_agreement () =
   (* at an item sync, the synced item's value is identical at all
      replicas even though other items' mid-window values may differ *)
   let e, group, fe = make_item_fe ~seed:73 () in
-  let states = Array.init 3 (fun _ -> ref mr_machine.Sm.init) in
+  let states = Array.init 3 (fun _ -> ref mr_spec.Seq_spec.init) in
   (* per sync label, the projected item value at each replica *)
   let snaps : (Label.t * int * int) list ref = ref [] in
   let net_group_deliver ~node ~time:_ msg =
     let op = Causalb_core.Message.payload msg in
-    states.(node) := mr_machine.Sm.apply !(states.(node)) op;
+    states.(node) := mr_spec.Seq_spec.apply !(states.(node)) op;
     match op with
     | Dt.Multi_register.Set (i, _) ->
       snaps := (Causalb_core.Message.label msg, node, !(states.(node)).(i)) :: !snaps
@@ -515,7 +524,7 @@ let test_item_fe_per_item_agreement () =
   in
   let group2 = Group.create net2 ~on_deliver:net_group_deliver () in
   let fe2 =
-    Item_frontend.create group2 ~kind:mr_machine.Sm.kind ~scope:mr_scope ()
+    Item_frontend.create group2 ~kind:(Seq_spec.kind mr_spec) ~scope:mr_scope ()
   in
   ignore (e, fe);
   let rng = Engine.fork_rng e2 in
@@ -553,7 +562,7 @@ module Dservice = Causalb_data.Dservice
 let make_dservice ?(nodes = 5) ?(initial = [ 0; 1; 2 ]) ?seed () =
   let e = Engine.create ?seed () in
   let svc =
-    Dservice.create e ~nodes ~initial ~machine:int_machine
+    Dservice.create e ~nodes ~initial ~spec:int_spec
       ~latency:(Latency.lognormal ~mu:0.4 ~sigma:0.9 ())
       ()
   in

@@ -89,7 +89,7 @@ let test_fixed_window_zero_is_all_sync () =
 let service_run ~seed ~latency ~replicas (w : Drivers.workload) =
   let engine = Engine.create ~seed () in
   let svc =
-    Service.create engine ~replicas ~machine:Dt.Int_register.machine ~latency
+    Service.create engine ~replicas ~spec:Dt.Int_register.spec ~latency
       ~fifo:false ()
   in
   let rng = Engine.fork_rng engine in

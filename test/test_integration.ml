@@ -28,7 +28,7 @@ let jittery = Latency.lognormal ~mu:0.5 ~sigma:1.2 ()
 let test_fig1_shared_data_broadcast () =
   let e = Engine.create ~seed:1 () in
   let svc =
-    Service.create e ~replicas:3 ~machine:Dt.Kv_store.machine ~latency:jittery ()
+    Service.create e ~replicas:3 ~spec:Dt.Kv_store.spec ~latency:jittery ()
   in
   ignore (Service.submit svc ~src:0 (Dt.Kv_store.Upd ("file", "contents")));
   Service.run svc;
@@ -43,7 +43,7 @@ let test_fig1_shared_data_broadcast () =
 let test_fig2_transient_divergence_and_agreement () =
   let e = Engine.create ~seed:2 () in
   let svc =
-    Service.create e ~replicas:3 ~machine:Dt.Int_register.machine
+    Service.create e ~replicas:3 ~spec:Dt.Int_register.spec
       ~latency:(Latency.lognormal ~mu:2.0 ~sigma:1.0 ())
       ~fifo:false ()
   in
@@ -71,7 +71,7 @@ let test_causal_faster_than_sequencer () =
   (* causal path *)
   let e1 = Engine.create ~seed:3 () in
   let svc =
-    Service.create e1 ~replicas:nodes ~machine:Dt.Int_register.machine
+    Service.create e1 ~replicas:nodes ~spec:Dt.Int_register.spec
       ~latency:jittery ~fifo:false ()
   in
   for i = 0 to ops - 1 do
@@ -141,7 +141,7 @@ let test_full_stack_deterministic_replay () =
   let run () =
     let e = Engine.create ~seed:5 () in
     let svc =
-      Service.create e ~replicas:3 ~machine:Dt.Int_register.machine
+      Service.create e ~replicas:3 ~spec:Dt.Int_register.spec
         ~latency:jittery ~fifo:false ()
     in
     for i = 0 to 30 do
@@ -164,11 +164,11 @@ let test_full_stack_deterministic_replay () =
 let test_two_services_one_engine () =
   let e = Engine.create ~seed:6 () in
   let svc1 =
-    Service.create e ~replicas:3 ~machine:Dt.Int_register.machine
+    Service.create e ~replicas:3 ~spec:Dt.Int_register.spec
       ~latency:jittery ()
   in
   let svc2 =
-    Service.create e ~replicas:2 ~machine:Dt.Kv_store.machine ~latency:jittery ()
+    Service.create e ~replicas:2 ~spec:Dt.Kv_store.spec ~latency:jittery ()
   in
   ignore (Service.submit svc1 ~src:0 (Dt.Int_register.Inc 5));
   ignore (Service.submit svc2 ~src:0 (Dt.Kv_store.Upd ("k", "v")));
@@ -184,9 +184,10 @@ let test_two_services_one_engine () =
    sync.  End-to-end we check convergence of the vector. *)
 let test_multi_register_end_to_end () =
   let e = Engine.create ~seed:7 () in
-  let machine = Dt.Multi_register.machine ~items:4 in
   let svc =
-    Service.create e ~replicas:3 ~machine ~latency:jittery ~fifo:false ()
+    Service.create e ~replicas:3
+      ~spec:(Dt.Multi_register.spec ~items:4)
+      ~latency:jittery ~fifo:false ()
   in
   for i = 0 to 40 do
     Engine.schedule_at e ~time:(float_of_int i *. 0.5) (fun () ->
@@ -205,7 +206,7 @@ let test_multi_register_end_to_end () =
 let test_stress_group_of_8 () =
   let e = Engine.create ~seed:8 () in
   let svc =
-    Service.create e ~replicas:8 ~machine:Dt.Int_register.machine
+    Service.create e ~replicas:8 ~spec:Dt.Int_register.spec
       ~latency:(Latency.lognormal ~mu:0.8 ~sigma:1.4 ())
       ~fifo:false ()
   in

@@ -14,7 +14,7 @@ module Message = Causalb_core.Message
 module Osend = Causalb_core.Osend
 module Group = Causalb_core.Group
 module Checker = Causalb_core.Checker
-module Sm = Causalb_data.State_machine
+module Seq_spec = Causalb_data.Seq_spec
 module Dt = Causalb_data.Datatypes
 
 let test ?(count = 200) name gen prop =
@@ -337,12 +337,11 @@ let prop_commutative_ops_transition_preserving =
   test "all-commutative windows are transition preserving"
     QCheck2.Gen.(list_size (int_range 0 5) int_op_gen)
     (fun ops ->
-      let m = Dt.Int_register.machine in
       let labels = List.mapi (fun i _ -> label_of_index i) ops in
       let act = Causalb_graph.Activity.fan ~body:labels () in
       let tbl = List.combine labels ops in
       let apply s lbl =
-        m.Sm.apply s (List.assoc lbl tbl)
+        Dt.Int_register.spec.Seq_spec.apply s (List.assoc lbl tbl)
       in
       Causalb_graph.Activity.is_stable_point ~apply ~equal:Int.equal ~init:0 act)
 
@@ -350,8 +349,8 @@ let prop_commute_at_symmetric =
   test "commute_at symmetric"
     QCheck2.Gen.(triple int_op_gen int_op_gen (int_range (-20) 20))
     (fun (a, b, s) ->
-      let m = Dt.Int_register.machine in
-      Sm.commute_at m s a b = Sm.commute_at m s b a)
+      let spec = Dt.Int_register.spec in
+      Seq_spec.commute_at spec s a b = Seq_spec.commute_at spec s b a)
 
 (* --- total-order properties --- *)
 
@@ -624,7 +623,7 @@ let prop_dservice_churn_consistency =
       let e = Engine.create ~seed () in
       let svc =
         Dservice.create e ~nodes:6 ~initial:[ 0; 1 ]
-          ~machine:Dt.Int_register.machine
+          ~spec:Dt.Int_register.spec
           ~latency:(Latency.lognormal ~mu:0.4 ~sigma:0.8 ())
           ()
       in
@@ -677,21 +676,22 @@ let prop_replica_matches_direct_fold =
   test "replica: cycles and deferred reads = a direct fold" ~count:300
     QCheck2.Gen.(list_size (int_range 0 40) (pair reg_op_gen bool))
     (fun script ->
-      let m = Dt.Int_register.machine in
-      let ncid op = m.Sm.kind op = Op.Non_commutative in
+      let spec = Dt.Int_register.spec in
+      let run ops = List.fold_left spec.Seq_spec.apply spec.Seq_spec.init ops in
+      let ncid op = Seq_spec.kind spec op = Op.Non_commutative in
       let entries = List.mapi (fun i (op, _) -> (label_of_index i, op)) script in
       let steps = List.combine entries (List.map snd script) in
       let ops = List.map snd entries in
       (* the direct fold *)
       let cycles_rev = ref [] and events_rev = ref [] in
-      let start = ref m.Sm.init and window = ref [] and pending = ref [] in
+      let start = ref spec.Seq_spec.init and window = ref [] and pending = ref [] in
       List.iteri
         (fun i (((_, op) as entry), defer) ->
           if defer then pending := !pending @ [ i ];
           if not (ncid op) then window := !window @ [ entry ]
           else begin
             let k = List.length !cycles_rev in
-            let end_state = Sm.run m (List.filteri (fun j _ -> j <= i) ops) in
+            let end_state = run (List.filteri (fun j _ -> j <= i) ops) in
             cycles_rev := (k, !start, !window, entry, end_state) :: !cycles_rev;
             events_rev :=
               List.rev_append
@@ -706,7 +706,7 @@ let prop_replica_matches_direct_fold =
       let replica_events_rev = ref [] in
       let note e = replica_events_rev := e :: !replica_events_rev in
       let r =
-        Replica.create ~id:0 ~machine:m
+        Replica.create ~id:0 ~spec
           ~on_stable:(fun c -> note (Stable c.Replica.index))
           ()
       in
@@ -739,10 +739,72 @@ let prop_replica_matches_direct_fold =
       cycles = List.rev !cycles_rev
       && empty_between_syncs (-1) cycles
       && !replica_events_rev = !events_rev
-      && Replica.state r = Sm.run m ops
+      && Replica.state r = run ops
       && Replica.cycles_closed r = List.length cycles
       && Replica.pending_reads r = List.length !pending
       && Replica.applied r = List.map fst entries)
+
+(* --- the cross-replica walk --- *)
+
+module Consistency = Causalb_data.Consistency
+
+(* Replicas fed prefixes of one register script, so their cycle counts
+   differ; one of them may get an extra [Inc 1] in the window of one
+   cycle, which moves its stable states from there on (unless a [Set]
+   closes the cycle).  [first_disagreement] must equal its definition:
+   the least cycle index [i] such that two replicas that both closed
+   cycle [i] hold different states there. *)
+let prop_first_disagreement_matches_definition =
+  test "first_disagreement = definition" ~count:300
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 40) reg_op_gen)
+        (list_size (int_range 2 4) (int_range 0 40))
+        (opt (pair (int_range 0 3) (int_range 0 12))))
+    (fun (script, lengths, plant) ->
+      let spec = Dt.Int_register.spec in
+      let feed id len =
+        let r = Replica.create ~id ~spec () in
+        let planted = match plant with Some (p, k) when p = id -> k | _ -> -1 in
+        let seq = ref 0 and syncs = ref 0 in
+        let deliver op =
+          Replica.on_deliver r
+            (Message.make ~label:(label_of_index !seq) ~sender:id ~dep:Dep.null op);
+          incr seq
+        in
+        List.iteri
+          (fun i op ->
+            if i < len then begin
+              if not (Seq_spec.is_cid spec op) then begin
+                if !syncs = planted then deliver (Dt.Int_register.Inc 1);
+                incr syncs
+              end;
+              deliver op
+            end)
+          script;
+        r
+      in
+      let replicas = List.mapi feed lengths in
+      let states =
+        List.map
+          (fun r ->
+            Array.of_list (List.map (fun c -> c.Replica.end_state) (Replica.cycles r)))
+          replicas
+      in
+      let differ_at i =
+        List.exists
+          (fun a ->
+            List.exists
+              (fun b ->
+                i < Array.length a && i < Array.length b && a.(i) <> b.(i))
+              states)
+          states
+      in
+      let longest = List.fold_left (fun n a -> max n (Array.length a)) 0 states in
+      let rec defined i =
+        if i >= longest then None else if differ_at i then Some i else defined (i + 1)
+      in
+      Consistency.first_disagreement replicas = defined 0)
 
 let () =
   Alcotest.run "props"
@@ -798,4 +860,5 @@ let () =
           prop_commute_at_symmetric;
         ] );
       ("replica", [ prop_replica_matches_direct_fold ]);
+      ("consistency", [ prop_first_disagreement_matches_definition ]);
     ]

@@ -382,12 +382,10 @@ let test_conference_annotations_survive_reordering () =
      because annotations commute (set semantics) *)
   let states = List.map Replica.state (Service.replicas (Conf.service t)) in
   let count s = Dt.Document.String_set.cardinal s.(0).Dt.Document.annotations in
-  let machine = Dt.Document.machine ~sections:1 in
+  let spec = Dt.Document.spec ~sections:1 in
   check_int "all annotations at r0" 25 (count (List.hd states));
   check "replicas identical despite different orders" true
-    (List.for_all
-       (machine.Causalb_data.State_machine.equal (List.hd states))
-       states)
+    (List.for_all (spec.Causalb_data.Seq_spec.equal (List.hd states)) states)
 
 let () =
   Alcotest.run "protocols"

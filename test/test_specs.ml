@@ -7,7 +7,6 @@
 module Label = Causalb_graph.Label
 module Op = Causalb_data.Op
 module Seq_spec = Causalb_data.Seq_spec
-module Sm = Causalb_data.State_machine
 module Dt = Causalb_data.Datatypes
 module Objects = Causalb_data.Objects
 module Window = Causalb_data.Window
@@ -50,7 +49,49 @@ let test_derived_kinds_match_hand_marking () =
   check "upd Ncid" true
     (k Dt.Kv_store.spec (Dt.Kv_store.Upd ("x", "1")) = Op.Non_commutative);
   check "audit Ncid" true
-    (k Dt.Bank_account.spec Dt.Bank_account.Audit = Op.Non_commutative)
+    (k Dt.Bank_account.spec Dt.Bank_account.Audit = Op.Non_commutative);
+  (* one op of every declared class of every shipped spec: [kind] says
+     Cid exactly when the op's class is among the derived Cid classes *)
+  let pinned (spec : _ Seq_spec.t) ops =
+    Alcotest.(check (list string))
+      (spec.name ^ ": one op per class")
+      spec.classes
+      (List.map spec.class_of ops);
+    List.iter
+      (fun op ->
+        let c = spec.class_of op in
+        check (spec.name ^ " " ^ c)
+          (List.mem c (cid spec))
+          (k spec op = Op.Commutative))
+      ops
+  in
+  pinned Dt.Int_register.spec Dt.Int_register.[ Inc 1; Dec 1; Set 3; Read ];
+  pinned
+    (Dt.Multi_register.spec ~items:2)
+    Dt.Multi_register.[ Inc (0, 1); Dec (1, 1); Set (0, 3); Read_all ];
+  pinned Dt.Kv_store.spec Dt.Kv_store.[ Upd ("x", "1"); Del "x"; Qry "x" ];
+  pinned
+    (Dt.Document.spec ~sections:2)
+    Dt.Document.[ Annotate (0, "n"); Commit (1, "b"); Review ];
+  pinned Dt.Log.spec
+    Dt.Log.[ Append (entry ~author:0 ~seq:0 "hi"); Seal ];
+  pinned Dt.Bank_account.spec
+    Dt.Bank_account.[ Deposit 5; Withdraw 3; Withdraw_checked 2; Audit ];
+  pinned Dt.Card_table.spec Dt.Card_table.[ Play (0, "S2"); Round_end ];
+  pinned Objects.Counter.spec Objects.Counter.[ Add 2; Value ];
+  pinned Objects.Gset.spec Objects.Gset.[ Add "a"; Elements ];
+  pinned Objects.Or_set.spec
+    Objects.Or_set.[ Add ("a", 1); Remove "a"; Elements ];
+  pinned Objects.Lww_map.spec
+    Objects.Lww_map.
+      [
+        Put { key = "k"; ts = 1; src = 0; value = "v" };
+        Remove { key = "k"; ts = 2; src = 1 };
+        Get "k";
+      ];
+  pinned Objects.Rga.spec
+    Objects.Rga.
+      [ Insert { id = (1, 0); after = None; ch = "a" }; Delete (1, 0); Read ]
 
 let test_make_validation () =
   let raises f =
@@ -71,13 +112,6 @@ let test_make_validation () =
          Seq_spec.make ~name:"x" ~init:0 ~apply:(fun s _ -> s)
            ~equal:Int.equal ~classes:[ "a"; "b" ] ~class_of:(fun _ -> "a")
            ~commutes:(fun x y -> x = "a" && y = "b") ()))
-
-let test_machine_from_spec () =
-  let m = Seq_spec.to_machine Dt.Int_register.spec in
-  check "apply" true (m.Sm.apply 3 (Dt.Int_register.Inc 4) = 7);
-  check "kind derived" true (m.Sm.kind Dt.Int_register.Read = Op.Non_commutative);
-  check_int "digest = canonical digest" (m.Sm.digest 42)
-    (Dt.Int_register.spec.Seq_spec.digest 42)
 
 (* --- the commute lint ------------------------------------------------- *)
 
@@ -152,7 +186,7 @@ let test_window_deps () =
 let test_workflow_of_ops () =
   let open Dt.Int_register in
   let steps =
-    Workflow.of_ops ~machine ~src:(fun i -> i mod 3)
+    Workflow.of_ops ~spec ~src:(fun i -> i mod 3)
       [ Inc 1; Inc 2; Read; Inc 3; Read ]
   in
   let g = Workflow.graph_of steps in
@@ -296,7 +330,7 @@ let test_end_to_end_digests () =
   List.iter
     (fun seed ->
       let r =
-        Drivers.run_object ~seed ~replicas:3 ~machine:Objects.Rga.machine subs
+        Drivers.run_object ~seed ~replicas:3 ~spec:Objects.Rga.spec subs
       in
       check (Printf.sprintf "seed %d clean" seed) true (Drivers.object_ok r))
     [ 1; 2; 3 ]
@@ -310,7 +344,6 @@ let () =
           Alcotest.test_case "kinds match hand-marking" `Quick
             test_derived_kinds_match_hand_marking;
           Alcotest.test_case "make validation" `Quick test_make_validation;
-          Alcotest.test_case "machine from spec" `Quick test_machine_from_spec;
         ] );
       ( "lint",
         [
