@@ -10,13 +10,12 @@ let same_set orders =
   match orders with
   | [] -> true
   | first :: rest ->
-    let set_of o = Label.Set.of_list o in
-    let s0 = set_of first in
+    let s0 = Label.Set.of_list first in
     List.length first = Label.Set.cardinal s0
     && List.for_all
          (fun o ->
-           List.length o = Label.Set.cardinal (set_of o)
-           && Label.Set.equal s0 (set_of o))
+           let s = Label.Set.of_list o in
+           List.length o = Label.Set.cardinal s && Label.Set.equal s0 s)
          rest
 
 let identical_orders orders =

@@ -28,7 +28,6 @@ module Engine = Causalb_sim.Engine
 module Metrics = Causalb_stackbase.Metrics
 module Sgroup = Causalb_stackbase.Sgroup
 module Wire = Causalb_util.Wire
-module Depgraph = Causalb_graph.Depgraph
 module B = Bss
 module P = Pcbcast
 
@@ -96,13 +95,14 @@ end
    measured.  Static overlays only — the churn path runs on the plain
    [Pcbcast.Group]; here the membership is fixed so the per-send
    fallback encoder in [send] only ever carries establishment-free
-   traffic (no [Lock]s fly on a static group). *)
+   traffic (no [Lock]s fly on a static group).  Unaudited: the members
+   get no [graph], so none keeps a causality context per delivery (the
+   audited PC runs go through [Pcbcast.Group]). *)
 module Pc = struct
   type 'a t = {
     sg : ('a P.member, 'a P.wire Codec.framed) Sgroup.t;
     pool : Wire.pool;
     enc : 'a Codec.enc;
-    graph : Depgraph.t;
   }
 
   let create ?degree net ~enc ~dec
@@ -110,7 +110,6 @@ module Pc = struct
     let n = Net.nodes net in
     let engine = Net.engine net in
     let get = Codec.get_pc dec in
-    let graph = Depgraph.create () in
     let pool = Wire.pool () in
     let sg =
       Sgroup.create_routed net
@@ -123,7 +122,7 @@ module Pc = struct
             Net.send net ~src:node ~dst ~size:(Wire.length frame)
               (Codec.framed ~payload_bytes:span frame)
           in
-          P.member ~id:node ~send ~deliver ~graph ())
+          P.member ~id:node ~send ~deliver ())
         ~receive:(fun m ~src fr ->
           charge (P.metrics m) fr;
           let w = Codec.view fr ~dec:get in
@@ -138,13 +137,11 @@ module Pc = struct
                   ~size:(Wire.length fr.Codec.frame) fr))
     in
     Array.iter (fun m -> P.init_static m ~n ~degree) (Sgroup.members sg);
-    { sg; pool; enc; graph }
+    { sg; pool; enc }
 
   let size t = Sgroup.size t.sg
 
   let member t i = Sgroup.member t.sg i
-
-  let graph t = t.graph
 
   let bcast t ~src ?tag payload =
     let m = Sgroup.member t.sg src in

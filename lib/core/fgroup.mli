@@ -58,7 +58,10 @@ end
     measured ([Metrics.control_bytes_per_delivery] is the §6.1 number
     experiment M1 reports against BSS's O(n) stamps).  Static
     membership only; churn runs on the plain [Pcbcast.Group].  The
-    network must be FIFO ([Net.create ~fifo:true]). *)
+    network must be FIFO ([Net.create ~fifo:true]).  Unaudited: no
+    member keeps an audit graph or a causality context per delivery,
+    so a member's memory does not grow with the run; the audited PC
+    path is [Pcbcast.Group]. *)
 module Pc : sig
   type 'a t
 
@@ -76,10 +79,6 @@ module Pc : sig
   val size : 'a t -> int
 
   val member : 'a t -> int -> 'a P.member
-
-  val graph : 'a t -> Causalb_graph.Depgraph.t
-  (** The extracted R(M) shared by all members — what [causalb-check]
-      verifies the delivered orders against. *)
 
   val bcast : 'a t -> src:int -> ?tag:string -> 'a -> Causalb_graph.Label.t
   (** Stamp ({!P.next_envelope}), encode once ({!Codec.encode_pc}),

@@ -73,10 +73,23 @@ type 'a waiter = {
 
 type 'a pending = { penv : 'a envelope; psrc : int; pemit : dst:int -> unit }
 
+(* Audit-only causality context, never on the wire: deps of the next
+   send are the member's previous send plus everything delivered since.
+   The members of an audited group accumulate these into the shared
+   extracted R(M) the offline checker verifies against.  Only a member
+   created with a [graph] keeps one: without it a member holds no state
+   per delivery, so its memory does not grow with the run. *)
+type audit = {
+  graph : Depgraph.t;
+  mutable last_own : Label.t option;
+  mutable ctx_rev : Label.t list;
+}
+
 type 'a member = {
   id : int;
   deliver : 'a envelope -> unit; (* App bodies only *)
-  on_causal : Label.t -> unit; (* every causal delivery, ctrl included *)
+  on_causal : (Label.t -> unit) option;
+      (* every causal delivery, ctrl included *)
   mutable on_joined : int -> unit; (* set by Group: react to [Joined] *)
   mutable next : int array;
       (* per-origin expected seq, indexed by origin — member ids are
@@ -93,18 +106,11 @@ type 'a member = {
   send : dst:int -> 'a wire -> unit;
   mutable own_seq : int;
   mutable arrivals : int;
-  (* Audit-only causality context, never on the wire: deps of the next
-     send are the member's previous send plus everything delivered since.
-     The group accumulates these into the extracted R(M) the offline
-     checker verifies against. *)
-  mutable last_own : Label.t option;
-  mutable ctx_rev : Label.t list;
-  graph : Depgraph.t;
+  audit : audit option;
   metrics : Metrics.t;
 }
 
-let member ~id ~send ?(deliver = fun _ -> ()) ?(on_causal = fun _ -> ())
-    ?graph () =
+let member ~id ~send ?(deliver = fun _ -> ()) ?on_causal ?graph () =
   {
     id;
     deliver;
@@ -118,9 +124,8 @@ let member ~id ~send ?(deliver = fun _ -> ()) ?(on_causal = fun _ -> ())
     send;
     own_seq = 0;
     arrivals = 0;
-    last_own = None;
-    ctx_rev = [];
-    graph = (match graph with Some g -> g | None -> Depgraph.create ());
+    audit =
+      Option.map (fun graph -> { graph; last_own = None; ctx_rev = [] }) graph;
     metrics = Metrics.create ~name:"causal:pc" ();
   }
 
@@ -177,17 +182,20 @@ and next_envelope_body t ?(tag = "") body =
   t.own_seq <- seq + 1;
   let e = { origin = t.id; seq; tag; body } in
   let label = label_of e in
-  (* True potential causality at send time: the previous own message
-     (covering older context transitively) plus everything delivered
-     since it — into the audit graph, never onto the wire. *)
-  let deps =
-    match t.last_own with
-    | Some l -> l :: List.rev t.ctx_rev
-    | None -> List.rev t.ctx_rev
-  in
-  Depgraph.add t.graph label ~dep:(Dep.after_all deps);
-  t.last_own <- Some label;
-  t.ctx_rev <- [];
+  (match t.audit with
+  | None -> ()
+  | Some a ->
+    (* True potential causality at send time: the previous own message
+       (covering older context transitively) plus everything delivered
+       since it — into the audit graph, never onto the wire. *)
+    let deps =
+      match a.last_own with
+      | Some l -> l :: List.rev a.ctx_rev
+      | None -> List.rev a.ctx_rev
+    in
+    Depgraph.add a.graph label ~dep:(Dep.after_all deps);
+    a.last_own <- Some label;
+    a.ctx_rev <- []);
   (e, label)
 
 and bcast_body t ?tag body =
@@ -206,10 +214,14 @@ and publish t e ~emit =
 and do_deliver t woken e =
   set_cursor t e.origin (e.seq + 1);
   wake t ~origin:e.origin ~seq:(e.seq + 1) woken;
-  let label = label_of e in
-  t.ctx_rev <- label :: t.ctx_rev;
   Metrics.on_deliver t.metrics;
-  t.on_causal label;
+  (* the delivery's label is built only for what records it *)
+  (match (t.audit, t.on_causal) with
+  | None, None -> ()
+  | audit, on_causal ->
+    let label = label_of e in
+    (match audit with Some a -> a.ctx_rev <- label :: a.ctx_rev | None -> ());
+    (match on_causal with Some f -> f label | None -> ()));
   match e.body with
   | App _ -> t.deliver e
   | Ctrl (Unlock { target }) -> if target = t.id then unlock t ~opener:e.origin
@@ -360,14 +372,9 @@ module Group = struct
       | None -> fun _ -> ()
       | Some f -> fun e -> f ~node ~time:(Engine.now engine) e
     in
-    let on_causal =
-      match on_causal with
-      | None -> fun _ -> ()
-      | Some f -> fun label -> f ~node ~label
-    in
-    let send ~dst w = Net.send net ~src:node ~dst w in
-    let m = member ~id:node ~send ~deliver ~on_causal ~graph:g () in
-    m
+    let on_causal = Option.map (fun f label -> f ~node ~label) on_causal in
+    let send ~dst w = Net.send net ~src:node ~dst ~size:1 w in
+    member ~id:node ~send ~deliver ?on_causal ~graph:g ()
 
   let create ?degree net ?on_deliver ?on_causal () =
     let n = Net.nodes net in

@@ -71,7 +71,11 @@ val member :
     the receive-path microbench and the member-local scaling sweep.
     [deliver] fires for application bodies only; [on_causal] for every
     causal delivery, control barriers included.  [graph] shares an
-    audit graph across members ({!Group} passes one). *)
+    audit graph across members ({!Group} passes one) and turns on the
+    member's audit context: its previous send and the labels delivered
+    since, from which each send's dependencies enter [graph].  A member
+    without a [graph] keeps no state per delivery, and without an
+    [on_causal] too it builds no label per delivery. *)
 
 val receive : 'a member -> src:int -> ?emit:(dst:int -> unit) -> 'a wire -> unit
 (** Process one copy arriving on the link from [src].  [emit] resends
@@ -89,13 +93,14 @@ val discard : 'a member -> src:int -> 'a wire -> bool
 
 val bcast_member : 'a member -> ?tag:string -> 'a -> Label.t
 (** Broadcast from this member: flood to its out-links, deliver locally,
-    return the message's label (already inserted into the audit graph
-    with its true potential-causality dependencies). *)
+    return the message's label (already inserted into the audit graph,
+    if the member has one, with its true potential-causality
+    dependencies). *)
 
 val next_envelope : 'a member -> ?tag:string -> 'a -> 'a envelope * Label.t
 (** The encode-once seam: assign the next sequence number and record the
-    audit dependencies, but do not send — the caller encodes the
-    envelope once and then {!publish}es it. *)
+    audit dependencies (when the member has a graph), but do not send —
+    the caller encodes the envelope once and then {!publish}es it. *)
 
 val publish : 'a member -> 'a envelope -> emit:(dst:int -> unit) -> unit
 (** Flood [emit] to every out-link, then deliver locally.  Pair with

@@ -167,7 +167,7 @@ let handle t node packet =
     (match Label.Tbl.find_opt st.stash wanting with
     | Some msg ->
       t.repairs <- t.repairs + 1;
-      Net.send t.net ~src:node ~dst:requester (Repair msg)
+      Net.send t.net ~src:node ~dst:requester ~size:1 (Repair msg)
     | None -> ())
   | Summary { from; counts } ->
     let table =

@@ -244,7 +244,7 @@ and send_state_transfers t st view =
           | Some f -> Some (f ~node:st.id)
           | None -> None
         in
-        Net.send t.net ~src:st.id ~dst:j (State_xfer { view; state })
+        Net.send t.net ~src:st.id ~dst:j ~size:1 (State_xfer { view; state })
       end)
     joiners
 

@@ -7,15 +7,22 @@ module Rng = Causalb_util.Rng
    broadcast fan-out allocates no fresh delivery closure per copy: the
    [fire] thunk is built once when the packet is first created and
    captures the packet itself, whose mutable fields are re-filled on
-   every reuse.  A packet returns to the pool (payload cleared, so the
-   pool never retains application data) before its delivery handler
-   runs, making reuse safe under reentrant sends. *)
+   every reuse.  The payload sits in the packet unwrapped: a box around
+   it would live as long as the copy is in flight.  A packet returns to
+   the pool before its delivery handler runs, making reuse safe under
+   reentrant sends, and with its payload slot blanked, so the pool never
+   keeps application data reachable. *)
 type 'a packet = {
   mutable psrc : int;
   mutable pdst : int;
-  mutable ppayload : 'a option;
+  mutable ppayload : 'a;
   mutable fire : unit -> unit;
 }
+
+(* The blank a released packet holds: an immediate, which the GC never
+   follows.  A pooled packet's payload is never read; [acquire_packet]
+   refills it before the packet is scheduled again. *)
+let blank () : 'a = Obj.magic ()
 
 (* The info strings of a traced net's per-copy records, one per node id:
    built the first time a traced copy names that node, then shared by
@@ -225,11 +232,8 @@ let release_packet t p =
   t.pool_len <- t.pool_len + 1
 
 let fire_packet t p =
-  let src = p.psrc and dst = p.pdst in
-  let payload =
-    match p.ppayload with Some x -> x | None -> assert false
-  in
-  p.ppayload <- None;
+  let src = p.psrc and dst = p.pdst and payload = p.ppayload in
+  p.ppayload <- blank ();
   (* back on the free list before the handler runs: a handler that sends
      again may reuse this very packet *)
   release_packet t p;
@@ -242,14 +246,14 @@ let acquire_packet t ~src ~dst payload =
       t.pool.(t.pool_len)
     end
     else begin
-      let p = { psrc = 0; pdst = 0; ppayload = None; fire = ignore } in
+      let p = { psrc = 0; pdst = 0; ppayload = payload; fire = ignore } in
       p.fire <- (fun () -> fire_packet t p);
       p
     end
   in
   p.psrc <- src;
   p.pdst <- dst;
-  p.ppayload <- Some payload;
+  p.ppayload <- payload;
   p
 
 let schedule_copy t ~src ~dst payload =
@@ -305,7 +309,7 @@ let send_copy t ~src ~dst ~size payload =
       schedule_copy t ~src ~dst payload
   end
 
-let send t ~src ~dst ?(size = 1) payload =
+let send t ~src ~dst ~size payload =
   check_node t "send" src;
   check_node t "send" dst;
   (match t.tracer with

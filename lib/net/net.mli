@@ -55,9 +55,11 @@ val remove_node : 'a t -> int -> unit
 
 val is_departed : 'a t -> int -> bool
 
-val send : 'a t -> src:int -> dst:int -> ?size:int -> 'a -> unit
-(** Unicast.  [size] (abstract bytes, default 1) feeds the traffic
-    accounting only. *)
+val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
+(** Unicast.  [size] (abstract bytes; plain callers pass 1, framed ones
+    the frame's encoded length) feeds the traffic accounting only.  It
+    is mandatory, as in {!bcast}, so a forwarding hop allocates no
+    optional-argument box per copy. *)
 
 val broadcast : 'a t -> src:int -> ?self:bool -> ?size:int -> 'a -> unit
 (** One copy to every node; [self] (default [true]) also delivers to the

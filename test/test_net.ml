@@ -23,7 +23,7 @@ let collect net node =
 let test_unicast () =
   let e, net = make () in
   let got = collect net 1 in
-  Net.send net ~src:0 ~dst:1 "hello";
+  Net.send net ~src:0 ~dst:1 ~size:1 "hello";
   Engine.run e;
   Alcotest.(check (list (pair int string))) "received" [ (0, "hello") ] (got ());
   check_int "sent" 1 (Net.messages_sent net);
@@ -33,7 +33,7 @@ let test_unicast_latency_positive () =
   let e, net = make ~latency:(Latency.constant 2.5) () in
   let when_ = ref 0.0 in
   Net.set_handler net 1 (fun ~src:_ _ -> when_ := Engine.now e);
-  Net.send net ~src:0 ~dst:1 ();
+  Net.send net ~src:0 ~dst:1 ~size:1 ();
   Engine.run e;
   Alcotest.(check (float 1e-9)) "constant delay" 2.5 !when_
 
@@ -64,7 +64,7 @@ let test_broadcast_self_immediate () =
 
 let test_no_handler_counts_dropped () =
   let e, net = make () in
-  Net.send net ~src:0 ~dst:1 "x";
+  Net.send net ~src:0 ~dst:1 ~size:1 "x";
   Engine.run e;
   check_int "dropped" 1 (Net.messages_dropped net);
   check_int "not delivered" 0 (Net.messages_delivered net)
@@ -77,7 +77,7 @@ let test_fifo_link_order () =
   in
   let got = collect net 1 in
   for i = 0 to 49 do
-    Net.send net ~src:0 ~dst:1 i
+    Net.send net ~src:0 ~dst:1 ~size:1 i
   done;
   Engine.run e;
   let payloads = List.map snd (got ()) in
@@ -89,7 +89,7 @@ let test_non_fifo_can_reorder () =
   in
   let got = collect net 1 in
   for i = 0 to 49 do
-    Net.send net ~src:0 ~dst:1 i
+    Net.send net ~src:0 ~dst:1 ~size:1 i
   done;
   Engine.run e;
   let payloads = List.map snd (got ()) in
@@ -100,7 +100,7 @@ let test_drop_fault () =
   let e, net = make ~fault:(Fault.make ~drop_prob:1.0 ()) () in
   let got = collect net 1 in
   for _ = 1 to 10 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~size:1 ()
   done;
   Engine.run e;
   check "all lost" true (got () = []);
@@ -109,7 +109,7 @@ let test_drop_fault () =
 let test_dup_fault () =
   let e, net = make ~fault:(Fault.make ~dup_prob:1.0 ()) () in
   let got = collect net 1 in
-  Net.send net ~src:0 ~dst:1 ();
+  Net.send net ~src:0 ~dst:1 ~size:1 ();
   Engine.run e;
   check_int "duplicated" 2 (List.length (got ()))
 
@@ -117,7 +117,7 @@ let test_partial_drop_statistics () =
   let e, net = make ~fault:(Fault.make ~drop_prob:0.5 ()) () in
   let got = collect net 1 in
   for _ = 1 to 1000 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~size:1 ()
   done;
   Engine.run e;
   let n = List.length (got ()) in
@@ -128,13 +128,13 @@ let test_partition_and_heal () =
   let got3 = collect net 3 in
   let got1 = collect net 1 in
   Net.partition net [ [ 0; 1 ]; [ 2; 3 ] ];
-  Net.send net ~src:0 ~dst:3 "blocked";
-  Net.send net ~src:0 ~dst:1 "ok";
+  Net.send net ~src:0 ~dst:3 ~size:1 "blocked";
+  Net.send net ~src:0 ~dst:1 ~size:1 "ok";
   Engine.run e;
   check "cross-cell dropped" true (got3 () = []);
   check "same-cell delivered" true (got1 () = [ (0, "ok") ]);
   Net.heal net;
-  Net.send net ~src:0 ~dst:3 "after-heal";
+  Net.send net ~src:0 ~dst:3 ~size:1 "after-heal";
   Engine.run e;
   check "healed" true (got3 () = [ (0, "after-heal") ])
 
@@ -142,7 +142,7 @@ let test_partition_unlisted_singleton () =
   let e, net = make ~nodes:3 () in
   let got2 = collect net 2 in
   Net.partition net [ [ 0; 1 ] ];
-  Net.send net ~src:0 ~dst:2 "x";
+  Net.send net ~src:0 ~dst:2 ~size:1 "x";
   Engine.run e;
   check "singleton isolated" true (got2 () = [])
 
@@ -191,7 +191,7 @@ let test_partition_duplicate_membership_rejected () =
   (* the rejected assignments must not have partitioned anything *)
   let e = Net.engine net in
   let got = collect net 3 in
-  Net.send net ~src:0 ~dst:3 "still connected";
+  Net.send net ~src:0 ~dst:3 ~size:1 "still connected";
   Engine.run e;
   check "net unchanged after rejection" true
     (got () = [ (0, "still connected") ])
@@ -202,11 +202,11 @@ let test_dropped_by_cause () =
   Net.set_handler net 1 (fun ~src:_ _ -> ());
   Net.set_handler net 3 (fun ~src:_ _ -> ());
   Net.partition net [ [ 0; 1 ]; [ 2; 3 ] ];
-  Net.send net ~src:0 ~dst:3 "partitioned";
+  Net.send net ~src:0 ~dst:3 ~size:1 "partitioned";
   Net.heal net;
-  Net.send net ~src:0 ~dst:2 "no handler";
+  Net.send net ~src:0 ~dst:2 ~size:1 "no handler";
   Net.set_fault net (Fault.make ~drop_prob:1.0 ());
-  Net.send net ~src:0 ~dst:1 "lossy";
+  Net.send net ~src:0 ~dst:1 ~size:1 "lossy";
   Engine.run e;
   check_int "partition drops" 1 (Net.dropped_by_partition net);
   check_int "injected-loss drops" 1 (Net.dropped_by_loss net);
@@ -224,7 +224,7 @@ let test_jitter_delays () =
   let times = ref [] in
   Net.set_handler net 1 (fun ~src:_ _ -> times := Engine.now e :: !times);
   for _ = 1 to 100 do
-    Net.send net ~src:0 ~dst:1 ()
+    Net.send net ~src:0 ~dst:1 ~size:1 ()
   done;
   Engine.run e;
   check "some jitter beyond base" true (List.exists (fun t -> t > 1.5) !times);
@@ -240,7 +240,7 @@ let test_invalid_args () =
   let net : unit Net.t = Net.create e ~nodes:2 () in
   check "bad dst" true
     (try
-       Net.send net ~src:0 ~dst:5 ();
+       Net.send net ~src:0 ~dst:5 ~size:1 ();
        false
      with Invalid_argument _ -> true)
 
@@ -269,10 +269,10 @@ let test_departed_survives_heal () =
   let got2 = collect net 2 in
   Net.remove_node net 2;
   Net.partition net [ [ 0; 1 ]; [ 2; 3 ] ];
-  Net.send net ~src:0 ~dst:2 "during partition";
+  Net.send net ~src:0 ~dst:2 ~size:1 "during partition";
   Net.heal net;
-  Net.send net ~src:0 ~dst:2 "after heal";
-  Net.send net ~src:2 ~dst:0 "from the dead";
+  Net.send net ~src:0 ~dst:2 ~size:1 "after heal";
+  Net.send net ~src:2 ~dst:0 ~size:1 "from the dead";
   Engine.run e;
   check "departed endpoint stays silent" true (got2 () = []);
   check "departed flag persists across heal" true (Net.is_departed net 2);
@@ -288,11 +288,11 @@ let test_join_under_partition_isolated () =
   let id = Net.add_node net in
   check_int "fresh id allocated past the founders" 3 id;
   let got = collect net id in
-  Net.send net ~src:0 ~dst:id "into the singleton";
+  Net.send net ~src:0 ~dst:id ~size:1 "into the singleton";
   Engine.run e;
   check "joiner is isolated until heal" true (got () = []);
   Net.heal net;
-  Net.send net ~src:0 ~dst:id "after heal";
+  Net.send net ~src:0 ~dst:id ~size:1 "after heal";
   Engine.run e;
   check "joiner reachable after heal" true
     (got () = [ (0, "after heal") ])
@@ -307,13 +307,13 @@ let test_traced_info_after_add_node () =
   for node = 0 to 1 do
     Net.set_handler net node (fun ~src:_ () -> ())
   done;
-  Net.send net ~src:0 ~dst:1 ();
+  Net.send net ~src:0 ~dst:1 ~size:1 ();
   Engine.run e;
   let ids = List.init 4 (fun _ -> Net.add_node net) in
   check "ids past the founders" true (ids = [ 2; 3; 4; 5 ]);
   List.iter (fun id -> Net.set_handler net id (fun ~src:_ () -> ())) ids;
-  Net.send net ~src:0 ~dst:4 ();
-  Net.send net ~src:5 ~dst:1 ();
+  Net.send net ~src:0 ~dst:4 ~size:1 ();
+  Net.send net ~src:5 ~dst:1 ~size:1 ();
   Engine.run e;
   (* (node, info) of one kind, sorted: arrival order is the latency draw's *)
   let records kind =
@@ -331,6 +331,30 @@ let test_traced_info_after_add_node () =
     "receive records" [ (1, "from=0"); (1, "from=5"); (4, "from=0") ]
     (records Trace.Receive)
 
+(* A delivered copy's packet goes back to the free list, which must not
+   keep the payload it carried reachable: that would hold application
+   data for as long as the net lives. *)
+let[@inline never] send_capturing net w =
+  let unicast = Array.make 100_000 0 and fanned = Array.make 100_000 1 in
+  Weak.set w 0 (Some unicast);
+  Weak.set w 1 (Some fanned);
+  Net.send net ~src:0 ~dst:1 ~size:1 unicast;
+  Net.broadcast net ~src:0 fanned
+
+let test_delivered_payloads_released () =
+  let e, net = make () in
+  for node = 0 to 2 do
+    Net.set_handler net node (fun ~src:_ _ -> ())
+  done;
+  let w = Weak.create 2 in
+  send_capturing net w;
+  Engine.run e;
+  check_int "nothing in flight" 0 (Net.in_flight net);
+  Gc.full_major ();
+  check "unicast payload collected" false (Weak.check w 0);
+  check "broadcast payload collected" false (Weak.check w 1);
+  check_int "every copy delivered" 4 (Net.messages_delivered net)
+
 let () =
   Alcotest.run "net"
     [
@@ -342,6 +366,8 @@ let () =
           Alcotest.test_case "broadcast no self" `Quick test_broadcast_no_self;
           Alcotest.test_case "self immediate" `Quick test_broadcast_self_immediate;
           Alcotest.test_case "no handler" `Quick test_no_handler_counts_dropped;
+          Alcotest.test_case "delivered payloads released" `Quick
+            test_delivered_payloads_released;
         ] );
       ( "ordering",
         [

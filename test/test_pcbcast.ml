@@ -123,6 +123,27 @@ let test_discard_only_passed_copies () =
   Pcb.receive m ~src:3 Pcb.Lock;
   check "locked link kept" false (Pcb.discard m ~src:3 (app ~origin:1 0))
 
+(* A member created without a [graph] is unaudited and keeps nothing
+   per delivery: the words it holds are the same after 100 first
+   receipts as after 10 000.  An audited member holds the label of every
+   delivery since its own last send, the contrast that shows the
+   measure sees such state. *)
+let test_unaudited_member_keeps_no_delivery_state () =
+  let words_after ?graph receipts =
+    let m = Pcb.member ~id:0 ~send:silent ?graph () in
+    Pcb.init_static m ~n:2 ~degree:None;
+    for seq = 0 to receipts - 1 do
+      Pcb.receive m ~src:1 (app ~origin:1 seq)
+    done;
+    check_int "every receipt delivered" receipts (Pcb.delivered_count m);
+    Obj.reachable_words (Obj.repr m)
+  in
+  check_int "unaudited: flat over 10 000 first receipts" (words_after 100)
+    (words_after 10_000);
+  let audited n = words_after ~graph:(Causalb_graph.Depgraph.create ()) n in
+  check "audited: grows with the receipts" true
+    (audited 10_000 > audited 100)
+
 (* --- 2. static groups under the oracle --- *)
 
 let test_static_runs_oracle_clean () =
@@ -320,6 +341,8 @@ let () =
             test_cursor_growth_adopts_unknown_origins;
           Alcotest.test_case "founder adopts a joiner" `Quick
             test_founder_adopts_joiner;
+          Alcotest.test_case "unaudited member keeps no delivery state"
+            `Quick test_unaudited_member_keeps_no_delivery_state;
           Alcotest.test_case "discard drops only passed copies" `Quick
             test_discard_only_passed_copies;
         ] );
