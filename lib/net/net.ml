@@ -67,7 +67,14 @@ type 'a t = {
       (* endpoints removed by [remove_node]: copies to or from them drop,
          and no membership change — [partition]/[heal] included — ever
          brings them back *)
-  mutable fault : Fault.t;
+  clock : Engine.clock;
+  arrival : Engine.cell; (* the copy being scheduled's arrival time *)
+  (* The fault profile's floats sit boxed in this mixed record, so
+     passing one to [Rng] or [Latency] passes the existing box.  A
+     field read out of the flat [Fault.t] would box afresh per copy. *)
+  mutable drop_prob : float;
+  mutable dup_prob : float;
+  mutable jitter : float;
   mutable cell_of : int array option; (* partition cell per node *)
   mutable next_cell : int; (* fresh singleton cell ids for added nodes *)
   mutable sent : int;
@@ -84,41 +91,55 @@ type 'a t = {
   mutable pool_len : int;
 }
 
+let set_fault t fault =
+  t.drop_prob <- fault.Fault.drop_prob;
+  t.dup_prob <- fault.Fault.dup_prob;
+  t.jitter <- fault.Fault.jitter
+
 let create engine ~nodes ?(latency = Latency.lan) ?(fifo = true)
     ?(fault = Fault.none) ?trace () =
   if nodes <= 0 then invalid_arg "Net.create: nodes must be positive";
-  {
-    engine;
-    n = nodes;
-    latency;
-    fifo;
-    rng = Engine.fork_rng engine;
-    tracer =
-      Option.map
-        (fun trace ->
-          {
-            trace;
-            from_info = info_table "from=";
-            dst_info = info_table "dst=";
-          })
-        trace;
-    handlers = Array.make nodes None;
-    last_arrival = Array.make_matrix nodes nodes 0.0;
-    departed = Array.make nodes false;
-    fault;
-    cell_of = None;
-    next_cell = 0;
-    sent = 0;
-    delivered = 0;
-    dropped_partition = 0;
-    dropped_loss = 0;
-    dropped_no_handler = 0;
-    dropped_departed = 0;
-    bytes = 0;
-    in_flight = 0;
-    pool = [||];
-    pool_len = 0;
-  }
+  let t =
+    {
+      engine;
+      n = nodes;
+      latency;
+      fifo;
+      rng = Engine.fork_rng engine;
+      tracer =
+        Option.map
+          (fun trace ->
+            {
+              trace;
+              from_info = info_table "from=";
+              dst_info = info_table "dst=";
+            })
+          trace;
+      handlers = Array.make nodes None;
+      last_arrival = Array.make_matrix nodes nodes 0.0;
+      departed = Array.make nodes false;
+      clock = Engine.clock engine;
+      arrival = { Engine.time = 0.0 };
+      drop_prob = 0.0;
+      dup_prob = 0.0;
+      jitter = 0.0;
+      cell_of = None;
+      next_cell = 0;
+      sent = 0;
+      delivered = 0;
+      dropped_partition = 0;
+      dropped_loss = 0;
+      dropped_no_handler = 0;
+      dropped_departed = 0;
+      bytes = 0;
+      in_flight = 0;
+      pool = [||];
+      pool_len = 0;
+    }
+  in
+  (* without faults the fields keep their static [0.0]s: no box *)
+  if fault <> Fault.none then set_fault t fault;
+  t
 
 let engine t = t.engine
 
@@ -256,28 +277,26 @@ let acquire_packet t ~src ~dst payload =
   p.ppayload <- payload;
   p
 
+(* The arrival time is computed in [t.arrival] and handed to the engine
+   there: now + latency (+ jitter), raised to the link's last arrival
+   under FIFO.  No float crosses a module boundary, so an untraced copy
+   allocates nothing (DESIGN.md §10). *)
 let schedule_copy t ~src ~dst payload =
-  let base = Latency.sample t.rng t.latency in
-  let jitter =
-    if t.fault.Fault.jitter > 0.0 then Rng.float t.rng t.fault.Fault.jitter
-    else 0.0
-  in
-  let now = Engine.now t.engine in
-  let arrival = now +. base +. jitter in
-  let arrival =
-    if t.fifo then begin
-      (* Per-link FIFO: never schedule an arrival before the previous one
-         on the same link. *)
-      let floor = t.last_arrival.(src).(dst) in
-      let a = Float.max arrival floor in
-      t.last_arrival.(src).(dst) <- a;
-      a
-    end
-    else arrival
-  in
+  let arrival = t.arrival in
+  arrival.time <- t.clock.now;
+  Latency.add_sample t.rng t.latency arrival;
+  if t.jitter > 0.0 then Latency.add_uniform t.rng t.jitter arrival;
+  if t.fifo then begin
+    (* Per-link FIFO: never schedule an arrival before the previous one
+       on the same link. *)
+    let row = t.last_arrival.(src) in
+    let floor = row.(dst) in
+    if floor > arrival.time then arrival.time <- floor
+    else row.(dst) <- arrival.time
+  end;
   t.in_flight <- t.in_flight + 1;
   let p = acquire_packet t ~src ~dst payload in
-  Engine.schedule_at t.engine ~time:arrival p.fire
+  Engine.schedule_cell t.engine arrival p.fire
 
 let send_copy t ~src ~dst ~size payload =
   t.sent <- t.sent + 1;
@@ -297,7 +316,7 @@ let send_copy t ~src ~dst ~size payload =
       record t ~node:src ~kind:Trace.Drop ~tag:""
         ~info:("partition dst=" ^ string_of_int dst)
   end
-  else if Rng.bernoulli t.rng t.fault.Fault.drop_prob then begin
+  else if Rng.bernoulli t.rng t.drop_prob then begin
     t.dropped_loss <- t.dropped_loss + 1;
     if tracing t then
       record t ~node:src ~kind:Trace.Drop ~tag:""
@@ -305,7 +324,7 @@ let send_copy t ~src ~dst ~size payload =
   end
   else begin
     schedule_copy t ~src ~dst payload;
-    if Rng.bernoulli t.rng t.fault.Fault.dup_prob then
+    if Rng.bernoulli t.rng t.dup_prob then
       schedule_copy t ~src ~dst payload
   end
 
@@ -352,8 +371,6 @@ let broadcast t ~src ?(self = true) ?(size = 1) payload =
    rely on.  [size] is mandatory: the frame's wire length, charged to the
    byte accounting once per copy. *)
 let bcast t ~src ?self ~size payload = broadcast t ~src ?self ~size payload
-
-let set_fault t fault = t.fault <- fault
 
 let partition t cells =
   (* Capacity-sized so nodes added mid-partition index safely. *)

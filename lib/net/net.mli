@@ -59,7 +59,10 @@ val send : 'a t -> src:int -> dst:int -> size:int -> 'a -> unit
 (** Unicast.  [size] (abstract bytes; plain callers pass 1, framed ones
     the frame's encoded length) feeds the traffic accounting only.  It
     is mandatory, as in {!bcast}, so a forwarding hop allocates no
-    optional-argument box per copy. *)
+    optional-argument box per copy.  On a net without a trace, a copy
+    allocates nothing on its way to the handler: the arrival time is
+    computed in a [Causalb_sim.Engine.cell] and no float crosses a
+    module boundary boxed. *)
 
 val broadcast : 'a t -> src:int -> ?self:bool -> ?size:int -> 'a -> unit
 (** One copy to every node; [self] (default [true]) also delivers to the

@@ -19,6 +19,20 @@ val create : ?seed:int -> unit -> t
 val now : t -> float
 (** Current virtual time in milliseconds. *)
 
+type clock = private { mutable now : float }
+(** The engine's clock, read-only outside the engine.  An all-float
+    record is stored flat, so a module that reads [(clock t).now] gets
+    the time unboxed, where {!now}'s result is a boxed float (dev builds
+    compile with [-opaque]). *)
+
+val clock : t -> clock
+(** [(clock t).now = now t] at every instant. *)
+
+type cell = { mutable time : float }
+(** A virtual time handed to {!schedule_cell}: written by the caller and
+    read by the engine, both flat, so the time crosses the module
+    boundary without a box. *)
+
 val rng : t -> Causalb_util.Rng.t
 (** The engine's root generator. *)
 
@@ -26,14 +40,21 @@ val fork_rng : t -> Causalb_util.Rng.t
 (** An independent generator split off the root — one per component. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Run the callback [delay] ms from now.  @raise Invalid_argument on a
-    negative delay. *)
+(** Run the callback [delay] ms from now.  @raise Invalid_argument
+    unless [delay >= 0] (so on a negative or NaN delay). *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Run the callback at an absolute virtual time ≥ now. *)
+(** Run the callback at an absolute virtual time.  @raise
+    Invalid_argument unless [time >= now t] (so on a past or NaN time). *)
+
+val schedule_cell : t -> cell -> (unit -> unit) -> unit
+(** [schedule_cell t c f] is [schedule_at t ~time:c.time f], with the
+    same check; the time is read when the call is made.  [Net] schedules
+    every remote copy through it. *)
 
 val every : t -> period:float -> ?until:float -> (unit -> unit) -> unit
-(** Periodic callback starting one period from now, optionally bounded. *)
+(** Periodic callback starting one period from now, optionally bounded.
+    @raise Invalid_argument unless [period > 0]. *)
 
 val step : t -> bool
 (** Execute the earliest pending event.  [false] iff the queue was empty. *)

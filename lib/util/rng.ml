@@ -8,8 +8,10 @@
    module — dev builds compile with [-opaque], so no caller can inline
    a draw, and an [int64] or [float] returned across modules is boxed.
    Within it, [@inline] carries the value unboxed from state to result:
-   [int], [bool] and [bernoulli] allocate nothing, and the float draws
-   only their boxed result. *)
+   [int], [bits53], [bool] and [bernoulli] allocate nothing, and [float]
+   only its boxed result.  The delay distributions live in
+   [Causalb_sim.Latency], which draws [bits53] (an immediate) and does
+   its float arithmetic there. *)
 type t = bytes
 
 external get_state : bytes -> int -> int64 = "%caml_bytes_get64u"
@@ -49,30 +51,15 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
 let[@inline] float t bound =
   (* 53 high bits -> uniform double in [0,1). *)
-  let bits = Int64.to_float (Int64.shift_right_logical (next t) 11) in
-  bound *. (bits /. 9007199254740992.0)
+  bound *. (float_of_int (bits53 t) /. 9007199254740992.0)
 
 let bool t = Int64.logand (next t) 1L = 1L
 
 let bernoulli t p = float t 1.0 < p
-
-let exponential t ~mean =
-  let u = 1.0 -. float t 1.0 in
-  -.mean *. log u
-
-let[@inline] gaussian t ~mu ~sigma =
-  (* Box–Muller; one draw discarded for simplicity. *)
-  let u1 = 1.0 -. float t 1.0 and u2 = float t 1.0 in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mu +. (sigma *. z)
-
-let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
-
-let pareto t ~scale ~shape =
-  let u = 1.0 -. float t 1.0 in
-  scale /. (u ** (1.0 /. shape))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

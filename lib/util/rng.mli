@@ -27,6 +27,12 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
 
+val bits53 : t -> int
+(** The next output's 53 high bits, uniform in [\[0, 2{^53})].  An
+    immediate, so a caller in another module gets a draw without a
+    box; [float t bound] is [bound *. (float_of_int (bits53 t) /. 2{^53})]
+    on the same draw. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
@@ -34,17 +40,6 @@ val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed with the given mean. *)
-
-val lognormal : t -> mu:float -> sigma:float -> float
-(** Log-normally distributed: [exp (mu + sigma * N(0,1))]. *)
-
-val gaussian : t -> mu:float -> sigma:float -> float
-
-val pareto : t -> scale:float -> shape:float -> float
-(** Pareto distributed with minimum [scale] and tail index [shape]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

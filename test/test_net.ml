@@ -244,6 +244,19 @@ let test_invalid_args () =
        false
      with Invalid_argument _ -> true)
 
+let test_fault_rejects_nan () =
+  let rejects name make =
+    check name true
+      (try
+         ignore (make () : Fault.t);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "drop nan" (fun () -> Fault.make ~drop_prob:Float.nan ());
+  rejects "dup nan" (fun () -> Fault.make ~dup_prob:Float.nan ());
+  rejects "jitter nan" (fun () -> Fault.make ~jitter:Float.nan ());
+  rejects "jitter inf" (fun () -> Fault.make ~jitter:Float.infinity ())
+
 let test_determinism_same_seed () =
   let run () =
     let e = Engine.create ~seed:7 () in
@@ -355,6 +368,46 @@ let test_delivered_payloads_released () =
   check "broadcast payload collected" false (Weak.check w 1);
   check_int "every copy delivered" 4 (Net.messages_delivered net)
 
+(* An untraced copy allocates nothing on its way through [Net] and the
+   engine: no float crosses a module boundary boxed, and packets and
+   queue slots are recycled.  100 000 sends go out in batches of 100,
+   each drained by [Engine.run], after a warm-up that grows the packet
+   pool and the queue; the count is read after a minor collection. *)
+let minor_words_per_copy ?fault ~fifo () =
+  let e, net = make ~nodes:2 ~fifo ?fault () in
+  let received = ref 0 in
+  Net.set_handler net 1 (fun ~src:_ () -> incr received);
+  let batch () =
+    for _ = 1 to 100 do
+      Net.send net ~src:0 ~dst:1 ~size:1 ()
+    done;
+    Engine.run e
+  in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    batch ()
+  done;
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  check "copies delivered" true (!received >= 90_000);
+  words /. 100_000.
+
+let test_send_allocates_nothing () =
+  let below_one name words =
+    check (Printf.sprintf "%s: %.3f minor words per copy" name words) true
+      (words < 1.0)
+  in
+  below_one "fifo" (minor_words_per_copy ~fifo:true ());
+  below_one "datagram" (minor_words_per_copy ~fifo:false ());
+  below_one "fifo, drop/dup/jitter"
+    (minor_words_per_copy ~fifo:true
+       ~fault:(Fault.make ~drop_prob:0.1 ~dup_prob:0.1 ~jitter:2.0 ())
+       ())
+
 let () =
   Alcotest.run "net"
     [
@@ -368,6 +421,8 @@ let () =
           Alcotest.test_case "no handler" `Quick test_no_handler_counts_dropped;
           Alcotest.test_case "delivered payloads released" `Quick
             test_delivered_payloads_released;
+          Alcotest.test_case "untraced copies allocate nothing" `Quick
+            test_send_allocates_nothing;
         ] );
       ( "ordering",
         [
@@ -405,6 +460,7 @@ let () =
           Alcotest.test_case "self-broadcast bytes" `Quick
             test_self_broadcast_bytes;
           Alcotest.test_case "invalid args" `Quick test_invalid_args;
+          Alcotest.test_case "fault NaN rejected" `Quick test_fault_rejects_nan;
           Alcotest.test_case "determinism" `Quick test_determinism_same_seed;
         ] );
     ]

@@ -134,6 +134,87 @@ let test_engine_releases_fired_callbacks () =
   check "captured array collected" false (Weak.check w 0);
   check_int "engine still alive" 1 (Engine.events_processed e)
 
+(* The same after the queue grew while the event was queued and its
+   slot was freed and reused: growth copies the slot arrays and slots
+   are recycled, and neither may keep a fired callback alive. *)
+let test_engine_releases_after_growth () =
+  let e = Engine.create () in
+  let w = Weak.create 1 in
+  schedule_capturing e w;
+  for _ = 1 to 40 do
+    Engine.schedule e ~delay:2.0 ignore
+  done;
+  check "captured event fired first" true (Engine.step e);
+  check_float "at its time" 1.0 (Engine.now e);
+  for _ = 1 to 100 do
+    Engine.schedule e ~delay:3.0 ignore
+  done;
+  Gc.full_major ();
+  check "captured array collected" false (Weak.check w 0);
+  check_int "the rest still queued" 140 (Engine.pending e);
+  Engine.run e;
+  check_int "all fired" 141 (Engine.events_processed e)
+
+(* NaN compares false with every time.  Admitted, it would sit in the
+   heap unordered against the other events: delays 3, NaN, 1, 2, 0.5
+   would fire at 1, 0.5, 2, 3, the clock running backwards, and the NaN
+   event never.  Every scheduler turns it away. *)
+let test_engine_rejects_nan () =
+  let e = Engine.create () in
+  let log = ref [] and rejected = ref [] in
+  List.iter
+    (fun (name, delay) ->
+      try
+        Engine.schedule e ~delay (fun () -> log := (name, Engine.now e) :: !log)
+      with Invalid_argument _ -> rejected := name :: !rejected)
+    [ ("c", 3.0); ("z", Float.nan); ("a", 1.0); ("b", 2.0); ("y", 0.5) ];
+  Alcotest.(check (list string)) "NaN delay rejected" [ "z" ] !rejected;
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "fired in time order"
+    [ ("y", 0.5); ("a", 1.0); ("b", 2.0); ("c", 3.0) ]
+    (List.rev !log);
+  let raises f =
+    try
+      f ();
+      false
+    with Invalid_argument _ -> true
+  in
+  check "schedule_at NaN" true
+    (raises (fun () -> Engine.schedule_at e ~time:Float.nan ignore));
+  check "every NaN period" true
+    (raises (fun () -> Engine.every e ~period:Float.nan ignore));
+  check_int "nothing queued" 0 (Engine.pending e)
+
+(* [schedule_cell] is [schedule_at] with the time read from a cell when
+   the call is made; [clock] is the engine's clock, read in place. *)
+let test_engine_cell_and_clock () =
+  let e = Engine.create () in
+  let clock = Engine.clock e in
+  let log = ref [] in
+  let note name () = log := (name, clock.Engine.now) :: !log in
+  let cell = { Engine.time = 2.0 } in
+  Engine.schedule_cell e cell (note "cell");
+  cell.time <- 0.5;
+  Engine.schedule_cell e cell (note "earlier cell");
+  Engine.schedule_at e ~time:2.0 (note "tie, scheduled later");
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "time, then scheduling order"
+    [ ("earlier cell", 0.5); ("cell", 2.0); ("tie, scheduled later", 2.0) ]
+    (List.rev !log);
+  check_float "clock = now" (Engine.now e) clock.now;
+  let raises time =
+    try
+      Engine.schedule_cell e { Engine.time } ignore;
+      false
+    with Invalid_argument _ -> true
+  in
+  check "past rejected" true (raises 1.0);
+  check "NaN rejected" true (raises Float.nan);
+  check "now accepted" false (raises 2.0);
+  check_int "one queued" 1 (Engine.pending e)
+
 (* Model-based ordering check.  A schedule is a forest: each node fires
    at its parent's firing time plus its delay (roots at an absolute
    time), and its callback schedules its children in list order.  The
@@ -159,7 +240,7 @@ let node_gen =
   in
   tree 2
 
-let schedule_gen =
+let schedule_gen ~roots =
   let open QCheck2.Gen in
   let stop = int_range 0 12 >|= fun k -> 0.5 *. float_of_int k in
   let root = pair (oneofl [ 0.0; 1.0; 2.0; 3.0 ]) node_gen in
@@ -171,7 +252,7 @@ let schedule_gen =
         (1, node_gen >|= fun n -> Add n);
       ]
   in
-  pair (list_size (int_range 1 60) root) (list_size (int_range 0 12) cmd)
+  pair (list_size roots root) (list_size (int_range 0 12) cmd)
 
 type model = {
   mutable now : float;
@@ -259,7 +340,17 @@ let prop_engine_matches_model (roots, cmds) =
 let test_engine_matches_model =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"engine fires in model order"
-       schedule_gen prop_engine_matches_model)
+       (schedule_gen ~roots:(QCheck2.Gen.int_range 1 60))
+       prop_engine_matches_model)
+
+(* The same on schedules of 100-300 roots: the queue, which starts at 16
+   slots, grows four or five times, and the callbacks that schedule
+   children while they fire reuse the slots freed before them. *)
+let test_engine_matches_model_growing =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:40 ~name:"model order, growing queue"
+       (schedule_gen ~roots:(QCheck2.Gen.int_range 100 300))
+       prop_engine_matches_model)
 
 (* --- Latency --- *)
 
@@ -313,6 +404,74 @@ let test_latency_validation () =
      with Invalid_argument _ -> true);
   check "pareto heavy mean" true
     (Latency.mean (Latency.pareto ~scale:1.0 ~shape:0.5) = infinity)
+
+let test_latency_rejects_bad_parameters () =
+  let rejects name make =
+    check name true
+      (try
+         ignore (make () : Latency.t);
+         false
+       with Invalid_argument _ -> true)
+  in
+  let nan = Float.nan and inf = Float.infinity in
+  rejects "constant nan" (fun () -> Latency.constant nan);
+  rejects "constant inf" (fun () -> Latency.constant inf);
+  rejects "uniform hi nan" (fun () -> Latency.uniform ~lo:1.0 ~hi:nan);
+  rejects "uniform lo nan" (fun () -> Latency.uniform ~lo:nan ~hi:2.0);
+  rejects "uniform hi inf" (fun () -> Latency.uniform ~lo:1.0 ~hi:inf);
+  rejects "exponential mean nan" (fun () -> Latency.exponential ~mean:nan ());
+  rejects "exponential mean inf" (fun () -> Latency.exponential ~mean:inf ());
+  rejects "exponential floor nan" (fun () ->
+      Latency.exponential ~floor:nan ~mean:1.0 ());
+  rejects "lognormal mu nan" (fun () -> Latency.lognormal ~mu:nan ~sigma:0.5 ());
+  rejects "lognormal sigma nan" (fun () ->
+      Latency.lognormal ~mu:0.0 ~sigma:nan ());
+  rejects "lognormal sigma inf" (fun () ->
+      Latency.lognormal ~mu:0.0 ~sigma:inf ());
+  rejects "lognormal floor inf" (fun () ->
+      Latency.lognormal ~floor:inf ~mu:0.0 ~sigma:0.5 ());
+  rejects "exponential floor < 0" (fun () ->
+      Latency.exponential ~floor:(-1.0) ~mean:1.0 ());
+  rejects "lognormal floor < 0" (fun () ->
+      Latency.lognormal ~floor:(-1.0) ~mu:0.0 ~sigma:0.5 ());
+  rejects "pareto scale nan" (fun () -> Latency.pareto ~scale:nan ~shape:2.0);
+  rejects "pareto shape inf" (fun () -> Latency.pareto ~scale:1.0 ~shape:inf)
+
+(* [add_sample] adds the very draw [sample] returns, from the same RNG
+   state, and [add_uniform] adds [Rng.float]'s: the per-copy path of
+   [Net] draws what the boxed entries draw. *)
+let test_latency_cell_draws () =
+  let models =
+    [
+      Latency.constant 2.5;
+      Latency.uniform ~lo:1.0 ~hi:4.0;
+      Latency.exponential ~floor:0.5 ~mean:2.0 ();
+      Latency.lognormal ~mu:0.0 ~sigma:0.5 ();
+      Latency.lan;
+      Latency.wan;
+      Latency.pareto ~scale:1.0 ~shape:2.0;
+    ]
+  in
+  let rng = Rng.create 11 in
+  let cell = { Engine.time = 0.0 } in
+  let same msg a b =
+    Alcotest.(check int64) msg (Int64.bits_of_float a) (Int64.bits_of_float b)
+  in
+  for i = 1 to 200 do
+    List.iter
+      (fun m ->
+        let start = float_of_int i *. 0.25 in
+        let boxed = Rng.copy rng in
+        cell.time <- start;
+        Latency.add_sample rng m cell;
+        same (Latency.to_string m) (start +. Latency.sample boxed m) cell.time;
+        cell.time <- start;
+        Latency.add_uniform rng 2.0 cell;
+        same "uniform" (start +. Rng.float boxed 2.0) cell.time;
+        Alcotest.(check int64) "same draws" (Rng.int64 (Rng.copy boxed))
+          (Rng.int64 (Rng.copy rng)))
+      models
+  done
 
 let test_latency_defaults_positive () =
   let rng = Rng.create 5 in
@@ -393,6 +552,11 @@ let () =
           Alcotest.test_case "fired callbacks released" `Quick
             test_engine_releases_fired_callbacks;
           test_engine_matches_model;
+          Alcotest.test_case "released after slot reuse" `Quick
+            test_engine_releases_after_growth;
+          Alcotest.test_case "NaN rejected" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "cell and clock" `Quick test_engine_cell_and_clock;
+          test_engine_matches_model_growing;
         ] );
       ( "latency",
         [
@@ -401,6 +565,9 @@ let () =
           Alcotest.test_case "exponential floor" `Quick test_latency_exponential_floor;
           Alcotest.test_case "sample means" `Quick test_latency_sample_means;
           Alcotest.test_case "validation" `Quick test_latency_validation;
+          Alcotest.test_case "bad parameters rejected" `Quick
+            test_latency_rejects_bad_parameters;
+          Alcotest.test_case "cell draws" `Quick test_latency_cell_draws;
           Alcotest.test_case "defaults" `Quick test_latency_defaults_positive;
         ] );
       ( "trace",

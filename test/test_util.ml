@@ -231,6 +231,16 @@ let test_rng_float_bounds () =
     check "in range" true (v >= 0.0 && v < 2.5)
   done
 
+(* [bits53] is the draw under [float]: the output's 53 high bits. *)
+let test_rng_bits53 () =
+  let rng = Rng.create 21 in
+  for _ = 1 to 1000 do
+    let raw = Rng.int64 (Rng.copy rng) and unit = Rng.float (Rng.copy rng) 1.0 in
+    let b = Rng.bits53 rng in
+    check_int "high 53 bits" (Int64.to_int (Int64.shift_right_logical raw 11)) b;
+    check "float's draw" true (unit = float_of_int b /. 9007199254740992.0)
+  done
+
 let test_rng_bernoulli_extremes () =
   let rng = Rng.create 6 in
   for _ = 1 to 100 do
@@ -243,19 +253,22 @@ let test_rng_exponential_mean () =
   let n = 20_000 in
   let sum = ref 0.0 in
   for _ = 1 to n do
-    let v = Rng.exponential rng ~mean:5.0 in
+    let v = Latency.sample rng (Latency.exponential ~mean:5.0 ()) in
     check "positive" true (v >= 0.0);
     sum := !sum +. v
   done;
   let mean = !sum /. float_of_int n in
   check "mean close to 5" true (abs_float (mean -. 5.0) < 0.3)
 
+(* The normal draw behind the lognormal model: its log has the moments
+   of N(mu, sigma^2). *)
 let test_rng_gaussian_moments () =
   let rng = Rng.create 10 in
   let n = 20_000 in
   let sum = ref 0.0 and sumsq = ref 0.0 in
+  let m = Latency.lognormal ~mu:3.0 ~sigma:2.0 () in
   for _ = 1 to n do
-    let v = Rng.gaussian rng ~mu:3.0 ~sigma:2.0 in
+    let v = log (Latency.sample rng m) in
     sum := !sum +. v;
     sumsq := !sumsq +. (v *. v)
   done;
@@ -267,7 +280,8 @@ let test_rng_gaussian_moments () =
 let test_rng_pareto_scale () =
   let rng = Rng.create 12 in
   for _ = 1 to 1000 do
-    check "above scale" true (Rng.pareto rng ~scale:1.5 ~shape:2.0 >= 1.5)
+    check "above scale" true
+      (Latency.sample rng (Latency.pareto ~scale:1.5 ~shape:2.0) >= 1.5)
   done
 
 let test_rng_shuffle_permutation () =
@@ -309,10 +323,13 @@ let test_rng_golden_stream () =
   let rng = Rng.create 7 in
   check "bool" true (Rng.bool rng);
   check "bernoulli" true (Rng.bernoulli rng 0.5);
-  check_bits "exponential" 5.6603079213515501 (Rng.exponential rng ~mean:2.0);
-  check_bits "gaussian" 0.46517904913626507
-    (Rng.gaussian rng ~mu:1.0 ~sigma:0.5);
-  check_bits "pareto" 1.2352333730615355 (Rng.pareto rng ~scale:1.0 ~shape:2.0);
+  (* the samplers' values as they were drawn in [Rng] *)
+  check_bits "exponential" 5.6603079213515501
+    (Latency.sample rng (Latency.exponential ~mean:2.0 ()));
+  check_bits "lognormal" 1.5922992631729338
+    (Latency.sample rng (Latency.lognormal ~mu:1.0 ~sigma:0.5 ()));
+  check_bits "pareto" 1.2352333730615355
+    (Latency.sample rng (Latency.pareto ~scale:1.0 ~shape:2.0));
   let copy = Rng.copy rng in
   check_int64 "copy replays" 7350602455885783398L (Rng.int64 copy);
   check_int64 "original unmoved by copy" 7350602455885783398L (Rng.int64 rng);
@@ -501,6 +518,7 @@ let () =
           Alcotest.test_case "copy" `Quick test_rng_copy;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
+          Alcotest.test_case "bits53" `Quick test_rng_bits53;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
